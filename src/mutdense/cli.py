@@ -356,6 +356,11 @@ def _analyze_job(args: tuple) -> tuple:
     return analyze_path(*args)
 
 
+def worker_count(jobs: int, files: int, cpus: int) -> int:
+    """Pool size for ``--jobs``: never more workers than files or CPUs."""
+    return min(jobs, files, cpus)
+
+
 _UNSAFE_PATH_CHARS = re.compile(r"[/\\:]")
 
 
@@ -387,8 +392,9 @@ def run(config: Config) -> int:
 
     want_lines = "html" in config.formats
     jobs = [(display, fs, operator_set, want_lines) for display, fs in files]
-    if config.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = worker_count(config.jobs, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_analyze_job, jobs))
     else:
         results = [_analyze_job(job) for job in jobs]

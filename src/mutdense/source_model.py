@@ -8,21 +8,11 @@ lambdas, text blocks) are tokenized and skipped gracefully.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Iterable, Sequence
 
 from mutdense import errors, scanner
-from mutdense import _token_defs as _defs
-
-
-class TokenKind(IntEnum):
-    IDENTIFIER = _defs.IDENTIFIER
-    KEYWORD = _defs.KEYWORD
-    OPERATOR = _defs.OPERATOR
-    PUNCTUATION = _defs.PUNCTUATION
-    NUMBER_LITERAL = _defs.NUMBER
-    STRING_LITERAL = _defs.STRING
-    CHAR_LITERAL = _defs.CHAR
+from mutdense.scanner import TokenKind
 
 
 _LITERAL_KINDS = frozenset(
@@ -50,7 +40,7 @@ def tokenize(text: str) -> list[Token]:
     the offending construct.
     """
     return [
-        Token(TokenKind(kind), text[start:end], line, col, start, end)
+        Token(kind, text[start:end], line, col, start, end)
         for kind, start, end, line, col in scanner.scan(text)
     ]
 
@@ -70,9 +60,12 @@ class SourceUnit:
 
 
 def split_lines(text: str) -> tuple[str, ...]:
-    """Newline-separated records; a trailing newline does not add an empty line."""
+    """Lines ended by ``\\n``, ``\\r\\n`` or a lone ``\\r``, as the scanner
+    counts them; a trailing line end does not add an empty line."""
     if not text:
         return ()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     parts = text.split("\n")
     if parts[-1] == "":
         parts.pop()
@@ -538,7 +531,10 @@ def relevant_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> LineSet:
 def _nonblank_lines(unit: SourceUnit) -> set[int]:
     covered: set[int] = set()
     for tok in unit.tokens:
-        last_line = tok.line + tok.text.count("\n")
+        text = tok.text
+        last_line = tok.line + text.count("\n")
+        if "\r" in text:  # a text block may hold "\r\n" or lone "\r" line ends
+            last_line += text.count("\r") - text.count("\r\n")
         covered.update(range(tok.line, last_line + 1))
     out: set[int] = set()
     for ln in covered:

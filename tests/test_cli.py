@@ -9,7 +9,16 @@ from fractions import Fraction
 import pytest
 
 from mutdense import errors
-from mutdense.cli import Config, discover, heatmap_filename, load_config, main, run
+from mutdense import cli
+from mutdense.cli import (
+    Config,
+    discover,
+    heatmap_filename,
+    load_config,
+    main,
+    run,
+    worker_count,
+)
 from mutdense.fault_model import Family
 from conftest import (
     ALPHA_SRC,
@@ -259,6 +268,47 @@ def test_parallel_run_matches_serial(write_tree, tmp_path):
     assert main(["analyze", str(root), "--out", str(serial), "--jobs", "1"]) == 0
     assert main(["analyze", str(root), "--out", str(parallel), "--jobs", "3"]) == 0
     assert (serial / "project.json").read_bytes() == (parallel / "project.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "jobs,files,cpus,expected",
+    [
+        (1, 10, 8, 1),
+        (4, 10, 8, 4),
+        (10**9, 10, 8, 8),
+        (10**9, 3, 8, 3),
+        (2, 200, 2, 2),
+        (5, 1, 8, 1),
+        (5, 0, 8, 0),
+    ],
+)
+def test_worker_count_is_clamped(jobs, files, cpus, expected):
+    assert worker_count(jobs, files, cpus) == expected
+
+
+def test_run_sizes_pool_by_worker_count(write_tree, tmp_path, monkeypatch):
+    # a stand-in pool records its size and maps in-process: no worker starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    root = trio(write_tree)
+    cfg = load_config([str(root), "--out", str(tmp_path / "o"), "--jobs", "1000000"])
+    assert run(cfg) == 0
+    assert sizes == [3]
 
 
 def test_threshold_gate_is_strictly_greater(write_tree, tmp_path, capsys):

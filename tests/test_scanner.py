@@ -3,12 +3,38 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from mutdense import errors
-from mutdense.source_model import Token, TokenKind, tokenize
-from conftest import ALPHA_SRC, BETA_SRC, FACTORIAL_SRC, GENERICS_ZOO_SRC, SHAPE_SRC
+import mutdense
+from mutdense import errors, scanner, source_model
+from mutdense.source_model import (
+    SourceUnit,
+    Token,
+    TokenKind,
+    locate_bodies,
+    relevant_lines,
+    tokenize,
+)
+from conftest import (
+    ALPHA_SRC,
+    BETA_SRC,
+    FACTORIAL_SRC,
+    GAMMA_SRC,
+    GENERICS_ZOO_SRC,
+    INTERFACE_SRC,
+    SHAPE_SRC,
+)
+
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
+
+def position_of(src, offset):
+    """1-based (line, column) of ``offset``, with all three line ends."""
+    ends = [m.end() for m in _LINE_END.finditer(src, 0, offset)]
+    line_start = ends[-1] if ends else 0
+    return len(ends) + 1, offset - line_start + 1
 
 
 def kinds_and_texts(src):
@@ -125,6 +151,10 @@ def test_unknown_character_is_single_punctuation():
         ("/* open\nnever closed", errors.UnterminatedComment, 1, 1),
         ('s = """\nno close', errors.UnterminatedLiteral, 1, 5),
         ('s = "trail\\', errors.UnterminatedLiteral, 1, 5),
+        ('x = "ab\rc"d', errors.UnterminatedLiteral, 1, 5),
+        ("a\r\nch = 'a\r'", errors.UnterminatedLiteral, 2, 6),
+        ('s = "x\\\r\n"', errors.UnterminatedLiteral, 1, 5),
+        ("a\r/* open\rnever closed", errors.UnterminatedComment, 2, 1),
     ],
 )
 def test_unterminated_constructs_report_position(src, err, line, col):
@@ -134,21 +164,41 @@ def test_unterminated_constructs_report_position(src, err, line, col):
     assert exc_info.value.column == col
 
 
-@pytest.mark.parametrize(
-    "src", [FACTORIAL_SRC, ALPHA_SRC, BETA_SRC, SHAPE_SRC, GENERICS_ZOO_SRC]
-)
-def test_round_trip_and_position_reconstruction(src):
-    toks = tokenize(src)
-    # offsets are ordered, non-overlapping, and slice back to the text
+def assert_round_trip(src, toks):
+    """Offsets are ordered, non-overlapping, slice back to the text, and
+    give back each token's line and column."""
     prev_end = 0
     for t in toks:
         assert prev_end <= t.start < t.end <= len(src)
         assert src[t.start : t.end] == t.text
+        assert (t.line, t.column) == position_of(src, t.start)
         prev_end = t.end
-        # recompute line/column from the raw offset
-        line = src.count("\n", 0, t.start) + 1
-        col = t.start - (src.rfind("\n", 0, t.start) + 1) + 1
-        assert (t.line, t.column) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "",
+        " ",
+        "\n\n\n",
+        FACTORIAL_SRC,
+        ALPHA_SRC,
+        BETA_SRC,
+        GAMMA_SRC,
+        SHAPE_SRC,
+        GENERICS_ZOO_SRC,
+        INTERFACE_SRC,
+        'x = """\nblock "quoted"\n""" + \'c\';',
+        "a>>>=b >>> c >>= d >> e >= f > g",
+        "0x1.8p-3 1e+5 .5 3_000 0b11 'x' '\\n'",
+        "weird £ § chars # ` \\ stay single",
+        "// only a comment",
+        "/* only a block */",
+        "int i = 0; /* gap */ i++;",
+    ],
+)
+def test_round_trip_and_position_reconstruction(src):
+    assert_round_trip(src, tokenize(src))
 
 
 def test_comments_and_gaps_only_between_tokens():
@@ -168,3 +218,87 @@ def test_determinism_on_random_soup():
                 tokenize(soup)
             continue
         assert tokenize(soup) == first
+
+
+_SOUP_ALPHABET = 'abcXYZ_$019 \t\n+-*/%<>=!&|^~?:;.,(){}[]@"\'\\é世#'
+
+
+@pytest.mark.parametrize("alphabet", [_SOUP_ALPHABET, _SOUP_ALPHABET + "\r"])
+def test_seeded_soup_scans_or_fails_with_position(alphabet):
+    rng = random.Random(2718)
+    for _ in range(300):
+        soup = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
+        try:
+            raw = scanner.scan(soup)
+        except errors.MutdenseError as exc:
+            assert isinstance(exc.line, int) and exc.line >= 1
+            assert isinstance(exc.column, int) and exc.column >= 1
+            continue
+        assert all(type(kind) is TokenKind for kind, *_ in raw)
+        assert_round_trip(soup, tokenize(soup))
+
+
+def test_token_kind_has_one_definition():
+    assert mutdense.TokenKind is source_model.TokenKind is scanner.TokenKind
+    assert scanner.BACKEND == "python"
+    kinds = [kind for kind, *_ in scanner.scan("int x = 'c' + \"s\" + 1;")]
+    assert kinds == [
+        TokenKind.KEYWORD,
+        TokenKind.IDENTIFIER,
+        TokenKind.OPERATOR,
+        TokenKind.CHAR_LITERAL,
+        TokenKind.OPERATOR,
+        TokenKind.STRING_LITERAL,
+        TokenKind.OPERATOR,
+        TokenKind.NUMBER_LITERAL,
+        TokenKind.PUNCTUATION,
+    ]
+    assert all(type(kind) is TokenKind for kind in kinds)
+
+
+# every way the scanner meets a line end: top level, line comment, block
+# comment, text block (plain and backslash-newline), string after a break
+_LINE_END_SRC = """\
+// header comment
+class A {
+  /* a block
+     comment */
+  int f(int a) {
+    String s = \"\"\"
+        one
+        two \\
+        three\"\"\";
+    return a + 1; // tail
+  }
+
+  String g() {
+    return "x" + 'y';
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_line_ends_agree(end):
+    lf = SourceUnit.from_text("A.java", _LINE_END_SRC)
+    other = SourceUnit.from_text("A.java", _LINE_END_SRC.replace("\n", end))
+    assert [(t.kind, t.line, t.column) for t in other.tokens] == [
+        (t.kind, t.line, t.column) for t in lf.tokens
+    ]
+    assert len(other.lines) == len(lf.lines) == 16
+    assert other.lines == lf.lines
+    assert (
+        relevant_lines(other, locate_bodies(other))
+        == relevant_lines(lf, locate_bodies(lf))
+    )
+    assert sorted(relevant_lines(lf, locate_bodies(lf)).relevant) == [
+        5, 6, 7, 8, 9, 10, 11, 13, 14, 15,
+    ]
+
+
+def test_cr_only_unit_counts_physical_lines():
+    unit = SourceUnit.from_text(
+        "A.java", "class A {\r  int f(int a) {\r    return a + 1;\r  }\r}\r"
+    )
+    assert len(unit.lines) == 5
+    assert sorted(relevant_lines(unit, locate_bodies(unit)).relevant) == [2, 3, 4]
