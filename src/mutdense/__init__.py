@@ -24,6 +24,7 @@ from mutdense.metrics import (
     ProjectReport,
     UnitReport,
     aggregate_project,
+    analyze_unit,
     average_density,
     build_unit_report,
     line_densities,
@@ -65,6 +66,7 @@ __all__ = [
     "ProjectReport",
     "UnitReport",
     "aggregate_project",
+    "analyze_unit",
     "average_density",
     "build_unit_report",
     "line_densities",

@@ -21,19 +21,13 @@ from typing import Sequence
 
 from mutdense import errors
 from mutdense._version import VERSION
-from mutdense.fault_model import (
-    ALL_OPERATOR_IDS,
-    CATALOG,
-    Family,
-    OperatorSet,
-    find_mutation_sites,
-)
+from mutdense.fault_model import ALL_OPERATOR_IDS, CATALOG, Family, OperatorSet
 from mutdense.metrics import (
     Diagnostic,
     ProjectReport,
     UnitReport,
     aggregate_project,
-    build_unit_report,
+    analyze_unit,
 )
 from mutdense.reporting import (
     DEFAULT_STYLE,
@@ -44,7 +38,7 @@ from mutdense.reporting import (
     render_heatmap,
     render_text,
 )
-from mutdense.source_model import SourceUnit, locate_bodies, relevant_lines
+from mutdense.source_model import SourceUnit, split_lines
 
 _SIZE_LIMIT = 10 * 1024 * 1024
 _FORMATS = ("json", "html", "svg", "text")
@@ -107,14 +101,13 @@ _FAMILY_CHOICES = {
     "all": frozenset(Family),
 }
 
-_CONFIG_KEYS = (
-    "roots", "includeGlobs", "excludeGlobs", "families", "enabledOperatorIds",
-    "outputDir", "formats", "threshold", "topLines", "jobs",
-    "colorStops", "grayColor",
-)
-
 
 def _read_config_file(path: str) -> dict:
+    """Config fields from a JSON config file.
+
+    An unknown key, or a value of the wrong type or out of range, raises
+    BadConfigKey naming the key.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -122,10 +115,16 @@ def _read_config_file(path: str) -> dict:
         raise errors.UnreadableConfig(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise errors.UnreadableConfig(f"config {path} must hold a JSON object")
-    for key in data:
+    fields: dict = {}
+    for key, value in data.items():
         if key not in _CONFIG_KEYS:
             raise errors.BadConfigKey(f"unknown config key {key!r} in {path}")
-    return data
+        name, parse = _CONFIG_KEYS[key]
+        try:
+            fields[name] = parse(value, f"{key} in {path}")
+        except errors.BadFlag as exc:
+            raise errors.BadConfigKey(str(exc)) from exc
+    return fields
 
 
 def _as_fraction(value, origin: str) -> Fraction:
@@ -170,84 +169,121 @@ def _parse_ids(value, origin: str) -> frozenset[str]:
     return ids
 
 
+def _expect(ok: bool, origin: str, what: str, value) -> None:
+    if not ok:
+        raise errors.BadConfigKey(f"{origin}: expected {what}, got {json.dumps(value)}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _str_value(value, origin: str) -> str:
+    _expect(isinstance(value, str), origin, "a string", value)
+    return value
+
+
+def _str_tuple(value, origin: str) -> tuple[str, ...]:
+    _expect(_is_str_list(value), origin, "a list of strings", value)
+    return tuple(value)
+
+
+def _str_or_list(value, origin: str):
+    _expect(isinstance(value, str) or _is_str_list(value), origin,
+            "a comma-separated string or a list of strings", value)
+    return value
+
+
+def _integer(value, origin: str, minimum: int) -> int:
+    _expect(_is_int(value) and value >= minimum, origin,
+            f"an integer of at least {minimum}", value)
+    return value
+
+
+def _number(value, origin: str) -> Fraction:
+    _expect(isinstance(value, (int, float, str)) and not isinstance(value, bool),
+            origin, "a number", value)
+    return _as_fraction(value, origin)
+
+
+def _color_stops(value, origin: str) -> tuple[tuple[int, str], ...]:
+    _expect(
+        isinstance(value, list) and all(
+            isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and isinstance(p[1], str)
+            for p in value
+        ),
+        origin, "[[threshold, color], ...]", value,
+    )
+    stops = tuple((t, c) for t, c in value)
+    try:
+        HeatmapStyle(color_stops=stops)
+    except ValueError as exc:
+        raise errors.BadConfigKey(f"{origin}: {exc}") from exc
+    return stops
+
+
+# config-file key -> (Config field, parser taking the value and its origin)
+_CONFIG_KEYS = {
+    "roots": ("roots", _str_tuple),
+    "includeGlobs": ("include_globs", _str_tuple),
+    "excludeGlobs": ("exclude_globs", _str_tuple),
+    "families": ("families", lambda v, o: _families_from_names(_str_tuple(v, o), o)),
+    "enabledOperatorIds": ("enabled_operator_ids", lambda v, o: _parse_ids(_str_or_list(v, o), o)),
+    "outputDir": ("output_dir", _str_value),
+    "formats": ("formats", lambda v, o: _parse_formats(_str_or_list(v, o), o)),
+    "threshold": ("threshold", _number),
+    "topLines": ("top_lines", lambda v, o: _integer(v, o, 0)),
+    "jobs": ("jobs", lambda v, o: _integer(v, o, 1)),
+    "colorStops": ("color_stops", _color_stops),
+    "grayColor": ("gray_color", _str_value),
+}
+
+
 def load_config(cli_args: Sequence[str], config_file: str | None = None) -> Config:
     """Merge flags over config-file values over defaults."""
     ns = _analyze_parser().parse_args(list(cli_args))
     file_path = config_file or ns.config
-    file_cfg = _read_config_file(file_path) if file_path else {}
 
     merged: dict = {}
-
-    if "roots" in file_cfg:
-        merged["roots"] = tuple(str(r) for r in file_cfg["roots"])
-    if ns.roots:
-        merged["roots"] = tuple(ns.roots)
-    if not merged.get("roots"):
-        raise errors.BadFlag("at least one root path is required")
-
-    if "includeGlobs" in file_cfg:
-        merged["include_globs"] = tuple(file_cfg["includeGlobs"])
-    if ns.include:
-        merged["include_globs"] = tuple(ns.include)
-    if "excludeGlobs" in file_cfg:
-        merged["exclude_globs"] = tuple(file_cfg["excludeGlobs"])
-    if ns.exclude:
-        merged["exclude_globs"] = tuple(ns.exclude)
-
-    if "families" in file_cfg:
-        merged["families"] = _families_from_names(file_cfg["families"], "families")
-    if ns.operators:
-        merged["families"] = _FAMILY_CHOICES[ns.operators]
-
-    if "enabledOperatorIds" in file_cfg:
-        merged["enabled_operator_ids"] = _parse_ids(
-            file_cfg["enabledOperatorIds"], "enabledOperatorIds")
-    if ns.enable:
-        merged["enabled_operator_ids"] = _parse_ids(ns.enable, "--enable")
-
-    if "outputDir" in file_cfg:
-        merged["output_dir"] = str(file_cfg["outputDir"])
-    if ns.output_dir:
-        merged["output_dir"] = ns.output_dir
-
-    if "formats" in file_cfg:
-        merged["formats"] = _parse_formats(file_cfg["formats"], "formats")
-    if ns.formats:
-        merged["formats"] = _parse_formats(ns.formats, "--format")
-
-    if "threshold" in file_cfg:
-        merged["threshold"] = _as_fraction(file_cfg["threshold"], "threshold")
-    if ns.threshold is not None:
-        merged["threshold"] = _as_fraction(ns.threshold, "--threshold")
-
-    if "topLines" in file_cfg:
-        merged["top_lines"] = int(file_cfg["topLines"])
-    if ns.top_lines is not None:
-        if ns.top_lines < 0:
-            raise errors.BadFlag("--top-lines must be non-negative")
-        merged["top_lines"] = ns.top_lines
-
     env_jobs = os.environ.get("MUTDENSE_JOBS")
     if env_jobs:
         try:
             merged["jobs"] = int(env_jobs)
         except ValueError as exc:
             raise errors.BadFlag(f"MUTDENSE_JOBS: not an integer: {env_jobs!r}") from exc
-    if "jobs" in file_cfg:
-        merged["jobs"] = int(file_cfg["jobs"])
+    if file_path:
+        merged.update(_read_config_file(file_path))
+
+    if ns.roots:
+        merged["roots"] = tuple(ns.roots)
+    if not merged.get("roots"):
+        raise errors.BadFlag("at least one root path is required")
+    if ns.include:
+        merged["include_globs"] = tuple(ns.include)
+    if ns.exclude:
+        merged["exclude_globs"] = tuple(ns.exclude)
+    if ns.operators:
+        merged["families"] = _FAMILY_CHOICES[ns.operators]
+    if ns.enable:
+        merged["enabled_operator_ids"] = _parse_ids(ns.enable, "--enable")
+    if ns.output_dir:
+        merged["output_dir"] = ns.output_dir
+    if ns.formats:
+        merged["formats"] = _parse_formats(ns.formats, "--format")
+    if ns.threshold is not None:
+        merged["threshold"] = _as_fraction(ns.threshold, "--threshold")
+    if ns.top_lines is not None:
+        if ns.top_lines < 0:
+            raise errors.BadFlag("--top-lines must be non-negative")
+        merged["top_lines"] = ns.top_lines
     if ns.jobs is not None:
         merged["jobs"] = ns.jobs
     if merged.get("jobs", 1) < 1:
         raise errors.BadFlag("--jobs must be at least 1")
-
-    if "colorStops" in file_cfg:
-        try:
-            merged["color_stops"] = tuple(
-                (int(t), str(c)) for t, c in file_cfg["colorStops"])
-        except (TypeError, ValueError) as exc:
-            raise errors.BadConfigKey("colorStops: expected [[threshold, color], ...]") from exc
-    if "grayColor" in file_cfg:
-        merged["gray_color"] = str(file_cfg["grayColor"])
 
     return Config(**merged)
 
@@ -273,14 +309,18 @@ def _wanted(rel_path: str, config: Config) -> bool:
 def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
     """Resolve roots to a sorted, deduplicated [(display path, fs path)] list.
 
-    Inner symbolic links are never followed; oversized files are skipped
-    with a diagnostic.  A missing root is fatal.
+    A display path is relative to its directory root, or the root itself for
+    a file root.  Where files from different roots would share a display
+    path, each of them is qualified with its root as given.  Inner symbolic
+    links are never followed; oversized files are skipped with a diagnostic.
+    A missing root is fatal.
     """
-    found: list[tuple[str, str]] = []
-    diagnostics: list[Diagnostic] = []
+    # (display, its root's prefix, fs path, problem or None); the prefix is
+    # "" for a file root, whose display path already is the root
+    entries: list[tuple[str, str, str, str | None]] = []
     seen: set[str] = set()
 
-    def offer(display: str, fs_path: str, check_globs: bool) -> None:
+    def offer(display: str, prefix: str, fs_path: str, check_globs: bool) -> None:
         display = display.replace(os.sep, "/")
         if check_globs and not _wanted(display, config):
             return
@@ -295,20 +335,18 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
         try:
             size = os.path.getsize(fs_path)
         except OSError as exc:
-            diagnostics.append(Diagnostic(display, f"unreadable: {exc}"))
+            entries.append((display, prefix, fs_path, f"unreadable: {exc}"))
             return
-        if size > _SIZE_LIMIT:
-            diagnostics.append(
-                Diagnostic(display, "skipped: exceeds the 10 MB size guard"))
-            return
-        found.append((display, fs_path))
+        problem = "skipped: exceeds the 10 MB size guard" if size > _SIZE_LIMIT else None
+        entries.append((display, prefix, fs_path, problem))
 
     for root in config.roots:
         if not os.path.exists(root):
             raise errors.MutdenseError(f"root does not exist: {root}")
         if os.path.isfile(root):
-            offer(root, root, check_globs=False)
+            offer(root, "", root, check_globs=False)
             continue
+        prefix = root.replace(os.sep, "/").rstrip("/") + "/"
         for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
             dirnames.sort()
             for name in sorted(filenames):
@@ -316,8 +354,20 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
                 if os.path.islink(fs_path):
                     continue
                 rel = os.path.relpath(fs_path, root)
-                offer(rel, fs_path, check_globs=True)
+                offer(rel, prefix, fs_path, check_globs=True)
 
+    roots_of: dict[str, set[str]] = {}
+    for display, prefix, _, _ in entries:
+        roots_of.setdefault(display, set()).add(prefix)
+    found: list[tuple[str, str]] = []
+    diagnostics: list[Diagnostic] = []
+    for display, prefix, fs_path, problem in entries:
+        if len(roots_of[display]) > 1:
+            display = prefix + display
+        if problem is None:
+            found.append((display, fs_path))
+        else:
+            diagnostics.append(Diagnostic(display, problem))
     found.sort(key=lambda pair: pair[0])
     return found, diagnostics
 
@@ -342,14 +392,10 @@ def analyze_path(
     except OSError as exc:
         return display, None, f"unreadable: {exc}", None
     try:
-        unit = SourceUnit.from_text(display, text)
-        spans = locate_bodies(unit)
-        relevant = relevant_lines(unit, spans)
-        mutants = find_mutation_sites(unit, spans, operator_set)
-        report = build_unit_report(unit, relevant, mutants)
+        report = analyze_unit(display, text, operator_set)
     except errors.MutdenseError as exc:
         return display, None, str(exc), None
-    return display, report, None, unit.lines if want_lines else None
+    return display, report, None, split_lines(text) if want_lines else None
 
 
 def _analyze_job(args: tuple) -> tuple:
@@ -366,6 +412,26 @@ _UNSAFE_PATH_CHARS = re.compile(r"[/\\:]")
 
 def heatmap_filename(display_path: str) -> str:
     return _UNSAFE_PATH_CHARS.sub("_", display_path) + ".html"
+
+
+def heatmap_filenames(display_paths: Sequence[str]) -> list[str]:
+    """Distinct heatmap file names for ``display_paths``, in order.
+
+    A path keeps ``heatmap_filename``'s name unless an earlier path already
+    took it; it then takes the first free ``<name>.<k>.html``, k = 2, 3, ...
+    """
+    used: set[str] = set()
+    names: list[str] = []
+    for path in display_paths:
+        name = heatmap_filename(path)
+        stem = name[: -len(".html")]
+        k = 2
+        while name in used:
+            name = f"{stem}.{k}.html"
+            k += 1
+        used.add(name)
+        names.append(name)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +526,13 @@ def _write_artifacts(
         with open(os.path.join(out, "project.svg"), "w", encoding="utf-8") as fh:
             fh.write(render_barchart(project))
     if "html" in config.formats:
-        for unit in project.units:
+        names = heatmap_filenames([unit.path for unit in project.units])
+        for unit, name in zip(project.units, names):
             lines = unit_lines.get(unit.path)
             if lines is None:
                 continue
             shell = SourceUnit(path=unit.path, text="", lines=lines, tokens=())
             doc = render_heatmap(shell, unit, style)
-            name = heatmap_filename(unit.path)
             with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
                 fh.write(doc)
 

@@ -22,7 +22,7 @@ from mutdense.source_model import (
     Token,
     TokenKind,
     is_reference_type,
-    mark_generic_angles,
+    match_creation,
     span_region_lines,
 )
 
@@ -158,12 +158,13 @@ def find_mutation_sites(
     produce the identical list.
     """
     tokens = unit.tokens
-    angles = mark_generic_angles(tokens)
+    angles = unit.angles
     region = span_region_lines(unit, spans)
     enabled = operator_set.enabled_ids
     traditional = Family.TRADITIONAL in operator_set.families
     null_type = Family.NULL_TYPE in operator_set.families
     out: list[Mutant] = []
+    returns: list[int] = []  # NRV candidates, matched to their spans below
 
     def emit(op_id: str, tok_line: int, tok_col: int, start: int, end: int,
              replacement: str, insert_after: int | None = None) -> None:
@@ -229,13 +230,17 @@ def find_mutation_sites(
 
         if null_type and tok.kind is TokenKind.KEYWORD:
             if tx == "new" and "NOI" in enabled:
-                site = _object_creation_range(tokens, idx, angles)
+                site = match_creation(tokens, angles, idx, len(tokens))
                 if site is not None:
-                    emit("NOI", tok.line, tok.column, tok.start, site, "null")
+                    emit("NOI", tok.line, tok.column, tok.start, tokens[site[1]].end, "null")
             elif tx == "return" and "NRV" in enabled:
-                site = _nullable_return_range(tokens, idx, spans)
-                if site is not None:
-                    emit("NRV", tok.line, tok.column, tok.start, site, "return null;")
+                returns.append(idx)
+
+    for idx, span in _return_owners(returns, spans).items():
+        end = _nullable_return_range(tokens, idx, span)
+        if end is not None:
+            tok = tokens[idx]
+            emit("NRV", tok.line, tok.column, tok.start, end, "return null;")
 
     if null_type and "NIV" in enabled:
         for span in spans:
@@ -259,39 +264,32 @@ def _null_adjacent(tokens: Sequence[Token], idx: int) -> bool:
     return idx + 1 < len(tokens) and tokens[idx + 1].text == "null"
 
 
-def _object_creation_range(tokens, idx, angles) -> int | None:
-    """For 'new Name(...)' return the end offset of the closing ')';
-    array creation ('new Name[...]') yields nothing."""
-    n = len(tokens)
-    j = idx + 1
-    if j >= n or tokens[j].kind is not TokenKind.IDENTIFIER:
-        return None
-    j += 1
-    while j + 1 < n and tokens[j].text == "." and tokens[j + 1].kind is TokenKind.IDENTIFIER:
-        j += 2
-    if j < n and tokens[j].text == "<" and j in angles.open_close:
-        j = angles.open_close[j] + 1
-    if j >= n or tokens[j].text != "(":
-        return None
-    depth = 0
-    for k in range(j, n):
-        tx = tokens[k].text
-        if tx == "(":
-            depth += 1
-        elif tx == ")":
-            depth -= 1
-            if depth == 0:
-                return tokens[k].end
-    return None
+def _return_owners(returns: list[int], spans: Sequence[BodySpan]) -> dict[int, BodySpan]:
+    """Map each 'return' token index to the innermost span whose body holds it.
+
+    ``returns`` is ascending and ``spans`` is sorted by body start, so one
+    sweep with a stack of open spans serves every return.  A span that has
+    closed before one return has closed before every later one.
+    """
+    owners: dict[int, BodySpan] = {}
+    stack: list[BodySpan] = []
+    pending = iter(spans)
+    nxt = next(pending, None)
+    for idx in returns:
+        while nxt is not None and nxt.body_token_range[0] < idx:
+            stack.append(nxt)
+            nxt = next(pending, None)
+        while stack and idx >= stack[-1].body_token_range[1] - 1:
+            stack.pop()
+        if stack:
+            owners[idx] = stack[-1]
+    return owners
 
 
-def _nullable_return_range(tokens, idx, spans) -> int | None:
+def _nullable_return_range(tokens, idx, span) -> int | None:
     """For 'return expr;' in a method returning a reference type, the end
     offset of the terminating ';'; 'return null;' yields nothing."""
-    span = _innermost_span(spans, idx)
-    if span is None or span.kind is not SpanKind.METHOD:
-        return None
-    if not is_reference_type(span.return_type_text):
+    if span.kind is not SpanKind.METHOD or not is_reference_type(span.return_type_text):
         return None
     body_end = span.body_token_range[1]
     depth = 0
@@ -307,16 +305,6 @@ def _nullable_return_range(tokens, idx, spans) -> int | None:
                 return None
             return tokens[k].end
     return None
-
-
-def _innermost_span(spans: Sequence[BodySpan], token_idx: int) -> BodySpan | None:
-    best = None
-    for span in spans:
-        lo, hi = span.body_token_range
-        if lo < token_idx < hi - 1:
-            if best is None or lo > best.body_token_range[0]:
-                best = span
-    return best
 
 
 def apply_mutant(unit: SourceUnit, mutant: Mutant) -> str:

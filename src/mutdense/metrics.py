@@ -15,11 +15,19 @@ from typing import Literal, Sequence
 
 from mutdense import errors
 from mutdense._version import VERSION
-from mutdense.fault_model import CATALOG, Family, Mutant, MutationOperator
-from mutdense.source_model import LineSet, SourceUnit
+from mutdense.fault_model import (
+    CATALOG,
+    Family,
+    Mutant,
+    MutationOperator,
+    OperatorSet,
+    find_mutation_sites,
+)
+from mutdense.source_model import LineSet, SourceUnit, locate_bodies, relevant_lines
 
 MetricKey = Literal["traditional", "null-type", "combined"]
 COMBINED: MetricKey = "combined"
+_FAMILIES = tuple(Family)
 
 
 @dataclass(frozen=True)
@@ -76,11 +84,10 @@ def line_densities(
             raise errors.MutantOnIrrelevantLine(
                 f"{m.operator_id} mutant on non-relevant line {m.line} of {unit.path}"
             )
-        per_line = counts.setdefault(m.line, {f: 0 for f in Family})
-        per_line[m.family] += 1
+        counts.setdefault(m.line, dict.fromkeys(_FAMILIES, 0))[m.family] += 1
     out: list[LineDensity] = []
     for ln in range(1, len(unit.lines) + 1):
-        per_line = counts.get(ln, {f: 0 for f in Family})
+        per_line = counts.get(ln) or dict.fromkeys(_FAMILIES, 0)
         out.append(
             LineDensity(
                 line=ln,
@@ -130,6 +137,18 @@ def build_unit_report(
         avg_density_combined=sum(avg_by_family.values(), Fraction(0)),
         mutants=tuple(mutants),
     )
+
+
+def analyze_unit(path: str, text: str, operator_set: OperatorSet) -> UnitReport:
+    """The whole per-unit chain: scan, bodies, relevant lines, mutants, report.
+
+    Raises a MutdenseError subclass when the text cannot be analyzed.
+    """
+    unit = SourceUnit.from_text(path, text)
+    spans = locate_bodies(unit)
+    relevant = relevant_lines(unit, spans)
+    mutants = find_mutation_sites(unit, spans, operator_set)
+    return build_unit_report(unit, relevant, mutants)
 
 
 def aggregate_project(

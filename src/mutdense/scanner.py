@@ -1,10 +1,10 @@
 """Scanner for Java-style source text.
 
-``scan`` produces raw token tuples ``(kind, start, end, line, column)``:
-``kind`` is a ``TokenKind`` member, ``start``/``end`` are half-open
-character offsets and ``line``/``column`` are the 1-based position of the
-token start.  Comments and whitespace are consumed silently; literals keep
-their delimiters; multi-character operators are maximal-munch.
+``scan`` produces ``Token`` tuples ``(kind, text, line, column, start, end)``:
+``kind`` is a ``TokenKind`` member, ``line``/``column`` are the 1-based
+position of the token start and ``start``/``end`` are half-open character
+offsets.  Comments and whitespace are consumed silently; literals keep their
+delimiters; multi-character operators are maximal-munch.
 
 A line ends at ``\\n``, at ``\\r\\n`` or at a lone ``\\r``.
 """
@@ -12,6 +12,7 @@ A line ends at ``\\n``, at ``\\r\\n`` or at a lone ``\\r``.
 from __future__ import annotations
 
 from enum import IntEnum
+from typing import NamedTuple
 
 from mutdense import errors
 
@@ -27,6 +28,17 @@ class TokenKind(IntEnum):
     NUMBER_LITERAL = 4
     STRING_LITERAL = 5
     CHAR_LITERAL = 6
+
+
+class Token(NamedTuple):
+    """One lexical unit; ``start``/``end`` are half-open offsets into the text."""
+
+    kind: TokenKind
+    text: str
+    line: int
+    column: int
+    start: int
+    end: int
 
 
 # Reserved words, including the literal words true/false/null.  Contextual
@@ -54,16 +66,15 @@ _NUMBER = TokenKind.NUMBER_LITERAL
 _STRING = TokenKind.STRING_LITERAL
 _CHAR = TokenKind.CHAR_LITERAL
 
-RawToken = tuple[TokenKind, int, int, int, int]
 
-
-def scan(text: str) -> list[RawToken]:
+def scan(text: str) -> list[Token]:
     n = len(text)
     i = 0
     line = 1
     line_start = 0  # offset of the first character of the current line
-    out: list[RawToken] = []
+    out: list[Token] = []
     append = out.append
+    _new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
 
     # Line ends: every "\n", and every "\r" not followed by "\n".  The "\r"
     # of a "\r\n" pair is plain whitespace; its "\n" ends the line.
@@ -109,10 +120,10 @@ def scan(text: str) -> list[RawToken]:
                     )
                 continue
             if c2 == "=":
-                append((_OPERATOR, start, start + 2, line, col))
+                append(_new(Token, (_OPERATOR, "/=", line, col, start, start + 2)))
                 i += 2
             else:
-                append((_OPERATOR, start, start + 1, line, col))
+                append(_new(Token, (_OPERATOR, "/", line, col, start, start + 1)))
                 i += 1
             continue
 
@@ -142,7 +153,7 @@ def scan(text: str) -> list[RawToken]:
                     raise errors.UnterminatedLiteral(
                         "unterminated text block", start_line, start_col
                     )
-                append((_STRING, start, i, start_line, start_col))
+                append(_new(Token, (_STRING, text[start:i], start_line, start_col, start, i)))
                 continue
             i += 1
             while True:
@@ -161,7 +172,7 @@ def scan(text: str) -> list[RawToken]:
                 i += 1
                 if ch == '"':
                     break
-            append((_STRING, start, i, line, col))
+            append(_new(Token, (_STRING, text[start:i], line, col, start, i)))
             continue
 
         if c == "'":
@@ -182,7 +193,7 @@ def scan(text: str) -> list[RawToken]:
                 i += 1
                 if ch == "'":
                     break
-            append((_CHAR, start, i, line, col))
+            append(_new(Token, (_CHAR, text[start:i], line, col, start, i)))
             continue
 
         if c.isalpha() or c == "_" or c == "$":
@@ -194,9 +205,8 @@ def scan(text: str) -> list[RawToken]:
                 else:
                     break
             word = text[start:i]
-            append(
-                (_KEYWORD if word in KEYWORDS else _IDENTIFIER, start, i, line, col)
-            )
+            kind = _KEYWORD if word in KEYWORDS else _IDENTIFIER
+            append(_new(Token, (kind, word, line, col, start, i)))
             continue
 
         if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
@@ -216,7 +226,7 @@ def scan(text: str) -> list[RawToken]:
                         i += 1
                         continue
                 break
-            append((_NUMBER, start, i, line, col))
+            append(_new(Token, (_NUMBER, text[start:i], line, col, start, i)))
             continue
 
         # operators and punctuation, longest match first
@@ -268,7 +278,7 @@ def scan(text: str) -> list[RawToken]:
             # outside the subset: emit a one-character token, never crash
             length = 1
             kind = _PUNCTUATION
-        append((kind, start, start + length, line, col))
         i = start + length
+        append(_new(Token, (kind, text[start:i], line, col, start, i)))
 
     return out

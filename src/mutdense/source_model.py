@@ -9,27 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from mutdense import errors, scanner
-from mutdense.scanner import TokenKind
-
-
-_LITERAL_KINDS = frozenset(
-    {TokenKind.NUMBER_LITERAL, TokenKind.STRING_LITERAL, TokenKind.CHAR_LITERAL}
-)
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One lexical unit; ``start``/``end`` are half-open offsets into the text."""
-
-    kind: TokenKind
-    text: str
-    line: int
-    column: int
-    start: int
-    end: int
+from mutdense.scanner import Token, TokenKind
 
 
 def tokenize(text: str) -> list[Token]:
@@ -39,15 +23,16 @@ def tokenize(text: str) -> list[Token]:
     Raises UnterminatedLiteral / UnterminatedComment with the position of
     the offending construct.
     """
-    return [
-        Token(kind, text[start:end], line, col, start, end)
-        for kind, start, end, line, col in scanner.scan(text)
-    ]
+    return scanner.scan(text)
 
 
 @dataclass(frozen=True)
 class SourceUnit:
-    """One source file: raw text, physical lines, and its token stream."""
+    """One source file: raw text, physical lines, and its token stream.
+
+    ``braces`` and ``angles`` are derived from the tokens on first use and
+    kept, so every layer that reads them shares one computation.
+    """
 
     path: str
     text: str
@@ -57,6 +42,14 @@ class SourceUnit:
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceUnit":
         return cls(path=path, text=text, lines=split_lines(text), tokens=tuple(tokenize(text)))
+
+    @cached_property
+    def braces(self) -> dict[int, int]:
+        return match_braces(self.tokens)
+
+    @cached_property
+    def angles(self) -> GenericAngles:
+        return mark_generic_angles(self.tokens)
 
 
 def split_lines(text: str) -> tuple[str, ...]:
@@ -183,24 +176,14 @@ def is_reference_type(type_text: str | None) -> bool:
     return type_text is not None and type_text not in _PRIMITIVE_TYPES and type_text != "void"
 
 
-class _Ctx:
-    __slots__ = ("tokens", "braces", "angles", "spans")
-
-    def __init__(self, tokens: Sequence[Token], braces: dict[int, int], angles: GenericAngles):
-        self.tokens = tokens
-        self.braces = braces
-        self.angles = angles
-        self.spans: list[BodySpan] = []
-
-
 def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     """Find every method/constructor body span, including those of nested,
     local, and anonymous types."""
-    tokens = unit.tokens
-    ctx = _Ctx(tokens, match_braces(tokens), mark_generic_angles(tokens))
-    _scan_block(ctx, 0, len(tokens))
-    ctx.spans.sort(key=lambda s: s.body_token_range[0])
-    return ctx.spans
+    unit.braces  # unbalanced braces fail here, even in a unit with no bodies
+    spans: list[BodySpan] = []
+    _scan_block(unit, spans, 0, len(unit.tokens))
+    spans.sort(key=lambda s: s.body_token_range[0])
+    return spans
 
 
 def match_braces(tokens: Sequence[Token]) -> dict[int, int]:
@@ -233,31 +216,59 @@ def _match_paren(tokens: Sequence[Token], open_idx: int, hi: int) -> int | None:
     return None
 
 
-def _is_type_decl_keyword(ctx: _Ctx, i: int) -> bool:
-    tok = ctx.tokens[i]
+def match_creation(
+    tokens: Sequence[Token], angles: GenericAngles, i: int, hi: int
+) -> tuple[str, int] | None:
+    """At the 'new' keyword at index ``i``, match ``new Name(.Name)* [<...>]
+    ( ... )`` within ``tokens[:hi]``.
+
+    Returns the last name and the index of the closing ')', or None for
+    anything else (array creation, a parenthesis left open before ``hi``).
+    """
+    j = i + 1
+    if j >= hi or tokens[j].kind is not TokenKind.IDENTIFIER:
+        return None
+    name = tokens[j].text
+    j += 1
+    while j + 1 < hi and tokens[j].text == "." and tokens[j + 1].kind is TokenKind.IDENTIFIER:
+        name = tokens[j + 1].text
+        j += 2
+    if j < hi and tokens[j].text == "<" and j in angles.open_close:
+        j = angles.open_close[j] + 1
+    if j >= hi or tokens[j].text != "(":
+        return None
+    pclose = _match_paren(tokens, j, hi)
+    if pclose is None:
+        return None
+    return name, pclose
+
+
+def _is_type_decl_keyword(tokens: Sequence[Token], i: int) -> bool:
+    tok = tokens[i]
     if tok.kind is not TokenKind.KEYWORD or tok.text not in _TYPE_KEYWORDS:
         return False
     # 'String.class' is a class literal, not a declaration
-    return i == 0 or ctx.tokens[i - 1].text != "."
+    return i == 0 or tokens[i - 1].text != "."
 
 
-def _scan_block(ctx: _Ctx, lo: int, hi: int) -> None:
+def _scan_block(unit: SourceUnit, spans: list[BodySpan], lo: int, hi: int) -> None:
     """Walk statement/expression territory looking for type declarations and
     anonymous class bodies; everything else is passed over."""
+    tokens = unit.tokens
     i = lo
     while i < hi:
-        tok = ctx.tokens[i]
-        if _is_type_decl_keyword(ctx, i):
-            i = _scan_type_decl(ctx, i, hi)
+        tok = tokens[i]
+        if _is_type_decl_keyword(tokens, i):
+            i = _scan_type_decl(unit, spans, i, hi)
             continue
         if tok.kind is TokenKind.KEYWORD and tok.text == "new":
-            i = _scan_new(ctx, i, hi)
+            i = _scan_new(unit, spans, i, hi)
             continue
         i += 1
 
 
-def _scan_type_decl(ctx: _Ctx, i: int, hi: int) -> int:
-    tokens = ctx.tokens
+def _scan_type_decl(unit: SourceUnit, spans: list[BodySpan], i: int, hi: int) -> int:
+    tokens = unit.tokens
     j = i + 1
     while j < hi and tokens[j].kind is not TokenKind.IDENTIFIER:
         j += 1
@@ -268,49 +279,42 @@ def _scan_type_decl(ctx: _Ctx, i: int, hi: int) -> int:
         j += 1
     if j >= hi:
         return i + 1
-    close = ctx.braces[j]
-    _scan_type_body(ctx, j + 1, close, name)
+    close = unit.braces[j]
+    _scan_type_body(unit, spans, j + 1, close, name)
     return close + 1
 
 
-def _scan_new(ctx: _Ctx, i: int, hi: int) -> int:
+def _scan_new(unit: SourceUnit, spans: list[BodySpan], i: int, hi: int) -> int:
     """At a 'new' keyword: recurse into an anonymous class body if present."""
-    tokens = ctx.tokens
-    j = i + 1
-    if j >= hi or tokens[j].kind is not TokenKind.IDENTIFIER:
-        return i + 1
-    name = tokens[j].text
-    j += 1
-    while j + 1 < hi and tokens[j].text == "." and tokens[j + 1].kind is TokenKind.IDENTIFIER:
-        name = tokens[j + 1].text
-        j += 2
-    if j < hi and tokens[j].text == "<" and j in ctx.angles.open_close:
-        j = ctx.angles.open_close[j] + 1
-    if j < hi and tokens[j].text == "(":
-        pclose = _match_paren(tokens, j, hi)
-        if pclose is not None and pclose + 1 < hi and tokens[pclose + 1].text == "{":
+    tokens = unit.tokens
+    site = match_creation(tokens, unit.angles, i, hi)
+    if site is not None:
+        name, pclose = site
+        if pclose + 1 < hi and tokens[pclose + 1].text == "{":
             body_open = pclose + 1
-            body_close = ctx.braces[body_open]
-            _scan_type_body(ctx, body_open + 1, body_close, name)
+            body_close = unit.braces[body_open]
+            _scan_type_body(unit, spans, body_open + 1, body_close, name)
             return body_close + 1
     return i + 1
 
 
-def _scan_type_body(ctx: _Ctx, lo: int, hi: int, type_name: str) -> None:
-    tokens = ctx.tokens
+def _scan_type_body(
+    unit: SourceUnit, spans: list[BodySpan], lo: int, hi: int, type_name: str
+) -> None:
+    tokens = unit.tokens
     i = lo
     while i < hi:
-        tok = ctx.tokens[i]
-        if _is_type_decl_keyword(ctx, i):
-            i = _scan_type_decl(ctx, i, hi)
+        tok = tokens[i]
+        if _is_type_decl_keyword(tokens, i):
+            i = _scan_type_decl(unit, spans, i, hi)
             continue
         if tok.kind is TokenKind.KEYWORD and tok.text == "new":
-            i = _scan_new(ctx, i, hi)
+            i = _scan_new(unit, spans, i, hi)
             continue
         if tok.text == "{":
             # initializer block or array initializer
-            close = ctx.braces[i]
-            _scan_block(ctx, i + 1, close)
+            close = unit.braces[i]
+            _scan_block(unit, spans, i + 1, close)
             i = close + 1
             continue
         if (
@@ -318,16 +322,18 @@ def _scan_type_body(ctx: _Ctx, lo: int, hi: int, type_name: str) -> None:
             and i + 1 < hi
             and tokens[i + 1].text == "("
         ):
-            nxt = _try_callable(ctx, i, hi, type_name)
+            nxt = _try_callable(unit, spans, i, hi, type_name)
             if nxt is not None:
                 i = nxt
                 continue
         i += 1
 
 
-def _try_callable(ctx: _Ctx, i: int, hi: int, type_name: str) -> int | None:
+def _try_callable(
+    unit: SourceUnit, spans: list[BodySpan], i: int, hi: int, type_name: str
+) -> int | None:
     """Match Identifier '(' params ')' [throws names] '{' at index ``i``."""
-    tokens = ctx.tokens
+    tokens = unit.tokens
     prev = tokens[i - 1] if i > 0 else None
     if prev is not None and prev.kind is TokenKind.KEYWORD and prev.text in _FORBIDDEN_BEFORE_NAME:
         return None
@@ -345,15 +351,15 @@ def _try_callable(ctx: _Ctx, i: int, hi: int, type_name: str) -> int | None:
     if j >= hi or tokens[j].text != "{":
         return None
     body_open = j
-    body_close = ctx.braces[body_open]
+    body_close = unit.braces[body_open]
     name_tok = tokens[i]
-    return_type = _return_type_text(ctx, i)
-    params, name_indices = _parse_params(ctx, popen, pclose)
+    return_type = _return_type_text(tokens, unit.angles, i)
+    params, name_indices = _parse_params(tokens, unit.angles, popen, pclose)
     if return_type is None and name_tok.text == type_name:
         kind = SpanKind.CONSTRUCTOR
     else:
         kind = SpanKind.METHOD
-    ctx.spans.append(
+    spans.append(
         BodySpan(
             kind=kind,
             name=name_tok.text,
@@ -365,14 +371,15 @@ def _try_callable(ctx: _Ctx, i: int, hi: int, type_name: str) -> int | None:
             param_name_indices=name_indices,
         )
     )
-    _scan_block(ctx, body_open + 1, body_close)
+    _scan_block(unit, spans, body_open + 1, body_close)
     return body_close + 1
 
 
-def _return_type_text(ctx: _Ctx, name_idx: int) -> str | None:
+def _return_type_text(
+    tokens: Sequence[Token], angles: GenericAngles, name_idx: int
+) -> str | None:
     """Collect the type tokens preceding a callable's name, walking backward
     over qualified names, array brackets, and generic groups."""
-    tokens = ctx.tokens
     collected: list[int] = []
     k = name_idx - 1
     while k >= 0:
@@ -392,8 +399,8 @@ def _return_type_text(ctx: _Ctx, name_idx: int) -> str | None:
             collected.append(k)
             k -= 1
             continue
-        if tx in _CLOSER_DEPTH and k in ctx.angles.close_open:
-            opener = ctx.angles.close_open[k]
+        if tx in _CLOSER_DEPTH and k in angles.close_open:
+            opener = angles.close_open[k]
             collected.extend(range(k, opener - 1, -1))
             k = opener - 1
             continue
@@ -401,7 +408,7 @@ def _return_type_text(ctx: _Ctx, name_idx: int) -> str | None:
     collected.reverse()
     # drop a leading type-parameter group:  <T> T f(...)
     if collected and tokens[collected[0]].text == "<":
-        group_close = ctx.angles.open_close.get(collected[0])
+        group_close = angles.open_close.get(collected[0])
         if group_close is not None:
             collected = [x for x in collected if x > group_close]
     if not collected:
@@ -426,9 +433,8 @@ def _wordy(ch: str) -> bool:
 
 
 def _parse_params(
-    ctx: _Ctx, popen: int, pclose: int
+    tokens: Sequence[Token], angles: GenericAngles, popen: int, pclose: int
 ) -> tuple[tuple[tuple[str, str], ...], tuple[int, ...]]:
-    tokens = ctx.tokens
     segments: list[list[int]] = []
     current: list[int] = []
     depth = 0
@@ -439,7 +445,7 @@ def _parse_params(
             depth += 1
         elif tx in (")", "]"):
             depth -= 1
-        elif idx in ctx.angles.indices:
+        elif idx in angles.indices:
             angle_depth += 1 if tx == "<" else -_CLOSER_DEPTH[tx]
         if tx == "," and depth == 0 and angle_depth == 0:
             segments.append(current)
@@ -452,7 +458,7 @@ def _parse_params(
     params: list[tuple[str, str]] = []
     name_indices: list[int] = []
     for seg in segments:
-        kept = _strip_param_modifiers(ctx, seg)
+        kept = _strip_param_modifiers(tokens, seg)
         name_pos = None
         for idx in reversed(kept):
             if tokens[idx].kind is TokenKind.IDENTIFIER:
@@ -467,9 +473,8 @@ def _parse_params(
     return tuple(params), tuple(name_indices)
 
 
-def _strip_param_modifiers(ctx: _Ctx, seg: list[int]) -> list[int]:
+def _strip_param_modifiers(tokens: Sequence[Token], seg: list[int]) -> list[int]:
     """Drop 'final' and annotations from a parameter segment."""
-    tokens = ctx.tokens
     kept: list[int] = []
     k = 0
     while k < len(seg):
@@ -529,15 +534,13 @@ def relevant_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> LineSet:
 
 
 def _nonblank_lines(unit: SourceUnit) -> set[int]:
-    covered: set[int] = set()
+    covered = {tok.line for tok in unit.tokens}
+    # only text blocks span lines; they may hold "\r\n" or lone "\r" ends
     for tok in unit.tokens:
-        text = tok.text
-        last_line = tok.line + text.count("\n")
-        if "\r" in text:  # a text block may hold "\r\n" or lone "\r" line ends
-            last_line += text.count("\r") - text.count("\r\n")
-        covered.update(range(tok.line, last_line + 1))
-    out: set[int] = set()
-    for ln in covered:
-        if ln - 1 < len(unit.lines) and unit.lines[ln - 1].strip():
-            out.add(ln)
-    return out
+        if tok.kind is TokenKind.STRING_LITERAL and tok.text.startswith('"""'):
+            text = tok.text
+            last_line = tok.line + text.count("\n") + text.count("\r") - text.count("\r\n")
+            covered.update(range(tok.line + 1, last_line + 1))
+    # a token may sit on a line that strip() calls blank (U+00A0, say)
+    lines = unit.lines
+    return {ln for ln in covered if ln - 1 < len(lines) and lines[ln - 1].strip()}

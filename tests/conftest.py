@@ -244,6 +244,18 @@ def gen_mixed_unit(rng: random.Random, idx: int) -> tuple[str, str]:
     return f"Mix{idx}.java", src
 
 
+# characters for seeded token soup: every token class, a line end and a
+# few characters outside the scanner's subset
+SOUP_ALPHABET = 'abcXYZ_$019 \t\n+-*/%<>=!&|^~?:;.,(){}[]@"\'\\é世#'
+
+
+def seeded_soups(alphabet: str, seed: int = 2718, count: int = 300):
+    """``count`` random strings of up to 120 characters from ``alphabet``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo one PASS/FAIL line per acceptance criterion after the run."""
     mod = sys.modules.get("test_acceptance") or sys.modules.get(

@@ -14,6 +14,7 @@ from mutdense.cli import (
     Config,
     discover,
     heatmap_filename,
+    heatmap_filenames,
     load_config,
     main,
     run,
@@ -162,6 +163,51 @@ def test_heatmap_filename_mapping():
     assert heatmap_filename("C:\\x\\App.java") == "C__x_App.java.html"
 
 
+# one wrongly typed or out-of-range value per case; every key is covered
+_BAD_CONFIG_VALUES = [
+    ("roots", "t/a"),
+    ("roots", ["t/a", 3]),
+    ("includeGlobs", "**/*.java"),
+    ("excludeGlobs", [None]),
+    ("families", "traditional"),
+    ("families", 1),
+    ("enabledOperatorIds", 5),
+    ("enabledOperatorIds", ["ROR", "BOGUS"]),
+    ("outputDir", None),
+    ("formats", {"json": True}),
+    ("formats", ["json", "pdf"]),
+    ("threshold", True),
+    ("threshold", -1),
+    ("threshold", "abc"),
+    ("topLines", "x"),
+    ("topLines", -1),
+    ("topLines", 2.5),
+    ("jobs", None),
+    ("jobs", 0),
+    ("jobs", "2"),
+    ("colorStops", [[1, None]]),
+    ("colorStops", [[3, "#aaa"], [1, "#bbb"]]),
+    ("colorStops", 7),
+    ("grayColor", 7),
+]
+
+
+def test_bad_config_values_cover_every_key():
+    assert {key for key, _ in _BAD_CONFIG_VALUES} == set(cli._CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key,value", _BAD_CONFIG_VALUES)
+def test_bad_config_value_is_rejected_by_key(tmp_path, capsys, key, value):
+    cfg_file = tmp_path / "md.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    with pytest.raises(errors.BadConfigKey, match=key):
+        load_config(["src", "--config", str(cfg_file)])
+    assert main(["analyze", "src", "--config", str(cfg_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mutdense: ") and key in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # discovery
 # ---------------------------------------------------------------------------
@@ -216,6 +262,23 @@ def test_discovery_deduplicates_roots(write_tree):
     assert len(files) == 1
 
 
+def test_colliding_display_paths_are_qualified_by_root(write_tree, tmp_path, capsys):
+    a = write_tree({"B.java": ALPHA_SRC, "OnlyA.java": BETA_SRC}, subdir="a")
+    b = write_tree({"B.java": GAMMA_SRC, "sub/OnlyB.java": BETA_SRC}, subdir="b")
+    files, _ = discover(Config(roots=(str(a), str(b) + "/")))
+    qa, qb = str(a).replace(os.sep, "/"), str(b).replace(os.sep, "/")
+    assert [d for d, _ in files] == sorted(
+        ["OnlyA.java", "sub/OnlyB.java", f"{qa}/B.java", f"{qb}/B.java"]
+    )
+    out = tmp_path / "out"
+    assert main(["analyze", str(a), str(b), "--out", str(out)]) == 0
+    doc = json.loads((out / "project.json").read_bytes())
+    assert len(doc["units"]) == 4
+    # a single root keeps its relative display paths
+    files, _ = discover(Config(roots=(str(a),)))
+    assert [d for d, _ in files] == ["B.java", "OnlyA.java"]
+
+
 def test_single_file_root(write_tree):
     root = write_tree({"One.java": ALPHA_SRC})
     target = root / "One.java"
@@ -252,6 +315,25 @@ def test_run_writes_all_artifacts(write_tree, tmp_path, capsys):
     ]
     doc = json.loads((out / "project.json").read_bytes())
     assert [u["path"] for u in doc["units"]] == ["Alpha.java", "Beta.java", "Gamma.java"]
+
+
+def test_heatmap_filenames_stay_distinct():
+    assert heatmap_filenames(["a/B.java", "a_B.java", "a_B.java.2", "x.java"]) == [
+        "a_B.java.html",
+        "a_B.java.2.html",
+        "a_B.java.2.2.html",
+        "x.java.html",
+    ]
+
+
+def test_colliding_heatmap_names_write_one_file_per_unit(write_tree, tmp_path):
+    root = write_tree({"a/B.java": ALPHA_SRC, "a_B.java": BETA_SRC})
+    out = tmp_path / "out"
+    assert main(["analyze", str(root), "--format", "html", "--out", str(out)]) == 0
+    pages = {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()}
+    assert sorted(pages) == ["a_B.java.2.html", "a_B.java.html"]
+    assert "<title>a/B.java</title>" in pages["a_B.java.html"]
+    assert "<title>a_B.java</title>" in pages["a_B.java.2.html"]
 
 
 def test_rerun_is_byte_identical(write_tree, tmp_path):

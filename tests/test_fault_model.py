@@ -243,6 +243,42 @@ class T {
     assert [(m.line, m.original) for m in nrv] == [(8, 'return "x";')]
 
 
+def test_nrv_owner_is_innermost_span_at_every_depth():
+    src = """\
+class T {
+    String a() {
+        class L {
+            Object b() {
+                Runnable r = new Runnable() {
+                    public void run() {
+                        return;
+                    }
+                };
+                return r;
+            }
+            int c() {
+                return 1;
+            }
+        }
+        return "a";
+    }
+    T() {
+        return;
+    }
+    List<String> d() {
+        return list;
+    }
+}
+"""
+    _, mutants = mutants_of(src, NULL_TYPE)
+    nrv = [m for m in mutants if m.operator_id == "NRV"]
+    assert [(m.line, m.original) for m in nrv] == [
+        (10, "return r;"),
+        (16, 'return "a";'),
+        (22, "return list;"),
+    ]
+
+
 def test_nrv_site_spans_keyword_through_semicolon():
     src = "class T {\n    String f(int n) {\n        return g(n, 1);\n    }\n}\n"
     unit, mutants = mutants_of(src, NULL_TYPE)

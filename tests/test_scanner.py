@@ -25,6 +25,8 @@ from conftest import (
     GENERICS_ZOO_SRC,
     INTERFACE_SRC,
     SHAPE_SRC,
+    SOUP_ALPHABET,
+    seeded_soups,
 )
 
 _LINE_END = re.compile(r"\r\n|\r|\n")
@@ -220,14 +222,9 @@ def test_determinism_on_random_soup():
         assert tokenize(soup) == first
 
 
-_SOUP_ALPHABET = 'abcXYZ_$019 \t\n+-*/%<>=!&|^~?:;.,(){}[]@"\'\\é世#'
-
-
-@pytest.mark.parametrize("alphabet", [_SOUP_ALPHABET, _SOUP_ALPHABET + "\r"])
+@pytest.mark.parametrize("alphabet", [SOUP_ALPHABET, SOUP_ALPHABET + "\r"])
 def test_seeded_soup_scans_or_fails_with_position(alphabet):
-    rng = random.Random(2718)
-    for _ in range(300):
-        soup = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
+    for soup in seeded_soups(alphabet):
         try:
             raw = scanner.scan(soup)
         except errors.MutdenseError as exc:
@@ -236,6 +233,14 @@ def test_seeded_soup_scans_or_fails_with_position(alphabet):
             continue
         assert all(type(kind) is TokenKind for kind, *_ in raw)
         assert_round_trip(soup, tokenize(soup))
+
+
+def test_token_has_one_definition():
+    assert mutdense.Token is source_model.Token is scanner.Token
+    toks = scanner.scan("a<=b")
+    assert all(type(t) is scanner.Token for t in toks)
+    assert toks[1] == Token(TokenKind.OPERATOR, "<=", 1, 2, 1, 3)
+    assert tokenize("a<=b") == toks
 
 
 def test_token_kind_has_one_definition():

@@ -279,6 +279,18 @@ class A {
     assert sorted(relevant_lines(unit, locate_bodies(unit)).relevant) == [2, 4, 5]
 
 
+def test_text_block_interior_lines_are_relevant_unless_blank():
+    # line 5 is a blank line inside the text block; line 7 holds only
+    # U+00A0, a token of its own that strip() still calls blank
+    src = (
+        'class A {\n    String f() {\n        String s = """\n            one\n'
+        '\n            two""";\n\u00a0\n        return s;\n    }\n}\n'
+    )
+    unit = make_unit(src)
+    assert [t.line for t in unit.tokens if t.text == "\u00a0"] == [7]
+    assert sorted(relevant_lines(unit, locate_bodies(unit)).relevant) == [2, 3, 4, 6, 8, 9]
+
+
 def test_factorial_relevance_covers_both_methods():
     unit = make_unit(FACTORIAL_SRC)
     spans = locate_bodies(unit)
