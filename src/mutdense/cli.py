@@ -13,7 +13,9 @@ import fnmatch
 import json
 import os
 import re
+import stat
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,12 +251,14 @@ def load_config(cli_args: Sequence[str], config_file: str | None = None) -> Conf
     file_path = config_file or ns.config
 
     merged: dict = {}
+    jobs_origin = "--jobs"  # the config file checks its own value
     env_jobs = os.environ.get("MUTDENSE_JOBS")
     if env_jobs:
         try:
             merged["jobs"] = int(env_jobs)
         except ValueError as exc:
             raise errors.BadFlag(f"MUTDENSE_JOBS: not an integer: {env_jobs!r}") from exc
+        jobs_origin = "MUTDENSE_JOBS"
     if file_path:
         merged.update(_read_config_file(file_path))
 
@@ -282,8 +286,9 @@ def load_config(cli_args: Sequence[str], config_file: str | None = None) -> Conf
         merged["top_lines"] = ns.top_lines
     if ns.jobs is not None:
         merged["jobs"] = ns.jobs
+        jobs_origin = "--jobs"
     if merged.get("jobs", 1) < 1:
-        raise errors.BadFlag("--jobs must be at least 1")
+        raise errors.BadFlag(f"{jobs_origin} must be at least 1")
 
     return Config(**merged)
 
@@ -311,9 +316,10 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
 
     A display path is relative to its directory root, or the root itself for
     a file root.  Where files from different roots would share a display
-    path, each of them is qualified with its root as given.  Inner symbolic
-    links are never followed; oversized files are skipped with a diagnostic.
-    A missing root is fatal.
+    path, each of them is qualified with its root as given, round after
+    round until no two display paths are equal.  Inner symbolic links are
+    never followed; special files (pipes, devices) and oversized files are
+    skipped with a diagnostic.  A missing root is fatal.
     """
     # (display, its root's prefix, fs path, problem or None); the prefix is
     # "" for a file root, whose display path already is the root
@@ -333,17 +339,22 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
             return
         seen.add(real)
         try:
-            size = os.path.getsize(fs_path)
+            st = os.stat(fs_path)
         except OSError as exc:
             entries.append((display, prefix, fs_path, f"unreadable: {exc}"))
             return
-        problem = "skipped: exceeds the 10 MB size guard" if size > _SIZE_LIMIT else None
+        if not stat.S_ISREG(st.st_mode):
+            problem = "skipped: not a regular file"
+        elif st.st_size > _SIZE_LIMIT:
+            problem = "skipped: exceeds the 10 MB size guard"
+        else:
+            problem = None
         entries.append((display, prefix, fs_path, problem))
 
     for root in config.roots:
         if not os.path.exists(root):
             raise errors.MutdenseError(f"root does not exist: {root}")
-        if os.path.isfile(root):
+        if not os.path.isdir(root):
             offer(root, "", root, check_globs=False)
             continue
         prefix = root.replace(os.sep, "/").rstrip("/") + "/"
@@ -356,14 +367,21 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
                 rel = os.path.relpath(fs_path, root)
                 offer(rel, prefix, fs_path, check_globs=True)
 
-    roots_of: dict[str, set[str]] = {}
-    for display, prefix, _, _ in entries:
-        roots_of.setdefault(display, set()).add(prefix)
+    # qualifying may make a new clash (a/B.java from root a, and from root c
+    # holding a/), so repeat; each entry is qualified at most once
+    displays = [display for display, _, _, _ in entries]
+    unqualified = set(range(len(entries)))
+    while True:
+        counts = Counter(displays)
+        clashing = [k for k in unqualified if counts[displays[k]] > 1]
+        if not clashing:
+            break
+        for k in clashing:
+            displays[k] = entries[k][1] + displays[k]
+            unqualified.discard(k)
     found: list[tuple[str, str]] = []
     diagnostics: list[Diagnostic] = []
-    for display, prefix, fs_path, problem in entries:
-        if len(roots_of[display]) > 1:
-            display = prefix + display
+    for display, (_, _, fs_path, problem) in zip(displays, entries):
         if problem is None:
             found.append((display, fs_path))
         else:

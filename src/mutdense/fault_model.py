@@ -10,11 +10,13 @@ keeps the density metric parametric in the fault model.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from mutdense import errors
+from mutdense.scanner import scan
 from mutdense.source_model import (
     BodySpan,
     SourceUnit,
@@ -315,7 +317,31 @@ def apply_mutant(unit: SourceUnit, mutant: Mutant) -> str:
             f"stale mutant at {unit.path}:{mutant.line}: "
             f"expected {mutant.original!r}, found {actual!r}"
         )
+    text = unit.text
     if mutant.insert_after is not None:
         pos = mutant.insert_after
-        return f"{unit.text[:pos]} {mutant.original} = null;{unit.text[pos:]}"
-    return unit.text[: mutant.start] + mutant.replacement + unit.text[mutant.end :]
+        return f"{text[:pos]} {mutant.original} = null;{text[pos:]}"
+    # where the replacement meets its neighbours: the text back to the start
+    # of the last token before the site, and on through the first after it
+    tokens = unit.tokens
+    k = bisect.bisect_right(tokens, mutant.start, key=lambda t: t.end)
+    m = bisect.bisect_left(tokens, mutant.end, key=lambda t: t.start)
+    left = text[tokens[k - 1].start if k else 0 : mutant.start]
+    right = text[mutant.end : tokens[m].end if m < len(tokens) else len(text)]
+    replacement = mutant.replacement
+    if replacement:
+        pad_left, pad_right = _joins(left, replacement), _joins(replacement, right)
+    else:
+        pad_left, pad_right = _joins(left, right), False
+    padded = " " * pad_left + replacement + " " * pad_right
+    return text[: mutant.start] + padded + text[mutant.end :]
+
+
+def _joins(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` written with nothing between them scan to
+    other tokens than each does alone: ``-`` before ``-b`` makes ``--``,
+    and ``/`` before ``/*c*/y`` opens a line comment."""
+    try:
+        return [t.text for t in scan(a + b)] != [t.text for t in scan(a) + scan(b)]
+    except errors.MutdenseError:
+        return True

@@ -178,10 +178,51 @@ def is_reference_type(type_text: str | None) -> bool:
 
 def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     """Find every method/constructor body span, including those of nested,
-    local, and anonymous types."""
-    unit.braces  # unbalanced braces fail here, even in a unit with no bodies
+    local, and anonymous types.
+
+    One loop over an explicit stack of frames ``(next token, end token,
+    enclosing type name or None inside a block)``, so nesting depth is
+    bounded by memory rather than by the interpreter stack.  In any frame a
+    type declaration or an anonymous class body opens a type-body frame;
+    in a type body, an initializer ``{`` or a callable body also opens a
+    block frame.
+    """
+    braces = unit.braces  # unbalanced braces fail here, even in a unit with no bodies
+    tokens = unit.tokens
     spans: list[BodySpan] = []
-    _scan_block(unit, spans, 0, len(unit.tokens))
+    frames: list[tuple[int, int, str | None]] = [(0, len(tokens), None)]
+    while frames:
+        i, hi, type_name = frames.pop()
+        while i < hi:
+            tok = tokens[i]
+            body_open = None
+            child_name = None
+            if _is_type_decl_keyword(tokens, i):
+                j = i + 1
+                while j < hi and tokens[j].kind is not TokenKind.IDENTIFIER:
+                    j += 1
+                if j < hi:
+                    child_name = tokens[j].text
+                    while j < hi and tokens[j].text != "{":
+                        j += 1
+                    if j < hi:
+                        body_open = j
+            elif tok.kind is TokenKind.KEYWORD and tok.text == "new":
+                site = match_creation(tokens, unit.angles, i, hi)
+                if site is not None and site[1] + 1 < hi and tokens[site[1] + 1].text == "{":
+                    child_name, body_open = site[0], site[1] + 1
+            elif type_name is not None:
+                if tok.text == "{":
+                    body_open = i  # initializer block or array initializer
+                elif tok.kind is TokenKind.IDENTIFIER and i + 1 < hi and tokens[i + 1].text == "(":
+                    body_open = _try_callable(unit, spans, i, hi, type_name)
+            if body_open is None:
+                i += 1
+                continue
+            close = braces[body_open]
+            frames.append((close + 1, hi, type_name))
+            frames.append((body_open + 1, close, child_name))
+            break
     spans.sort(key=lambda s: s.body_token_range[0])
     return spans
 
@@ -251,88 +292,14 @@ def _is_type_decl_keyword(tokens: Sequence[Token], i: int) -> bool:
     return i == 0 or tokens[i - 1].text != "."
 
 
-def _scan_block(unit: SourceUnit, spans: list[BodySpan], lo: int, hi: int) -> None:
-    """Walk statement/expression territory looking for type declarations and
-    anonymous class bodies; everything else is passed over."""
-    tokens = unit.tokens
-    i = lo
-    while i < hi:
-        tok = tokens[i]
-        if _is_type_decl_keyword(tokens, i):
-            i = _scan_type_decl(unit, spans, i, hi)
-            continue
-        if tok.kind is TokenKind.KEYWORD and tok.text == "new":
-            i = _scan_new(unit, spans, i, hi)
-            continue
-        i += 1
-
-
-def _scan_type_decl(unit: SourceUnit, spans: list[BodySpan], i: int, hi: int) -> int:
-    tokens = unit.tokens
-    j = i + 1
-    while j < hi and tokens[j].kind is not TokenKind.IDENTIFIER:
-        j += 1
-    if j >= hi:
-        return i + 1
-    name = tokens[j].text
-    while j < hi and tokens[j].text != "{":
-        j += 1
-    if j >= hi:
-        return i + 1
-    close = unit.braces[j]
-    _scan_type_body(unit, spans, j + 1, close, name)
-    return close + 1
-
-
-def _scan_new(unit: SourceUnit, spans: list[BodySpan], i: int, hi: int) -> int:
-    """At a 'new' keyword: recurse into an anonymous class body if present."""
-    tokens = unit.tokens
-    site = match_creation(tokens, unit.angles, i, hi)
-    if site is not None:
-        name, pclose = site
-        if pclose + 1 < hi and tokens[pclose + 1].text == "{":
-            body_open = pclose + 1
-            body_close = unit.braces[body_open]
-            _scan_type_body(unit, spans, body_open + 1, body_close, name)
-            return body_close + 1
-    return i + 1
-
-
-def _scan_type_body(
-    unit: SourceUnit, spans: list[BodySpan], lo: int, hi: int, type_name: str
-) -> None:
-    tokens = unit.tokens
-    i = lo
-    while i < hi:
-        tok = tokens[i]
-        if _is_type_decl_keyword(tokens, i):
-            i = _scan_type_decl(unit, spans, i, hi)
-            continue
-        if tok.kind is TokenKind.KEYWORD and tok.text == "new":
-            i = _scan_new(unit, spans, i, hi)
-            continue
-        if tok.text == "{":
-            # initializer block or array initializer
-            close = unit.braces[i]
-            _scan_block(unit, spans, i + 1, close)
-            i = close + 1
-            continue
-        if (
-            tok.kind is TokenKind.IDENTIFIER
-            and i + 1 < hi
-            and tokens[i + 1].text == "("
-        ):
-            nxt = _try_callable(unit, spans, i, hi, type_name)
-            if nxt is not None:
-                i = nxt
-                continue
-        i += 1
-
-
 def _try_callable(
     unit: SourceUnit, spans: list[BodySpan], i: int, hi: int, type_name: str
 ) -> int | None:
-    """Match Identifier '(' params ')' [throws names] '{' at index ``i``."""
+    """Match Identifier '(' params ')' [throws names] '{' at index ``i``.
+
+    Records the span and returns the index of the body's '{', or None when
+    the tokens do not form a callable header.
+    """
     tokens = unit.tokens
     prev = tokens[i - 1] if i > 0 else None
     if prev is not None and prev.kind is TokenKind.KEYWORD and prev.text in _FORBIDDEN_BEFORE_NAME:
@@ -371,8 +338,7 @@ def _try_callable(
             param_name_indices=name_indices,
         )
     )
-    _scan_block(unit, spans, body_open + 1, body_close)
-    return body_close + 1
+    return body_open
 
 
 def _return_type_text(
@@ -517,9 +483,13 @@ def _strip_param_modifiers(tokens: Sequence[Token], seg: list[int]) -> list[int]
 def span_region_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> set[int]:
     """All lines from each span's declaration line through its closing brace."""
     region: set[int] = set()
-    for span in spans:
-        close_tok = unit.tokens[span.body_token_range[1] - 1]
-        region.update(range(span.decl_line, close_tok.line + 1))
+    covered = 0  # every line up to here is in ``region``; nested spans add none
+    tokens = unit.tokens
+    ends = sorted((s.decl_line, tokens[s.body_token_range[1] - 1].line) for s in spans)
+    for first, last in ends:
+        if last > covered:
+            region.update(range(max(first, covered + 1), last + 1))
+            covered = last
     return region
 
 

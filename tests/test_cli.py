@@ -148,6 +148,20 @@ def test_jobs_env_sits_below_file_and_flags(tmp_path, monkeypatch):
         load_config(["src"])
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "2.5"])
+def test_bad_jobs_env_is_named_in_the_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("MUTDENSE_JOBS", value)
+    with pytest.raises(errors.BadFlag, match="^MUTDENSE_JOBS"):
+        load_config(["src"])
+    assert main(["analyze", "src"]) == 1
+    err = capsys.readouterr().err
+    assert "MUTDENSE_JOBS" in err and "--jobs" not in err
+    if value != "2.5":  # an integer below 1 yields to a flag, named as such
+        assert load_config(["src", "--jobs", "2"]).jobs == 2
+        with pytest.raises(errors.BadFlag, match="^--jobs"):
+            load_config(["src", "--jobs", "0"])
+
+
 def test_include_exclude_flags_replace_file_lists(tmp_path):
     cfg_file = tmp_path / "md.json"
     cfg_file.write_text(json.dumps({"includeGlobs": ["**/*.j"], "excludeGlobs": ["a"]}))
@@ -251,6 +265,22 @@ def test_discovery_size_guard(write_tree):
     assert "10 MB" in diagnostics[0].error
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_special_files_are_skipped(write_tree, tmp_path):
+    root = write_tree({"Ok.java": ALPHA_SRC})
+    os.mkfifo(root / "P.java")
+    for roots in ((str(root),), (str(root / "P.java"), str(root / "Ok.java"))):
+        files, diagnostics = discover(Config(roots=roots))
+        assert [fs for _, fs in files] == [str(root / "Ok.java")]
+        assert [d.error for d in diagnostics] == ["skipped: not a regular file"]
+    # the run would block forever if it opened the pipe
+    out = tmp_path / "out"
+    assert main(["analyze", str(root), "--out", str(out)]) == 0
+    doc = json.loads((out / "project.json").read_bytes())
+    assert [u["path"] for u in doc["units"]] == ["Ok.java"]
+    assert [d["path"] for d in doc["diagnostics"]] == ["P.java"]
+
+
 def test_discovery_missing_root():
     with pytest.raises(errors.MutdenseError):
         discover(Config(roots=("does/not/exist",)))
@@ -262,7 +292,9 @@ def test_discovery_deduplicates_roots(write_tree):
     assert len(files) == 1
 
 
-def test_colliding_display_paths_are_qualified_by_root(write_tree, tmp_path, capsys):
+def test_colliding_display_paths_are_qualified_by_root(
+    write_tree, tmp_path, capsys, monkeypatch
+):
     a = write_tree({"B.java": ALPHA_SRC, "OnlyA.java": BETA_SRC}, subdir="a")
     b = write_tree({"B.java": GAMMA_SRC, "sub/OnlyB.java": BETA_SRC}, subdir="b")
     files, _ = discover(Config(roots=(str(a), str(b) + "/")))
@@ -277,6 +309,16 @@ def test_colliding_display_paths_are_qualified_by_root(write_tree, tmp_path, cap
     # a single root keeps its relative display paths
     files, _ = discover(Config(roots=(str(a),)))
     assert [d for d, _ in files] == ["B.java", "OnlyA.java"]
+    # qualifying a/B.java and b/B.java makes a/B.java clash with c's a/B.java,
+    # so that one is qualified in a second round
+    write_tree({"a/B.java": BETA_SRC}, subdir="c")
+    monkeypatch.chdir(tmp_path)
+    files, _ = discover(Config(roots=("a", "b", "c")))
+    assert [d for d, _ in files] == [
+        "OnlyA.java", "a/B.java", "b/B.java", "c/a/B.java", "sub/OnlyB.java"]
+    assert main(["analyze", "a", "b", "c", "--out", "out3"]) == 0
+    doc = json.loads((tmp_path / "out3" / "project.json").read_bytes())
+    assert len(doc["units"]) == 5
 
 
 def test_single_file_root(write_tree):

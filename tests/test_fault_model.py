@@ -353,10 +353,25 @@ def test_enumeration_is_deterministic(src):
 
 def test_single_token_replacements_preserve_token_count():
     single_token_ops = {"ROR", "COR", "LOR", "SOR", "AOR-B", "AOR-S", "ASR-S", "NNC"}
-    unit, mutants = mutants_of(
-        in_method("if (a < b && x == null) { y = a + b; y <<= 2; }"), BOTH
-    )
-    base = len(unit.tokens)
-    for m in mutants:
-        if m.operator_id in single_token_ops:
-            assert len(tokenize(apply_mutant(unit, m))) == base
+    statements = [
+        "if (a < b && x == null) { y = a + b; y <<= 2; }",
+        # replacements that would merge with a neighbour unless padded
+        "y = a+-b;",  # AOR-B: a--b would be a decrement
+        "y = x*/*c*/y;",  # AOR-B: x//*c*/y would comment out the rest
+        "y = a+-+b;",  # AOR-U: deleting '-' would make '++'
+        "y = a/-/b;",  # AOR-U: deleting '-' would open a line comment
+        "y = a<=-b>>-c;",
+    ]
+    for stmt in statements:
+        unit, mutants = mutants_of(in_method(stmt), BOTH)
+        texts = [t.text for t in unit.tokens]
+        starts = [t.start for t in unit.tokens]
+        for m in mutants:
+            if m.operator_id not in single_token_ops | {"AOR-U"}:
+                continue
+            site = starts.index(m.start)
+            expected = texts[:site] + [m.replacement] * bool(m.replacement) + texts[site + 1:]
+            mutated = [t.text for t in tokenize(apply_mutant(unit, m))]
+            assert mutated == expected, (stmt, m.operator_id)
+            if m.operator_id != "AOR-U":
+                assert len(mutated) == len(texts)

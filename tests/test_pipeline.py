@@ -1,18 +1,22 @@
 """The per-unit chain as one call: ``metrics.analyze_unit``.
 
 Locks the properties the chain must keep whatever its inner structure:
-line-layout invariance, no crash on arbitrary text, and each derived token
-structure built once per unit.
+line-layout and identifier-renaming invariance, mutants that rescan, no
+crash on arbitrary text or nesting depth, and each derived token structure
+built once per unit.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from mutdense import errors, source_model
-from mutdense.fault_model import OperatorSet, find_mutation_sites
+from mutdense import cli, errors, source_model
+from mutdense.fault_model import OperatorSet, apply_mutant, find_mutation_sites
 from mutdense.metrics import UnitReport, analyze_unit, build_unit_report
 from conftest import (
     ALPHA_SRC,
@@ -124,6 +128,136 @@ def test_seeded_fragment_soup_analyzes_or_fails_cleanly():
             continue
         analyzed += 1
     assert analyzed >= 20
+
+
+def _rename_identifiers(src: str, rng: random.Random) -> str:
+    """``src`` with every identifier mapped through a random bijection onto
+    names that do not occur in it."""
+    tokens = source_model.tokenize(src)
+    names = sorted({t.text for t in tokens if t.kind is source_model.TokenKind.IDENTIFIER})
+    fresh = [f"q{k}_{rng.randrange(10**6)}" for k in range(len(names))]
+    assert not set(fresh) & set(names)
+    rng.shuffle(fresh)
+    mapping = dict(zip(names, fresh))
+    out, pos = [], 0
+    for t in tokens:
+        if t.kind is source_model.TokenKind.IDENTIFIER:
+            out += [src[pos:t.start], mapping[t.text]]
+            pos = t.end
+    return "".join(out) + src[pos:]
+
+
+def _relevant_and_sites(src: str):
+    unit = source_model.SourceUnit.from_text("U.java", src)
+    spans = source_model.locate_bodies(unit)
+    relevant = source_model.relevant_lines(unit, spans).relevant
+    sites = Counter((m.operator_id, m.line) for m in find_mutation_sites(unit, spans, ALL_OPS))
+    return relevant, sites
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_renaming_identifiers_changes_nothing(seed):
+    rng = random.Random(seed)
+    if seed < len(_LAYOUT_SOURCES):
+        src = _LAYOUT_SOURCES[seed]
+    else:
+        src = gen_mixed_unit(rng, seed)[1]
+    renamed = _rename_identifiers(src, rng)
+    assert renamed != src
+    assert _relevant_and_sites(renamed) == _relevant_and_sites(src)
+
+
+def _squeezed(src: str) -> str:
+    """``src`` rendered from its tokens with no space wherever the two
+    neighbours are not both word-like, so operators sit side by side."""
+    out, prev = [], None
+    for t in source_model.tokenize(src):
+        if prev is not None:
+            gap = src[prev.end:t.start]
+            if "\n" in gap:
+                out.append("\n")
+            elif (prev.text[-1].isalnum() or prev.text[-1] in "_$") and (
+                t.text[0].isalnum() or t.text[0] in "_$"
+            ):
+                out.append(" ")
+        out.append(t.text)
+        prev = t
+    return "".join(out) + "\n"
+
+
+# statements whose operators touch a neighbour, for apply_mutant's padding
+_TOUCHING = ["x = -y;", "x = a+-b;", "x = a+-+b;", "x = a-(-b);", "return-x;",
+             "x = a*/*c*/-b;", "x = a/-/b;", "x = p==null;", "x = new S()instanceof S;"]
+
+
+def _mutant_sources(rng: random.Random):
+    yield from _LAYOUT_SOURCES
+    for idx in range(30):
+        yield gen_mixed_unit(rng, idx)[1]
+    for _ in range(200):
+        body = " ".join(rng.choice(_FRAGMENTS + _TOUCHING) for _ in range(rng.randint(1, 12)))
+        yield "class S { Object m(Object p) { " + body + " } }"
+
+
+def test_every_mutant_rescans_and_differs_only_at_its_site():
+    rng = random.Random(17)
+    checked = 0
+    for src in _mutant_sources(rng):
+        for text in (src, _squeezed(src)):
+            try:
+                unit = source_model.SourceUnit.from_text("U.java", text)
+                mutants = find_mutation_sites(unit, source_model.locate_bodies(unit), ALL_OPS)
+            except errors.MutdenseError:
+                continue
+            for m in mutants:
+                out = apply_mutant(unit, m)
+                if m.insert_after is None:
+                    lo, hi, new = m.start, m.end, m.replacement
+                else:
+                    lo, hi, new = m.insert_after, m.insert_after, f"{m.original} = null;"
+                assert out[:lo] == text[:lo] and out.endswith(text[hi:])
+                assert out[lo:len(out) - len(text) + hi].strip() == new
+                expected = (
+                    [t.text for t in unit.tokens if t.end <= lo]
+                    + [t.text for t in source_model.tokenize(new)]
+                    + [t.text for t in unit.tokens if t.start >= hi]
+                )
+                assert [t.text for t in source_model.tokenize(out)] == expected, (text, m)
+                checked += 1
+    assert checked > 1000
+
+
+def _nested_classes(depth: int) -> str:
+    levels = [f"class A{k} {{\n    int f() {{ return x + 1; }}\n" for k in range(depth)]
+    return "".join(levels) + "}\n" * depth
+
+
+def _nested_anonymous(depth: int) -> str:
+    opening = "Object o = new Object() {\nvoid f() {\n" * depth
+    closing = "}\n};\n" * depth
+    return "class C {\nvoid g() {\n" + opening + "x = x + 1;\n" + closing + "}\n}\n"
+
+
+def test_nesting_depth_is_not_bounded_by_the_interpreter_stack(tmp_path):
+    depth = 2 * sys.getrecursionlimit()
+    cases = {
+        # one method per class, each on its own line with one AOR-B site
+        "Deep.java": (_nested_classes(depth), depth, depth),
+        # g plus one f per anonymous class; NOI per 'new', AOR-B innermost
+        "Anon.java": (_nested_anonymous(depth), depth + 1, depth + 1),
+    }
+    for name, (src, spans, mutants) in cases.items():
+        unit = source_model.SourceUnit.from_text(name, src)
+        assert len(source_model.locate_bodies(unit)) == spans
+        assert len(analyze_unit(name, src, ALL_OPS).mutants) == mutants
+        (tmp_path / "src").mkdir(exist_ok=True)
+        (tmp_path / "src" / name).write_text(src)
+    out = tmp_path / "out"
+    assert cli.main(["analyze", str(tmp_path / "src"), "--out", str(out)]) == 0
+    doc = json.loads((out / "project.json").read_bytes())
+    assert doc["diagnostics"] == []
+    assert {u["path"]: len(u["mutants"]) for u in doc["units"]} == {
+        name: mutants for name, (_, _, mutants) in cases.items()}
 
 
 def test_braces_and_angles_are_built_once_per_unit(monkeypatch):
