@@ -1,9 +1,11 @@
 """Command-line front end: discovery, config, parallel analysis, artifacts.
 
 Subcommands: ``analyze`` (the pipeline), ``operators`` (print the catalog),
-``version``.  Flag values override config-file values, which override
-defaults; ``MUTDENSE_JOBS`` sits below the config file as a default for
-``--jobs``.  Exit codes: 0 success, 2 threshold gate tripped, 1 fatal.
+``version``.  Flags override config-file values, which override defaults;
+``MUTDENSE_JOBS`` is a default for ``--jobs``, read only when neither sets
+``jobs``.  Each setting has one parser, in ``_CONFIG_KEYS``, whatever its
+source, so an empty flag value means what an empty string means in the
+file.  Exit codes: 0 success, 2 threshold gate tripped, 1 fatal.
 """
 
 from __future__ import annotations
@@ -78,38 +80,39 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise errors.BadFlag(message)
 
+    def flag_names(self) -> dict[str, str]:
+        return {a.dest: (a.option_strings or [a.dest])[0] for a in self._actions}
+
+
+def _operator_families(name: str) -> list[str]:
+    """``--operators`` as the ``families`` key's list of family names."""
+    return [f.value for f in Family] if name == "all" else [name]
+
 
 def _analyze_parser(prog: str = "mutdense analyze") -> _Parser:
-    p = _Parser(prog=prog, description="compute mutant density over a source tree")
+    # every dest but --config's is a Config field; an absent flag sets nothing
+    p = _Parser(prog=prog, description="compute mutant density over a source tree",
+                argument_default=argparse.SUPPRESS)
     p.add_argument("roots", nargs="*", help="files or directories to analyze")
-    p.add_argument("--operators", choices=("traditional", "null-type", "all"))
-    p.add_argument("--enable", metavar="IDS", help="comma-separated operator ids")
+    p.add_argument("--operators", dest="families", type=_operator_families,
+                   metavar="{traditional,null-type,all}")
+    p.add_argument("--enable", dest="enabled_operator_ids", metavar="IDS",
+                   help="comma-separated operator ids")
     p.add_argument("--format", dest="formats", metavar="LIST",
                    help="comma-separated subset of json,html,svg,text")
     p.add_argument("--out", dest="output_dir", metavar="DIR")
     p.add_argument("--threshold", metavar="X",
                    help="fail (exit 2) when a unit's combined average exceeds X")
     p.add_argument("--top-lines", dest="top_lines", type=int, metavar="N")
-    p.add_argument("--include", action="append", metavar="GLOB")
-    p.add_argument("--exclude", action="append", metavar="GLOB")
+    p.add_argument("--include", dest="include_globs", action="append", metavar="GLOB")
+    p.add_argument("--exclude", dest="exclude_globs", action="append", metavar="GLOB")
     p.add_argument("--config", metavar="FILE", help="JSON config file")
     p.add_argument("--jobs", type=int, metavar="N")
     return p
 
 
-_FAMILY_CHOICES = {
-    "traditional": frozenset({Family.TRADITIONAL}),
-    "null-type": frozenset({Family.NULL_TYPE}),
-    "all": frozenset(Family),
-}
-
-
 def _read_config_file(path: str) -> dict:
-    """Config fields from a JSON config file.
-
-    An unknown key, or a value of the wrong type or out of range, raises
-    BadConfigKey naming the key.
-    """
+    """The raw key-value pairs of a JSON config file; an unknown key is an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -117,63 +120,19 @@ def _read_config_file(path: str) -> dict:
         raise errors.UnreadableConfig(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise errors.UnreadableConfig(f"config {path} must hold a JSON object")
-    fields: dict = {}
-    for key, value in data.items():
+    for key in data:
         if key not in _CONFIG_KEYS:
             raise errors.BadConfigKey(f"unknown config key {key!r} in {path}")
-        name, parse = _CONFIG_KEYS[key]
-        try:
-            fields[name] = parse(value, f"{key} in {path}")
-        except errors.BadFlag as exc:
-            raise errors.BadConfigKey(str(exc)) from exc
-    return fields
+    return data
 
 
-def _as_fraction(value, origin: str) -> Fraction:
-    try:
-        frac = Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise errors.BadFlag(f"{origin}: not a number: {value!r}") from exc
-    if frac < 0:
-        raise errors.BadFlag(f"{origin}: must be non-negative, got {value}")
-    return frac
+# The parsers below take one value from a config file, a flag or
+# MUTDENSE_JOBS and raise ValueError; load_config names the source.
 
 
-def _families_from_names(names, origin: str) -> frozenset[Family]:
-    out = set()
-    for name in names:
-        try:
-            out.add(Family(name))
-        except ValueError as exc:
-            raise errors.BadConfigKey(f"{origin}: unknown family {name!r}") from exc
-    if not out:
-        raise errors.BadConfigKey(f"{origin}: at least one family is required")
-    return frozenset(out)
-
-
-def _parse_formats(value, origin: str) -> tuple[str, ...]:
-    items = value.split(",") if isinstance(value, str) else list(value)
-    items = [s.strip() for s in items if s.strip()]
-    bad = [s for s in items if s not in _FORMATS]
-    if bad:
-        raise errors.BadFlag(f"{origin}: unknown format(s) {bad}; pick from {_FORMATS}")
-    if not items:
-        raise errors.BadFlag(f"{origin}: at least one format is required")
-    return tuple(dict.fromkeys(items))
-
-
-def _parse_ids(value, origin: str) -> frozenset[str]:
-    items = value.split(",") if isinstance(value, str) else list(value)
-    ids = frozenset(s.strip() for s in items if s.strip())
-    unknown = ids - ALL_OPERATOR_IDS
-    if unknown:
-        raise errors.BadFlag(f"{origin}: unknown operator ids {sorted(unknown)}")
-    return ids
-
-
-def _expect(ok: bool, origin: str, what: str, value) -> None:
+def _expect(ok: bool, what: str, value) -> None:
     if not ok:
-        raise errors.BadConfigKey(f"{origin}: expected {what}, got {json.dumps(value)}")
+        raise ValueError(f"expected {what}, got {json.dumps(value)}")
 
 
 def _is_int(value) -> bool:
@@ -184,112 +143,152 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _str_value(value, origin: str) -> str:
-    _expect(isinstance(value, str), origin, "a string", value)
+def _str_value(value) -> str:
+    _expect(isinstance(value, str), "a string", value)
     return value
 
 
-def _str_tuple(value, origin: str) -> tuple[str, ...]:
-    _expect(_is_str_list(value), origin, "a list of strings", value)
+def _nonempty_str(value) -> str:
+    _expect(isinstance(value, str) and value != "", "a non-empty string", value)
+    return value
+
+
+def _str_tuple(value) -> tuple[str, ...]:
+    _expect(_is_str_list(value), "a list of strings", value)
     return tuple(value)
 
 
-def _str_or_list(value, origin: str):
-    _expect(isinstance(value, str) or _is_str_list(value), origin,
+def _str_items(value) -> list[str]:
+    """The non-blank items of a comma-separated string or a list of strings."""
+    _expect(isinstance(value, str) or _is_str_list(value),
             "a comma-separated string or a list of strings", value)
-    return value
+    items = value.split(",") if isinstance(value, str) else value
+    return [s.strip() for s in items if s.strip()]
 
 
-def _integer(value, origin: str, minimum: int) -> int:
-    _expect(_is_int(value) and value >= minimum, origin,
-            f"an integer of at least {minimum}", value)
-    return value
+def _families(value) -> frozenset[Family]:
+    names = frozenset(_str_tuple(value))
+    unknown = names - {f.value for f in Family}
+    if unknown:
+        raise ValueError(f"unknown families {sorted(unknown)}")
+    if not names:
+        raise ValueError("at least one family is required")
+    return frozenset(map(Family, names))
 
 
-def _number(value, origin: str) -> Fraction:
+def _operator_ids(value) -> frozenset[str]:
+    ids = frozenset(_str_items(value))
+    unknown = ids - ALL_OPERATOR_IDS
+    if unknown:
+        raise ValueError(f"unknown operator ids {sorted(unknown)}")
+    return ids
+
+
+def _formats(value) -> tuple[str, ...]:
+    items = _str_items(value)
+    bad = [s for s in items if s not in _FORMATS]
+    if bad:
+        raise ValueError(f"unknown format(s) {bad}; pick from {_FORMATS}")
+    if not items:
+        raise ValueError("at least one format is required")
+    return tuple(dict.fromkeys(items))
+
+
+# Fraction("1e100000000") builds 10**100000000, which runs for minutes
+_EXPONENT_DIGITS = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+_MAX_EXPONENT_DIGITS = 3
+
+
+def _threshold(value) -> Fraction:
     _expect(isinstance(value, (int, float, str)) and not isinstance(value, bool),
-            origin, "a number", value)
-    return _as_fraction(value, origin)
+            "a number", value)
+    text = str(value)
+    exponent = _EXPONENT_DIGITS.search(text)
+    if exponent and len(exponent[1].replace("_", "").lstrip("0")) > _MAX_EXPONENT_DIGITS:
+        raise ValueError(f"exponent has over {_MAX_EXPONENT_DIGITS} digits: {text[:40]!r}")
+    try:
+        frac = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a number: {value!r}") from None
+    if frac < 0:
+        raise ValueError(f"must be non-negative, got {value}")
+    return frac
 
 
-def _color_stops(value, origin: str) -> tuple[tuple[int, str], ...]:
+def _integer(value, minimum: int) -> int:
+    _expect(_is_int(value) and value >= minimum, f"an integer of at least {minimum}", value)
+    return value
+
+
+def _color_stops(value) -> tuple[tuple[int, str], ...]:
     _expect(
         isinstance(value, list) and all(
             isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and isinstance(p[1], str)
             for p in value
         ),
-        origin, "[[threshold, color], ...]", value,
+        "[[threshold, color], ...]", value,
     )
     stops = tuple((t, c) for t, c in value)
-    try:
-        HeatmapStyle(color_stops=stops)
-    except ValueError as exc:
-        raise errors.BadConfigKey(f"{origin}: {exc}") from exc
+    HeatmapStyle(color_stops=stops)  # raises ValueError unless strictly increasing
     return stops
 
 
-# config-file key -> (Config field, parser taking the value and its origin)
+# config-file key -> (Config field, the one parser of that setting)
 _CONFIG_KEYS = {
     "roots": ("roots", _str_tuple),
     "includeGlobs": ("include_globs", _str_tuple),
     "excludeGlobs": ("exclude_globs", _str_tuple),
-    "families": ("families", lambda v, o: _families_from_names(_str_tuple(v, o), o)),
-    "enabledOperatorIds": ("enabled_operator_ids", lambda v, o: _parse_ids(_str_or_list(v, o), o)),
-    "outputDir": ("output_dir", _str_value),
-    "formats": ("formats", lambda v, o: _parse_formats(_str_or_list(v, o), o)),
-    "threshold": ("threshold", _number),
-    "topLines": ("top_lines", lambda v, o: _integer(v, o, 0)),
-    "jobs": ("jobs", lambda v, o: _integer(v, o, 1)),
+    "families": ("families", _families),
+    "enabledOperatorIds": ("enabled_operator_ids", _operator_ids),
+    "outputDir": ("output_dir", _nonempty_str),
+    "formats": ("formats", _formats),
+    "threshold": ("threshold", _threshold),
+    "topLines": ("top_lines", lambda v: _integer(v, 0)),
+    "jobs": ("jobs", lambda v: _integer(v, 1)),
     "colorStops": ("color_stops", _color_stops),
     "grayColor": ("gray_color", _str_value),
 }
+_FIELD_PARSERS = dict(_CONFIG_KEYS.values())
+
+
+def _int_or_text(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def load_config(cli_args: Sequence[str], config_file: str | None = None) -> Config:
-    """Merge flags over config-file values over defaults."""
-    ns = _analyze_parser().parse_args(list(cli_args))
-    file_path = config_file or ns.config
+    """Merge flags over config-file values over defaults.
+
+    Each value present goes through its setting's parser; a bad one raises
+    BadConfigKey naming the key, or BadFlag naming the flag or MUTDENSE_JOBS.
+    """
+    parser = _analyze_parser()
+    flags = vars(parser.parse_args(list(cli_args)))
+    flag_config = flags.pop("config", None)
+    file_path = config_file or flag_config
+
+    # (Config field, value, its source, error class); a later value wins
+    sources = []
+    if file_path:
+        sources += [(_CONFIG_KEYS[key][0], value, f"{key} in {file_path}", errors.BadConfigKey)
+                    for key, value in _read_config_file(file_path).items()]
+    flag_names = parser.flag_names()
+    sources += [(field, value, flag_names[field], errors.BadFlag)
+                for field, value in flags.items()]
+    env_jobs = os.environ.get("MUTDENSE_JOBS")
+    if env_jobs and all(field != "jobs" for field, _, _, _ in sources):
+        sources.append(("jobs", _int_or_text(env_jobs), "MUTDENSE_JOBS", errors.BadFlag))
 
     merged: dict = {}
-    jobs_origin = "--jobs"  # the config file checks its own value
-    env_jobs = os.environ.get("MUTDENSE_JOBS")
-    if env_jobs:
+    for field, value, origin, error in sources:
         try:
-            merged["jobs"] = int(env_jobs)
+            merged[field] = _FIELD_PARSERS[field](value)
         except ValueError as exc:
-            raise errors.BadFlag(f"MUTDENSE_JOBS: not an integer: {env_jobs!r}") from exc
-        jobs_origin = "MUTDENSE_JOBS"
-    if file_path:
-        merged.update(_read_config_file(file_path))
-
-    if ns.roots:
-        merged["roots"] = tuple(ns.roots)
+            raise error(f"{origin}: {exc}") from exc
     if not merged.get("roots"):
         raise errors.BadFlag("at least one root path is required")
-    if ns.include:
-        merged["include_globs"] = tuple(ns.include)
-    if ns.exclude:
-        merged["exclude_globs"] = tuple(ns.exclude)
-    if ns.operators:
-        merged["families"] = _FAMILY_CHOICES[ns.operators]
-    if ns.enable:
-        merged["enabled_operator_ids"] = _parse_ids(ns.enable, "--enable")
-    if ns.output_dir:
-        merged["output_dir"] = ns.output_dir
-    if ns.formats:
-        merged["formats"] = _parse_formats(ns.formats, "--format")
-    if ns.threshold is not None:
-        merged["threshold"] = _as_fraction(ns.threshold, "--threshold")
-    if ns.top_lines is not None:
-        if ns.top_lines < 0:
-            raise errors.BadFlag("--top-lines must be non-negative")
-        merged["top_lines"] = ns.top_lines
-    if ns.jobs is not None:
-        merged["jobs"] = ns.jobs
-        jobs_origin = "--jobs"
-    if merged.get("jobs", 1) < 1:
-        raise errors.BadFlag(f"{jobs_origin} must be at least 1")
-
     return Config(**merged)
 
 

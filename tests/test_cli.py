@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -129,6 +133,8 @@ def test_unreadable_config(tmp_path, content):
         ["src", "--jobs", "0"],
         ["src", "--operators", "both"],  # argparse choice error becomes BadFlag
         ["src", "--top-lines", "-2"],
+        ["src", "--format="],  # an empty value is checked like the file's ""
+        ["src", "--out="],
     ],
 )
 def test_bad_flags(argv):
@@ -156,10 +162,85 @@ def test_bad_jobs_env_is_named_in_the_error(monkeypatch, capsys, value):
     assert main(["analyze", "src"]) == 1
     err = capsys.readouterr().err
     assert "MUTDENSE_JOBS" in err and "--jobs" not in err
-    if value != "2.5":  # an integer below 1 yields to a flag, named as such
-        assert load_config(["src", "--jobs", "2"]).jobs == 2
-        with pytest.raises(errors.BadFlag, match="^--jobs"):
-            load_config(["src", "--jobs", "0"])
+    # any bad value yields to a flag, whose own errors name the flag
+    assert load_config(["src", "--jobs", "2"]).jobs == 2
+    with pytest.raises(errors.BadFlag, match="^--jobs"):
+        load_config(["src", "--jobs", "0"])
+
+
+# (flag arguments, config key, the same value in a config file, valid?); each
+# setting that has both a flag and a key, with a bad value where a flag can
+# carry one
+_FLAG_KEY_VALUES = [
+    (["--include", "**/*.jav", "--include", "x"], "includeGlobs", ["**/*.jav", "x"], True),
+    (["--exclude", "gen/**"], "excludeGlobs", ["gen/**"], True),
+    (["--operators", "null-type"], "families", ["null-type"], True),
+    (["--operators", "all"], "families", ["traditional", "null-type"], True),
+    (["--operators", "both"], "families", ["both"], False),
+    (["--enable", "ROR, NNC"], "enabledOperatorIds", "ROR, NNC", True),
+    (["--enable="], "enabledOperatorIds", "", True),
+    (["--enable", "ROR,BOGUS"], "enabledOperatorIds", "ROR,BOGUS", False),
+    (["--out", "reports"], "outputDir", "reports", True),
+    (["--out="], "outputDir", "", False),
+    (["--format", "svg,json,svg"], "formats", "svg,json,svg", True),
+    (["--format="], "formats", "", False),
+    (["--format", "json,pdf"], "formats", "json,pdf", False),
+    (["--threshold", "2.5"], "threshold", 2.5, True),
+    (["--threshold", "1/3"], "threshold", "1/3", True),
+    (["--threshold", "1e3"], "threshold", "1e3", True),
+    (["--threshold", "1e-999"], "threshold", "1e-999", True),
+    (["--threshold", "0"], "threshold", 0, True),
+    (["--threshold", "-1"], "threshold", -1, False),
+    (["--threshold", "abc"], "threshold", "abc", False),
+    (["--threshold", "1e1000"], "threshold", "1e1000", False),
+    (["--top-lines", "0"], "topLines", 0, True),
+    (["--top-lines", "-2"], "topLines", -2, False),
+    (["--jobs", "3"], "jobs", 3, True),
+    (["--jobs", "0"], "jobs", 0, False),
+]
+
+
+@pytest.mark.parametrize(
+    "flag_args,key,file_value,valid",
+    _FLAG_KEY_VALUES,
+    ids=[" ".join(args) for args, _, _, _ in _FLAG_KEY_VALUES],
+)
+def test_flag_and_config_key_parse_alike(tmp_path, flag_args, key, file_value, valid):
+    cfg_file = tmp_path / "md.json"
+    cfg_file.write_text(json.dumps({key: file_value}))
+    flag_argv = ["src", *flag_args]
+    file_argv = ["src", "--config", str(cfg_file)]
+    if valid:
+        field = cli._CONFIG_KEYS[key][0]
+        assert getattr(load_config(flag_argv), field) == getattr(load_config(file_argv), field)
+        return
+    flag = flag_args[0].split("=")[0]
+    with pytest.raises(errors.BadFlag, match="^" + re.escape(flag)):
+        load_config(flag_argv)
+    with pytest.raises(errors.BadConfigKey, match="^" + key):
+        load_config(file_argv)
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_huge_threshold_exponent_fails_fast(tmp_path, source):
+    # Fraction would build 10**100000000; the child is killed if it tries
+    if source == "flag":
+        args, name = ["--threshold", "1e100000000"], "--threshold"
+    else:
+        cfg_file = tmp_path / "md.json"
+        cfg_file.write_text(json.dumps({"threshold": "1e100000000"}))
+        args, name = ["--config", str(cfg_file)], "threshold"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mutdense", "analyze", "src", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"mutdense: {name}") and "Traceback" not in proc.stderr
+    started = time.perf_counter()
+    with pytest.raises((errors.BadFlag, errors.BadConfigKey), match=f"^{name}"):
+        load_config(["src", *args])
+    assert time.perf_counter() - started < 1
 
 
 def test_include_exclude_flags_replace_file_lists(tmp_path):
