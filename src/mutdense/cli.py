@@ -316,14 +316,16 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
     A display path is relative to its directory root, or the root itself for
     a file root.  Where files from different roots would share a display
     path, each of them is qualified with its root as given, round after
-    round until no two display paths are equal.  Inner symbolic links are
-    never followed; special files (pipes, devices) and oversized files are
-    skipped with a diagnostic.  A missing root is fatal.
+    round until no two display paths are equal.  A file reached twice (a
+    repeated root, or hard links to one file) counts once, under the first
+    path, by device and inode.  Inner symbolic links are never followed;
+    special files (pipes, devices) and oversized files are skipped with a
+    diagnostic.  A missing root is fatal.
     """
     # (display, its root's prefix, fs path, problem or None); the prefix is
     # "" for a file root, whose display path already is the root
     entries: list[tuple[str, str, str, str | None]] = []
-    seen: set[str] = set()
+    seen: set[tuple[int, int]] = set()  # (st_dev, st_ino) of each file offered
 
     def offer(display: str, prefix: str, fs_path: str, check_globs: bool) -> None:
         display = display.replace(os.sep, "/")
@@ -333,15 +335,14 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
             _glob_match(display, g) for g in config.exclude_globs
         ):
             return
-        real = os.path.realpath(fs_path)
-        if real in seen:
-            return
-        seen.add(real)
         try:
             st = os.stat(fs_path)
         except OSError as exc:
             entries.append((display, prefix, fs_path, f"unreadable: {exc}"))
             return
+        if (st.st_dev, st.st_ino) in seen:
+            return
+        seen.add((st.st_dev, st.st_ino))
         if not stat.S_ISREG(st.st_mode):
             problem = "skipped: not a regular file"
         elif st.st_size > _SIZE_LIMIT:

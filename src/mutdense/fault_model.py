@@ -87,11 +87,16 @@ class OperatorSet:
         if enabled_ids is None:
             ids = family_ids
         else:
-            ids = frozenset(enabled_ids)
-            unknown = ids - ALL_OPERATOR_IDS
+            requested = frozenset(enabled_ids)
+            unknown = requested - ALL_OPERATOR_IDS
             if unknown:
                 raise ValueError(f"unknown operator ids: {sorted(unknown)}")
-            ids &= family_ids
+            ids = requested & family_ids
+            if not ids:
+                raise ValueError(
+                    f"no operator is enabled: the operator ids {sorted(requested)}"
+                    f" select none of the families {sorted(f.value for f in fams)}"
+                )
         return cls(families=fams, enabled_ids=ids)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Literal, Sequence
 
 from mutdense import errors
@@ -42,18 +43,67 @@ class LineDensity:
 
 @dataclass(frozen=True)
 class UnitReport:
+    """What analysis found in one unit: its relevant lines and its mutants.
+
+    Every mutant must sit on a relevant line; a report that breaks this
+    span/relevance contract raises MutantOnIrrelevantLine.  Per-line
+    densities, per-family counts and averages are derived from the four
+    fields on first read, so a pickled report carries only what was found.
+    """
+
     path: str
     physical_line_count: int
-    relevant_line_count: int
-    mutant_count_by_family: dict[Family, int]
-    line_densities: tuple[LineDensity, ...]
-    avg_density_by_family: dict[Family, Fraction]
-    avg_density_combined: Fraction
+    relevant_lines: frozenset[int]
     mutants: tuple[Mutant, ...]
+
+    def __post_init__(self) -> None:
+        for m in self.mutants:
+            if m.line not in self.relevant_lines:
+                raise errors.MutantOnIrrelevantLine(
+                    f"{m.operator_id} mutant on non-relevant line {m.line} of {self.path}"
+                )
+
+    @property
+    def relevant_line_count(self) -> int:
+        return len(self.relevant_lines)
 
     @property
     def empty(self) -> bool:
-        return self.relevant_line_count == 0
+        return not self.relevant_lines
+
+    @cached_property
+    def line_densities(self) -> tuple[LineDensity, ...]:
+        """One LineDensity per physical line of the unit."""
+        counts: dict[int, dict[Family, int]] = {}
+        for m in self.mutants:
+            counts.setdefault(m.line, dict.fromkeys(_FAMILIES, 0))[m.family] += 1
+        out: list[LineDensity] = []
+        for ln in range(1, self.physical_line_count + 1):
+            per_line = counts.get(ln) or dict.fromkeys(_FAMILIES, 0)
+            out.append(
+                LineDensity(
+                    line=ln,
+                    relevant=ln in self.relevant_lines,
+                    count_by_family=per_line,
+                    total=sum(per_line.values()),
+                )
+            )
+        return tuple(out)
+
+    @cached_property
+    def mutant_count_by_family(self) -> dict[Family, int]:
+        counts = dict.fromkeys(_FAMILIES, 0)
+        for m in self.mutants:
+            counts[m.family] += 1
+        return counts
+
+    @cached_property
+    def avg_density_by_family(self) -> dict[Family, Fraction]:
+        return {fam: average_density(self.line_densities, fam) for fam in Family}
+
+    @property
+    def avg_density_combined(self) -> Fraction:
+        return sum(self.avg_density_by_family.values(), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -72,31 +122,13 @@ class ProjectReport:
 
 def line_densities(
     unit: SourceUnit, relevant: LineSet, mutants: Sequence[Mutant]
-) -> list[LineDensity]:
+) -> tuple[LineDensity, ...]:
     """One LineDensity per physical line of the unit.
 
     A mutant landing on a non-relevant line breaks the span/relevance
     contract and raises MutantOnIrrelevantLine.
     """
-    counts: dict[int, dict[Family, int]] = {}
-    for m in mutants:
-        if m.line not in relevant.relevant:
-            raise errors.MutantOnIrrelevantLine(
-                f"{m.operator_id} mutant on non-relevant line {m.line} of {unit.path}"
-            )
-        counts.setdefault(m.line, dict.fromkeys(_FAMILIES, 0))[m.family] += 1
-    out: list[LineDensity] = []
-    for ln in range(1, len(unit.lines) + 1):
-        per_line = counts.get(ln) or dict.fromkeys(_FAMILIES, 0)
-        out.append(
-            LineDensity(
-                line=ln,
-                relevant=ln in relevant.relevant,
-                count_by_family=per_line,
-                total=sum(per_line.values()),
-            )
-        )
-    return out
+    return build_unit_report(unit, relevant, mutants).line_densities
 
 
 def average_density(
@@ -122,19 +154,10 @@ def build_unit_report(
     unit: SourceUnit, relevant: LineSet, mutants: Sequence[Mutant]
 ) -> UnitReport:
     """Assemble the per-unit report from the analysis parts."""
-    densities = tuple(line_densities(unit, relevant, mutants))
-    by_family = {
-        fam: sum(1 for m in mutants if m.family is fam) for fam in Family
-    }
-    avg_by_family = {fam: average_density(densities, fam) for fam in Family}
     return UnitReport(
         path=unit.path,
         physical_line_count=len(unit.lines),
-        relevant_line_count=len(relevant.relevant),
-        mutant_count_by_family=by_family,
-        line_densities=densities,
-        avg_density_by_family=avg_by_family,
-        avg_density_combined=sum(avg_by_family.values(), Fraction(0)),
+        relevant_lines=relevant.relevant,
         mutants=tuple(mutants),
     )
 

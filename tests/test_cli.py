@@ -131,7 +131,7 @@ def test_unreadable_config(tmp_path, content):
         ["src", "--threshold", "-1"],
         ["src", "--threshold", "abc"],
         ["src", "--jobs", "0"],
-        ["src", "--operators", "both"],  # argparse choice error becomes BadFlag
+        ["src", "--operators", "both"],  # the families parser rejects it
         ["src", "--top-lines", "-2"],
         ["src", "--format="],  # an empty value is checked like the file's ""
         ["src", "--out="],
@@ -373,6 +373,17 @@ def test_discovery_deduplicates_roots(write_tree):
     assert len(files) == 1
 
 
+def test_discovery_counts_hard_links_once(write_tree):
+    root = write_tree({"A.java": ALPHA_SRC, "C.java": BETA_SRC})
+    try:
+        os.link(root / "A.java", root / "B.java")
+    except (AttributeError, NotImplementedError, OSError) as exc:
+        pytest.skip(f"no hard links here: {exc}")
+    files, diagnostics = discover(Config(roots=(str(root),)))
+    assert [d for d, _ in files] == ["A.java", "C.java"]
+    assert diagnostics == []
+
+
 def test_colliding_display_paths_are_qualified_by_root(
     write_tree, tmp_path, capsys, monkeypatch
 ):
@@ -525,6 +536,30 @@ def test_threshold_gate_is_strictly_greater(write_tree, tmp_path, capsys):
     # equality does not trip the gate
     assert main(["analyze", str(root), "--out", str(out), "--threshold", "0.8"]) == 0
     assert main(["analyze", str(root), "--out", str(out), "--threshold", "4/5"]) == 0
+
+
+@pytest.mark.parametrize(
+    "args,config,cause",
+    [
+        (["--enable="], None, "operator ids []"),
+        ([], {"enabledOperatorIds": []}, "operator ids []"),
+        (["--operators", "null-type", "--enable", "ROR"], None, "['ROR']"),
+    ],
+    ids=["empty-enable-flag", "empty-config-list", "ids-outside-families"],
+)
+def test_empty_operator_set_is_fatal(write_tree, tmp_path, capsys, args, config, cause):
+    # with no operator every density is 0, so a threshold could never trip
+    root = write_tree({"Gamma.java": GAMMA_SRC})
+    out = tmp_path / "out"
+    if config is not None:
+        cfg_file = tmp_path / "md.json"
+        cfg_file.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg_file)]
+    argv = ["analyze", str(root), "--out", str(out), "--threshold", "0"] + args
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "no operator is enabled" in err and cause in err
+    assert not out.exists()
 
 
 def test_missing_root_is_fatal(tmp_path, capsys):

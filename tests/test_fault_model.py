@@ -53,6 +53,11 @@ def test_operator_set_validation():
     # ids outside the chosen families are dropped by the subset rule
     narrowed = OperatorSet.default([Family.NULL_TYPE], enabled_ids=["ROR", "NNC"])
     assert narrowed.enabled_ids == frozenset({"NNC"})
+    # an id list that leaves no operator enabled could never trip a threshold
+    with pytest.raises(ValueError, match="no operator is enabled"):
+        OperatorSet.default(enabled_ids=[])
+    with pytest.raises(ValueError, match="no operator is enabled.*ROR"):
+        OperatorSet.default([Family.NULL_TYPE], enabled_ids=["ROR"])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from mutdense.fault_model import Family, Mutant, OperatorSet, find_mutation_site
 from mutdense.metrics import (
     Diagnostic,
     LineDensity,
+    UnitReport,
     aggregate_project,
     average_density,
     build_unit_report,
@@ -110,6 +111,9 @@ def test_mutant_on_irrelevant_line_is_a_contract_violation():
     stray = fake_mutant(line=1)  # class header: never relevant
     with pytest.raises(errors.MutantOnIrrelevantLine):
         line_densities(unit, relevant, [stray])
+    # the report itself holds the contract, however it is built
+    with pytest.raises(errors.MutantOnIrrelevantLine, match="line 1 of U.java"):
+        UnitReport("U.java", len(unit.lines), relevant.relevant, (stray,))
 
 
 def test_totals_equal_family_sums():

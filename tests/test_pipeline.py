@@ -8,7 +8,9 @@ built once per unit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 import random
 import sys
 from collections import Counter
@@ -17,7 +19,8 @@ import pytest
 
 from mutdense import cli, errors, source_model
 from mutdense.fault_model import OperatorSet, apply_mutant, find_mutation_sites
-from mutdense.metrics import UnitReport, analyze_unit, build_unit_report
+from mutdense.metrics import UnitReport, aggregate_project, analyze_unit, build_unit_report
+from mutdense.reporting import emit_json
 from conftest import (
     ALPHA_SRC,
     BETA_SRC,
@@ -281,3 +284,22 @@ def test_analyze_unit_matches_the_layered_calls():
     relevant = source_model.relevant_lines(unit, spans)
     layered = build_unit_report(unit, relevant, find_mutation_sites(unit, spans, ALL_OPS))
     assert analyze_unit("Outer.java", _NESTED_SRC, ALL_OPS) == layered
+
+
+_FOUND = ["path", "physical_line_count", "relevant_lines", "mutants"]
+
+
+def test_worker_result_holds_only_what_analysis_found(tmp_path):
+    source = tmp_path / "Outer.java"
+    source.write_text(_NESTED_SRC, encoding="utf-8")
+    _, report, error, _ = cli.analyze_path("Outer.java", str(source), ALL_OPS)
+    assert error is None and report.mutants
+    assert [f.name for f in dataclasses.fields(UnitReport)] == _FOUND
+    # no derived view was built before the result goes back to the parent
+    assert list(vars(report)) == _FOUND
+    clone = pickle.loads(pickle.dumps(report))
+    assert clone == report
+    assert emit_json(aggregate_project([clone])) == emit_json(aggregate_project([report]))
+    # each derived view is built once, on first read
+    assert report.line_densities is report.line_densities
+    assert report.avg_density_by_family is report.avg_density_by_family

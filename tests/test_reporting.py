@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
 import pytest
 
 from mutdense import errors
-from mutdense.fault_model import Family, OperatorSet, find_mutation_sites
+from mutdense.fault_model import Family, Mutant, OperatorSet, find_mutation_sites
 from mutdense.metrics import (
     UnitReport,
     aggregate_project,
@@ -53,18 +54,26 @@ def project_of(*pairs):
     return aggregate_project([unit_and_report(src, path)[1] for path, src in pairs])
 
 
-def synthetic_report(path, trad, null, relevant=1):
+def synthetic_report(path, trad, null):
+    """A report with family averages trad and null, built from mutants on
+    line 1; its relevant line count is the LCM of their denominators."""
     avg = {Family.TRADITIONAL: Fraction(trad), Family.NULL_TYPE: Fraction(null)}
-    return UnitReport(
-        path=path,
-        physical_line_count=1,
-        relevant_line_count=relevant,
-        mutant_count_by_family={f: int(avg[f] * relevant) for f in Family},
-        line_densities=(),
-        avg_density_by_family=avg,
-        avg_density_combined=sum(avg.values(), Fraction(0)),
-        mutants=(),
+    relevant = math.lcm(*(a.denominator for a in avg.values()))
+    operator_id = {Family.TRADITIONAL: "ROR", Family.NULL_TYPE: "NNC"}
+    mutants = tuple(
+        Mutant(operator_id[fam], fam, path, line=1, column=1, start=0, end=1,
+               original="<", replacement=">=")
+        for fam in Family
+        for _ in range(int(avg[fam] * relevant))
     )
+    report = UnitReport(
+        path=path,
+        physical_line_count=relevant,
+        relevant_lines=frozenset(range(1, relevant + 1)),
+        mutants=mutants,
+    )
+    assert report.avg_density_by_family == avg
+    return report
 
 
 # ---------------------------------------------------------------------------
