@@ -21,7 +21,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mutdense import errors
 from mutdense._version import VERSION
@@ -29,20 +29,21 @@ from mutdense.fault_model import ALL_OPERATOR_IDS, CATALOG, Family, OperatorSet
 from mutdense.metrics import (
     Diagnostic,
     ProjectReport,
-    UnitReport,
+    UnitSummary,
     aggregate_project,
-    analyze_unit,
+    analyze_source,
 )
 from mutdense.reporting import (
     DEFAULT_STYLE,
     HeatmapStyle,
     emit_json,
+    emit_unit_json,
     format_density,
     render_barchart,
     render_heatmap,
     render_text,
 )
-from mutdense.source_model import SourceUnit, split_lines
+from mutdense.source_model import SourceUnit
 
 _SIZE_LIMIT = 10 * 1024 * 1024
 _FORMATS = ("json", "html", "svg", "text")
@@ -391,33 +392,77 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
 
 
 # ---------------------------------------------------------------------------
-# per-unit analysis (top level so worker processes can import it)
+# per-unit analysis, in the workers (top level so worker processes can
+# import it)
 # ---------------------------------------------------------------------------
 
 
-def analyze_path(
-    display: str,
-    fs_path: str,
-    operator_set: OperatorSet,
-    want_lines: bool = False,
-) -> tuple[str, UnitReport | None, str | None, tuple[str, ...] | None]:
-    """Run the full per-unit pipeline; failures come back as a message."""
+@dataclass(frozen=True)
+class UnitSettings:
+    """What a worker needs of the run's settings to analyze a unit."""
+
+    operator_set: OperatorSet
+    formats: tuple[str, ...]
+    style: HeatmapStyle
+    top_lines: int
+
+
+class UnitResult(NamedTuple):
+    """One file's outcome: an error, or the unit's finished pieces.
+
+    ``json`` is the unit's ``project.json`` entry when json is requested and
+    ``html`` its heatmap page when html is; ``summary`` is what the text
+    table, the bar chart and the threshold gate read.
+    """
+
+    path: str
+    error: str | None
+    json: bytes | None = None
+    html: bytes | None = None
+    summary: UnitSummary | None = None
+
+
+def analyze_path(display: str, fs_path: str, settings: UnitSettings) -> UnitResult:
+    """Run the full per-unit pipeline and build the unit's pieces for the
+    requested formats; failures come back as a message."""
     try:
         with open(fs_path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError:
-        return display, None, "not valid UTF-8", None
+        return UnitResult(display, "not valid UTF-8")
     except OSError as exc:
-        return display, None, f"unreadable: {exc}", None
+        return UnitResult(display, f"unreadable: {exc}")
     try:
-        report = analyze_unit(display, text, operator_set)
+        unit = SourceUnit.from_text(display, text)
+        report = analyze_source(unit, settings.operator_set)
     except errors.MutdenseError as exc:
-        return display, None, str(exc), None
-    return display, report, None, split_lines(text) if want_lines else None
+        return UnitResult(display, str(exc))
+    formats = settings.formats
+    return UnitResult(
+        display,
+        None,
+        json=emit_unit_json(report) if "json" in formats else None,
+        html=(render_heatmap(unit, report, settings.style).encode("utf-8")
+              if "html" in formats else None),
+        summary=UnitSummary.from_report(report, settings.top_lines if "text" in formats else 0),
+    )
 
 
-def _analyze_job(args: tuple) -> tuple:
-    return analyze_path(*args)
+def analyze_chunk(task: tuple[Sequence[tuple[str, str]], UnitSettings]) -> list[UnitResult]:
+    """``analyze_path`` over one chunk of (display path, fs path) pairs."""
+    files, settings = task
+    return [analyze_path(display, fs_path, settings) for display, fs_path in files]
+
+
+# chunks per worker: few enough that a task's overhead is paid rarely, enough
+# that a worker left with a slow chunk does not hold up the run for long
+_CHUNKS_PER_WORKER = 8
+
+
+def chunked(files: Sequence[tuple[str, str]], workers: int) -> list[Sequence[tuple[str, str]]]:
+    """``files`` cut into about ``_CHUNKS_PER_WORKER`` chunks per worker, in order."""
+    size = max(1, -(-len(files) // (max(workers, 1) * _CHUNKS_PER_WORKER)))
+    return [files[k:k + size] for k in range(0, len(files), size)]
 
 
 def worker_count(jobs: int, files: int, cpus: int) -> int:
@@ -474,33 +519,33 @@ def run(config: Config) -> int:
         print("mutdense: no input files matched", file=sys.stderr)
         return 1
 
-    want_lines = "html" in config.formats
-    jobs = [(display, fs, operator_set, want_lines) for display, fs in files]
-    workers = worker_count(config.jobs, len(jobs), os.cpu_count() or 1)
+    settings = UnitSettings(operator_set, config.formats, style, config.top_lines)
+    workers = worker_count(config.jobs, len(files), os.cpu_count() or 1)
+    tasks = [(chunk, settings) for chunk in chunked(files, workers)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_analyze_job, jobs))
+            chunks = list(pool.map(analyze_chunk, tasks))
     else:
-        results = [_analyze_job(job) for job in jobs]
+        chunks = [analyze_chunk(task) for task in tasks]
 
-    unit_reports: list[UnitReport] = []
-    unit_lines: dict[str, tuple[str, ...]] = {}
-    for display, report, error, lines in results:
-        if error is not None:
-            diagnostics.append(Diagnostic(display, error))
-        else:
-            unit_reports.append(report)
-            if lines is not None:
-                unit_lines[display] = lines
+    summaries: list[UnitSummary] = []
+    pieces: dict[str, UnitResult] = {}
+    for chunk in chunks:
+        for result in chunk:
+            if result.error is not None:
+                diagnostics.append(Diagnostic(result.path, result.error))
+            else:
+                summaries.append(result.summary)
+                pieces[result.path] = result
 
     try:
-        project = aggregate_project(unit_reports, diagnostics)
+        project = aggregate_project(summaries, diagnostics)
     except errors.DuplicatePath as exc:
         print(f"mutdense: {exc}", file=sys.stderr)
         return 1
 
     try:
-        _write_artifacts(project, unit_lines, config, style)
+        _write_artifacts(project, pieces, config)
     except OSError as exc:
         print(f"mutdense: cannot write output: {exc}", file=sys.stderr)
         return 1
@@ -527,16 +572,14 @@ def run(config: Config) -> int:
 
 
 def _write_artifacts(
-    project: ProjectReport,
-    unit_lines: dict[str, tuple[str, ...]],
-    config: Config,
-    style: HeatmapStyle,
+    project: ProjectReport, pieces: dict[str, UnitResult], config: Config
 ) -> None:
+    """Write the run's artifacts; ``pieces`` holds each unit's worker result."""
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     if "json" in config.formats:
         with open(os.path.join(out, "project.json"), "wb") as fh:
-            fh.write(emit_json(project))
+            fh.write(emit_json(project, [pieces[u.path].json for u in project.units]))
     if "text" in config.formats:
         with open(os.path.join(out, "project.txt"), "w", encoding="utf-8") as fh:
             fh.write(render_text(project, config.top_lines))
@@ -546,13 +589,8 @@ def _write_artifacts(
     if "html" in config.formats:
         names = heatmap_filenames([unit.path for unit in project.units])
         for unit, name in zip(project.units, names):
-            lines = unit_lines.get(unit.path)
-            if lines is None:
-                continue
-            shell = SourceUnit(path=unit.path, text="", lines=lines, tokens=())
-            doc = render_heatmap(shell, unit, style)
-            with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-                fh.write(doc)
+            with open(os.path.join(out, name), "wb") as fh:
+                fh.write(pieces[unit.path].html)
 
 
 # ---------------------------------------------------------------------------

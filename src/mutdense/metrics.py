@@ -29,6 +29,7 @@ from mutdense.source_model import LineSet, SourceUnit, locate_bodies, relevant_l
 MetricKey = Literal["traditional", "null-type", "combined"]
 COMBINED: MetricKey = "combined"
 _FAMILIES = tuple(Family)
+_FAMILY_INDEX = {fam: k for k, fam in enumerate(_FAMILIES)}
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,36 @@ class LineDensity:
     total: int
 
 
+class _UnitAverages:
+    """Averages of a unit that carries ``relevant_line_count`` and
+    ``mutant_count_by_family``: each family's mutant count over the relevant
+    line count, 0 when no line is relevant.  Every mutant sits on a relevant
+    line, so this equals ``average_density`` over the unit's per-line rows.
+    """
+
+    relevant_line_count: int
+    mutant_count_by_family: dict[Family, int]
+
+    @property
+    def empty(self) -> bool:
+        return self.relevant_line_count == 0
+
+    @cached_property
+    def avg_density_by_family(self) -> dict[Family, Fraction]:
+        if self.empty:
+            return dict.fromkeys(_FAMILIES, Fraction(0))
+        return {
+            fam: Fraction(self.mutant_count_by_family[fam], self.relevant_line_count)
+            for fam in _FAMILIES
+        }
+
+    @property
+    def avg_density_combined(self) -> Fraction:
+        return sum(self.avg_density_by_family.values(), Fraction(0))
+
+
 @dataclass(frozen=True)
-class UnitReport:
+class UnitReport(_UnitAverages):
     """What analysis found in one unit: its relevant lines and its mutants.
 
     Every mutant must sit on a relevant line; a report that breaks this
@@ -67,28 +96,30 @@ class UnitReport:
     def relevant_line_count(self) -> int:
         return len(self.relevant_lines)
 
-    @property
-    def empty(self) -> bool:
-        return not self.relevant_lines
+    @cached_property
+    def line_counts(self) -> dict[int, tuple[int, ...]]:
+        """Mutants per family, in ``Family`` order (traditional, null-type),
+        of each line that hosts one."""
+        counts: dict[int, list[int]] = {}
+        for m in self.mutants:
+            counts.setdefault(m.line, [0] * len(_FAMILIES))[_FAMILY_INDEX[m.family]] += 1
+        return {ln: tuple(per_family) for ln, per_family in counts.items()}
 
     @cached_property
     def line_densities(self) -> tuple[LineDensity, ...]:
         """One LineDensity per physical line of the unit."""
-        counts: dict[int, dict[Family, int]] = {}
-        for m in self.mutants:
-            counts.setdefault(m.line, dict.fromkeys(_FAMILIES, 0))[m.family] += 1
-        out: list[LineDensity] = []
-        for ln in range(1, self.physical_line_count + 1):
-            per_line = counts.get(ln) or dict.fromkeys(_FAMILIES, 0)
-            out.append(
-                LineDensity(
-                    line=ln,
-                    relevant=ln in self.relevant_lines,
-                    count_by_family=per_line,
-                    total=sum(per_line.values()),
-                )
+        counts = self.line_counts
+        zero = (0,) * len(_FAMILIES)
+        return tuple(
+            LineDensity(
+                line=ln,
+                relevant=ln in self.relevant_lines,
+                count_by_family=dict(zip(_FAMILIES, per_family)),
+                total=sum(per_family),
             )
-        return tuple(out)
+            for ln in range(1, self.physical_line_count + 1)
+            for per_family in (counts.get(ln, zero),)
+        )
 
     @cached_property
     def mutant_count_by_family(self) -> dict[Family, int]:
@@ -97,13 +128,53 @@ class UnitReport:
             counts[m.family] += 1
         return counts
 
-    @cached_property
-    def avg_density_by_family(self) -> dict[Family, Fraction]:
-        return {fam: average_density(self.line_densities, fam) for fam in Family}
+    def top_lines(self, n: int, key: Family | MetricKey = COMBINED) -> list[tuple[int, int]]:
+        """The unit's n highest-density lines as (line, value), ties by line.
 
-    @property
-    def avg_density_combined(self) -> Fraction:
-        return sum(self.avg_density_by_family.values(), Fraction(0))
+        Only lines that host a mutant of ``key`` qualify; all are relevant.
+        """
+        k = None if key == COMBINED else _FAMILY_INDEX[Family(key)]
+        rows = [
+            (ln, sum(per_family) if k is None else per_family[k])
+            for ln, per_family in self.line_counts.items()
+        ]
+        rows = [row for row in rows if row[1] > 0]
+        rows.sort(key=lambda row: (-row[1], row[0]))
+        return rows[:n]
+
+
+@dataclass(frozen=True)
+class UnitSummary(_UnitAverages):
+    """The part of a unit that the text table, the bar chart and the
+    threshold gate read, with the report's top ``top_n`` combined-density
+    lines.  ``mutdense analyze`` keeps this of each unit in place of the
+    UnitReport, which stays in the worker that built it.
+    """
+
+    path: str
+    relevant_line_count: int
+    mutant_count_by_family: dict[Family, int]
+    top_n: int = 0
+    top_rows: tuple[tuple[int, int], ...] = ()
+
+    @classmethod
+    def from_report(cls, report: UnitReport, top_n: int = 0) -> "UnitSummary":
+        return cls(
+            path=report.path,
+            relevant_line_count=report.relevant_line_count,
+            mutant_count_by_family=report.mutant_count_by_family,
+            top_n=top_n,
+            top_rows=tuple(report.top_lines(top_n)),
+        )
+
+    def top_lines(self, n: int, key: Family | MetricKey = COMBINED) -> list[tuple[int, int]]:
+        """``UnitReport.top_lines`` for the combined key and n up to ``top_n``."""
+        if key != COMBINED or n > self.top_n:
+            raise ValueError(
+                f"a summary holds only the top {self.top_n} combined lines, "
+                f"not the top {n} by {key}"
+            )
+        return list(self.top_rows[:n])
 
 
 @dataclass(frozen=True)
@@ -114,7 +185,7 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class ProjectReport:
-    units: tuple[UnitReport, ...]
+    units: tuple[UnitReport | UnitSummary, ...]
     diagnostics: tuple[Diagnostic, ...]
     tool_version: str = VERSION
     operator_catalog: tuple[MutationOperator, ...] = field(default=CATALOG)
@@ -167,7 +238,12 @@ def analyze_unit(path: str, text: str, operator_set: OperatorSet) -> UnitReport:
 
     Raises a MutdenseError subclass when the text cannot be analyzed.
     """
-    unit = SourceUnit.from_text(path, text)
+    return analyze_source(SourceUnit.from_text(path, text), operator_set)
+
+
+def analyze_source(unit: SourceUnit, operator_set: OperatorSet) -> UnitReport:
+    """``analyze_unit`` on a unit already scanned, for callers that also
+    render its lines."""
     spans = locate_bodies(unit)
     relevant = relevant_lines(unit, spans)
     mutants = find_mutation_sites(unit, spans, operator_set)
@@ -175,7 +251,7 @@ def analyze_unit(path: str, text: str, operator_set: OperatorSet) -> UnitReport:
 
 
 def aggregate_project(
-    unit_reports: Sequence[UnitReport], diagnostics: Sequence[Diagnostic] = ()
+    unit_reports: Sequence[UnitReport | UnitSummary], diagnostics: Sequence[Diagnostic] = ()
 ) -> ProjectReport:
     """Sort units by path and attach the catalog and tool version."""
     ordered = tuple(sorted(unit_reports, key=lambda u: u.path))
@@ -187,7 +263,7 @@ def aggregate_project(
     return ProjectReport(units=ordered, diagnostics=tuple(diagnostics))
 
 
-def _unit_value(unit: UnitReport, key: Family | MetricKey) -> Fraction:
+def _unit_value(unit: UnitReport | UnitSummary, key: Family | MetricKey) -> Fraction:
     if key == COMBINED:
         return unit.avg_density_combined
     return unit.avg_density_by_family[Family(key)]
@@ -202,12 +278,6 @@ def rank_units(
     return pairs
 
 
-def _line_value(density: LineDensity, key: Family | MetricKey) -> int:
-    if key == COMBINED:
-        return density.total
-    return density.count_by_family[Family(key)]
-
-
 def top_lines(
     report: ProjectReport, n: int, key: Family | MetricKey = COMBINED
 ) -> list[tuple[str, int, int]]:
@@ -218,10 +288,9 @@ def top_lines(
     if n < 1:
         raise ValueError("n must be at least 1")
     rows = [
-        (u.path, d.line, _line_value(d, key))
+        (u.path, line, value)
         for u in report.units
-        for d in u.line_densities
-        if d.relevant and _line_value(d, key) > 0
+        for line, value in u.top_lines(n, key)
     ]
     rows.sort(key=lambda r: (-r[2], r[0], r[1]))
     return rows[:n]

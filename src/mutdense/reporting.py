@@ -14,6 +14,7 @@ import html
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from mutdense import errors
 from mutdense.fault_model import Family
@@ -48,19 +49,34 @@ def label_2dp(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def emit_json(report: ProjectReport) -> bytes:
-    doc = {
+def _dumps(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def emit_json(report: ProjectReport, unit_fragments: Sequence[bytes] | None = None) -> bytes:
+    """The project document: ``unit_fragments`` (one ``emit_unit_json`` per
+    unit of ``report``, in its order) joined between the head and the tail.
+
+    Without fragments, every unit must be a UnitReport; it is serialized here.
+    """
+    if unit_fragments is None:
+        unit_fragments = [emit_unit_json(u) for u in report.units]
+    head = _dumps({
         "toolVersion": report.tool_version,
         "operators": [
             {"id": op.id, "family": op.family.value, "description": op.description}
             for op in report.operator_catalog
         ],
-        "units": [_unit_json(u) for u in report.units],
-        "diagnostics": [
-            {"path": d.path, "error": d.error} for d in report.diagnostics
-        ],
-    }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    })
+    tail = _dumps([{"path": d.path, "error": d.error} for d in report.diagnostics])
+    return b"".join((
+        head[:-1], b',"units":[', b",".join(unit_fragments), b'],"diagnostics":', tail, b"}",
+    ))
+
+
+def emit_unit_json(unit: UnitReport) -> bytes:
+    """One unit's entry in the ``units`` list of ``project.json``."""
+    return _dumps(_unit_json(unit))
 
 
 def _unit_json(unit: UnitReport) -> dict:
@@ -81,13 +97,13 @@ def _unit_json(unit: UnitReport) -> dict:
         ],
         "lines": [
             {
-                "line": d.line,
-                "relevant": d.relevant,
-                "traditional": d.count_by_family[Family.TRADITIONAL],
-                "nullType": d.count_by_family[Family.NULL_TYPE],
-                "total": d.total,
+                "line": ln,
+                "relevant": relevant,
+                "traditional": traditional,
+                "nullType": null_type,
+                "total": traditional + null_type,
             }
-            for d in unit.line_densities
+            for ln, relevant, traditional, null_type in _line_rows(unit)
         ],
         "avg": {
             "traditional": json_density(unit.avg_density_by_family[Family.TRADITIONAL]),
@@ -96,6 +112,15 @@ def _unit_json(unit: UnitReport) -> dict:
         },
         "empty": unit.empty,
     }
+
+
+def _line_rows(unit: UnitReport) -> Iterator[tuple[int, bool, int, int]]:
+    """(line, relevant, traditional count, null-type count) per physical line."""
+    counts = unit.line_counts
+    relevant = unit.relevant_lines
+    for ln in range(1, unit.physical_line_count + 1):
+        traditional, null_type = counts.get(ln, (0, 0))
+        yield ln, ln in relevant, traditional, null_type
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +173,11 @@ def render_heatmap(
         mutants_by_line.setdefault(m.line, []).append(m)
 
     rows: list[str] = []
-    for density in unit_report.line_densities:
-        ln = density.line
+    for ln, relevant, traditional, null_type in _line_rows(unit_report):
+        total = traditional + null_type
         source = unit.lines[ln - 1] if ln - 1 < len(unit.lines) else ""
-        color = style.shade(density.relevant, density.total)
-        if density.relevant:
-            badge = (
-                f"{density.total}"
-                f" (T {density.count_by_family[Family.TRADITIONAL]},"
-                f" N {density.count_by_family[Family.NULL_TYPE]})"
-            )
-        else:
-            badge = ""
+        color = style.shade(relevant, total)
+        badge = f"{total} (T {traditional}, N {null_type})" if relevant else ""
         detail = "&#10;".join(
             html.escape(f"{m.operator_id}: {m.original} -> {m.replacement}", quote=True)
             for m in mutants_by_line.get(ln, ())

@@ -24,7 +24,9 @@ from mutdense.cli import (
     run,
     worker_count,
 )
-from mutdense.fault_model import Family
+from mutdense.fault_model import Family, OperatorSet
+from mutdense.metrics import Diagnostic, aggregate_project, analyze_unit
+from mutdense.reporting import emit_json
 from conftest import (
     ALPHA_SRC,
     BETA_SRC,
@@ -502,9 +504,9 @@ def test_worker_count_is_clamped(jobs, files, cpus, expected):
     assert worker_count(jobs, files, cpus) == expected
 
 
-def test_run_sizes_pool_by_worker_count(write_tree, tmp_path, monkeypatch):
-    # a stand-in pool records its size and maps in-process: no worker starts
-    sizes = []
+def inline_pool(sizes):
+    """A stand-in pool class that records each pool's size in ``sizes`` and
+    maps in-process: no worker starts."""
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -519,12 +521,78 @@ def test_run_sizes_pool_by_worker_count(write_tree, tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
+def test_run_sizes_pool_by_worker_count(write_tree, tmp_path, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     root = trio(write_tree)
     cfg = load_config([str(root), "--out", str(tmp_path / "o"), "--jobs", "1000000"])
     assert run(cfg) == 0
     assert sizes == [3]
+
+
+def test_run_dispatches_files_in_chunks(write_tree, tmp_path, monkeypatch):
+    # a few chunks per worker, through one per-chunk function at any job count
+    sizes, tasks = [], []
+
+    def recording_chunk(task, _original=cli.analyze_chunk):
+        tasks.append(task)
+        return _original(task)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
+    monkeypatch.setattr(cli, "analyze_chunk", recording_chunk)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    names = [f"p{k:02d}/U{k}.java" for k in range(40)]
+    root = write_tree(dict.fromkeys(names, ALPHA_SRC))
+    outputs = []
+    for jobs in (2, 1):
+        out = tmp_path / f"j{jobs}"
+        outputs.append(out)
+        tasks.clear()
+        assert run(load_config([str(root), "--out", str(out), "--jobs", str(jobs)])) == 0
+        assert 0 < len(tasks) <= 16
+        assert [display for chunk, _ in tasks for display, _ in chunk] == names
+    assert sizes == [2]
+    assert (outputs[0] / "project.json").read_bytes() == (outputs[1] / "project.json").read_bytes()
+
+
+def test_every_artifact_is_the_same_at_one_and_two_jobs(write_tree, tmp_path):
+    sources = {
+        "Alpha.java": ALPHA_SRC,
+        "Broken.java": "class B { /* never closed\n",
+        "a/B.java": BETA_SRC,
+        "a_B.java": GAMMA_SRC,
+    }
+    root = write_tree(sources)
+    (root / "Latin1.java").write_bytes(b'class L { String s = "\xe9"; }\n')
+    runs = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"j{jobs}"
+        argv = ["analyze", str(root), "--format", "json,html,svg,text",
+                "--jobs", str(jobs), "--out", str(out)]
+        assert main(argv) == 0
+        runs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert runs[1] == runs[2]
+    assert sorted(runs[1]) == [
+        "Alpha.java.html",
+        "a_B.java.2.html",
+        "a_B.java.html",
+        "project.json",
+        "project.svg",
+        "project.txt",
+    ]
+    # the library API, in-process, gives the run's project.json bytes
+    ops = OperatorSet.default()
+    with pytest.raises(errors.MutdenseError) as broken:
+        analyze_unit("Broken.java", sources["Broken.java"], ops)
+    reports = [analyze_unit(path, sources[path], ops)
+               for path in ("Alpha.java", "a/B.java", "a_B.java")]
+    diagnostics = [Diagnostic("Broken.java", str(broken.value)),
+                   Diagnostic("Latin1.java", "not valid UTF-8")]
+    assert emit_json(aggregate_project(reports, diagnostics)) == runs[1]["project.json"]
 
 
 def test_threshold_gate_is_strictly_greater(write_tree, tmp_path, capsys):

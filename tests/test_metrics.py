@@ -13,6 +13,7 @@ from mutdense.metrics import (
     Diagnostic,
     LineDensity,
     UnitReport,
+    UnitSummary,
     aggregate_project,
     average_density,
     build_unit_report,
@@ -254,6 +255,61 @@ def test_top_lines_rules():
     assert top_lines(aggregate_project([]), 5) == []
     with pytest.raises(ValueError):
         top_lines(report, 0)
+
+
+def _line_density_top_lines(report, n, key):
+    """top_lines as read from every unit's per-line rows."""
+    def value(d):
+        return d.total if key == "combined" else d.count_by_family[Family(key)]
+
+    rows = [
+        (u.path, d.line, value(d))
+        for u in report.units
+        for d in u.line_densities
+        if d.relevant and value(d) > 0
+    ]
+    rows.sort(key=lambda r: (-r[2], r[0], r[1]))
+    return rows[:n]
+
+
+def test_averages_and_top_lines_match_the_per_line_rows():
+    rng = random.Random(77)
+    sources = [ALPHA_SRC, BETA_SRC, GAMMA_SRC, SHAPE_SRC, FACTORIAL_SRC, INTERFACE_SRC]
+    sources += [gen_mixed_unit(rng, idx)[1] for idx in range(25)]
+    reports = [report_for(src, f"U{k}.java") for k, src in enumerate(sources)]
+    for report in reports:
+        for fam in Family:
+            assert report.avg_density_by_family[fam] == average_density(
+                report.line_densities, fam
+            )
+        assert report.avg_density_combined == average_density(report.line_densities)
+    project = aggregate_project(reports)
+    for key in ("combined", *(f.value for f in Family)):
+        for n in (1, 3, 10, 1000):
+            assert top_lines(project, n, key) == _line_density_top_lines(project, n, key)
+
+
+def test_summary_reads_as_its_report():
+    rng = random.Random(78)
+    sources = [ALPHA_SRC, BETA_SRC, GAMMA_SRC, SHAPE_SRC, INTERFACE_SRC]
+    sources += [gen_mixed_unit(rng, idx)[1] for idx in range(10)]
+    reports = [report_for(src, f"U{k}.java") for k, src in enumerate(sources)]
+    summaries = [UnitSummary.from_report(r, 4) for r in reports]
+    for report, summary in zip(reports, summaries):
+        assert summary.path == report.path
+        assert summary.relevant_line_count == report.relevant_line_count
+        assert summary.empty == report.empty
+        assert summary.avg_density_by_family == report.avg_density_by_family
+        assert summary.avg_density_combined == report.avg_density_combined
+    by_report, by_summary = aggregate_project(reports), aggregate_project(summaries)
+    for n in (1, 2, 4):
+        assert top_lines(by_summary, n) == top_lines(by_report, n)
+    assert rank_units(by_summary) == rank_units(by_report)
+    # a summary keeps only the combined top rows it was built with
+    with pytest.raises(ValueError):
+        top_lines(by_summary, 5)
+    with pytest.raises(ValueError):
+        top_lines(by_summary, 2, Family.TRADITIONAL)
 
 
 # ---------------------------------------------------------------------------

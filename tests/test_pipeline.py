@@ -19,8 +19,14 @@ import pytest
 
 from mutdense import cli, errors, source_model
 from mutdense.fault_model import OperatorSet, apply_mutant, find_mutation_sites
-from mutdense.metrics import UnitReport, aggregate_project, analyze_unit, build_unit_report
-from mutdense.reporting import emit_json
+from mutdense.metrics import (
+    UnitReport,
+    UnitSummary,
+    aggregate_project,
+    analyze_unit,
+    build_unit_report,
+)
+from mutdense.reporting import DEFAULT_STYLE, emit_json, emit_unit_json, render_heatmap
 from conftest import (
     ALPHA_SRC,
     BETA_SRC,
@@ -292,11 +298,19 @@ _FOUND = ["path", "physical_line_count", "relevant_lines", "mutants"]
 def test_worker_result_holds_only_what_analysis_found(tmp_path):
     source = tmp_path / "Outer.java"
     source.write_text(_NESTED_SRC, encoding="utf-8")
-    _, report, error, _ = cli.analyze_path("Outer.java", str(source), ALL_OPS)
-    assert error is None and report.mutants
+    settings = cli.UnitSettings(ALL_OPS, ("json", "html", "text"), DEFAULT_STYLE, 10)
+    result = cli.analyze_path("Outer.java", str(source), settings)
+    report = analyze_unit("Outer.java", _NESTED_SRC, ALL_OPS)
     assert [f.name for f in dataclasses.fields(UnitReport)] == _FOUND
-    # no derived view was built before the result goes back to the parent
+    # no derived view was built by analysis
     assert list(vars(report)) == _FOUND
+    assert result.error is None and report.mutants
+    # the worker sends finished bytes and a summary, never the report
+    assert result.json == emit_unit_json(report)
+    unit = source_model.SourceUnit.from_text("Outer.java", _NESTED_SRC)
+    assert result.html == render_heatmap(unit, report).encode("utf-8")
+    assert result.summary == UnitSummary.from_report(report, 10)
+    assert pickle.loads(pickle.dumps(result)) == result
     clone = pickle.loads(pickle.dumps(report))
     assert clone == report
     assert emit_json(aggregate_project([clone])) == emit_json(aggregate_project([report]))

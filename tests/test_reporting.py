@@ -12,7 +12,9 @@ import pytest
 from mutdense import errors
 from mutdense.fault_model import Family, Mutant, OperatorSet, find_mutation_sites
 from mutdense.metrics import (
+    Diagnostic,
     UnitReport,
+    UnitSummary,
     aggregate_project,
     build_unit_report,
     rank_units,
@@ -21,6 +23,7 @@ from mutdense.reporting import (
     DEFAULT_STYLE,
     HeatmapStyle,
     emit_json,
+    emit_unit_json,
     format_density,
     json_density,
     label_2dp,
@@ -155,6 +158,39 @@ def test_json_is_byte_identical_across_runs():
 def test_json_handles_non_ascii_paths():
     raw = emit_json(project_of(("src/Grön.java", ALPHA_SRC)))
     assert json.loads(raw)["units"][0]["path"] == "src/Grön.java"
+
+
+def test_joined_fragments_equal_one_document():
+    project = aggregate_project(
+        [unit_and_report(src, path)[1] for path, src in
+         (("Beta.java", BETA_SRC), ("src/Grön.java", ALPHA_SRC), ("Shape.java", SHAPE_SRC))],
+        [Diagnostic('a "b".java', "not valid UTF-8"), Diagnostic("ü.java", "x")],
+    )
+    whole = json.dumps(
+        {
+            "toolVersion": project.tool_version,
+            "operators": json.loads(emit_json(aggregate_project([])))["operators"],
+            "units": [json.loads(emit_unit_json(u)) for u in project.units],
+            "diagnostics": [{"path": d.path, "error": d.error} for d in project.diagnostics],
+        },
+        separators=(",", ":"),
+        ensure_ascii=False,
+    ).encode("utf-8")
+    assert emit_json(project) == whole
+    fragments = [emit_unit_json(u) for u in project.units]
+    summaries = aggregate_project(
+        [UnitSummary.from_report(u, 10) for u in project.units], project.diagnostics
+    )
+    assert emit_json(summaries, fragments) == whole
+
+
+def test_summaries_render_as_their_reports():
+    project = project_of(
+        ("Beta.java", BETA_SRC), ("Alpha.java", ALPHA_SRC), ("Shape.java", SHAPE_SRC)
+    )
+    summaries = aggregate_project([UnitSummary.from_report(u, 3) for u in project.units])
+    assert render_text(summaries, 3) == render_text(project, 3)
+    assert render_barchart(summaries) == render_barchart(project)
 
 
 # ---------------------------------------------------------------------------
