@@ -454,15 +454,24 @@ def analyze_chunk(task: tuple[Sequence[tuple[str, str]], UnitSettings]) -> list[
     return [analyze_path(display, fs_path, settings) for display, fs_path in files]
 
 
-# chunks per worker: few enough that a task's overhead is paid rarely, enough
-# that a worker left with a slow chunk does not hold up the run for long
-_CHUNKS_PER_WORKER = 8
+# each chunk takes 1 / (workers * _CHUNK_DIVISOR) of the files not yet sent:
+# early chunks are large, so a task's overhead is paid rarely, and the last
+# ones hold one file each, so the workers finish together instead of one
+# waiting out the other's last large chunk
+_CHUNK_DIVISOR = 2
 
 
 def chunked(files: Sequence[tuple[str, str]], workers: int) -> list[Sequence[tuple[str, str]]]:
-    """``files`` cut into about ``_CHUNKS_PER_WORKER`` chunks per worker, in order."""
-    size = max(1, -(-len(files) // (max(workers, 1) * _CHUNKS_PER_WORKER)))
-    return [files[k:k + size] for k in range(0, len(files), size)]
+    """``files`` cut, in order, into chunks that shrink from a
+    ``1 / (2 * workers)`` share of the files down to one file."""
+    divisor = max(workers, 1) * _CHUNK_DIVISOR
+    chunks = []
+    start = 0
+    while start < len(files):
+        size = -(-(len(files) - start) // divisor)
+        chunks.append(files[start:start + size])
+        start += size
+    return chunks
 
 
 def worker_count(jobs: int, files: int, cpus: int) -> int:

@@ -559,6 +559,24 @@ def test_run_dispatches_files_in_chunks(write_tree, tmp_path, monkeypatch):
     assert (outputs[0] / "project.json").read_bytes() == (outputs[1] / "project.json").read_bytes()
 
 
+@pytest.mark.parametrize("count", [0, 1, 3, 40, 200, 4000])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_chunks_shrink_to_one_file(count, workers):
+    # large chunks first, down to one file, so no worker is left alone with
+    # a large last chunk while the others wait
+    files = [(f"U{k}.java", f"/t/U{k}.java") for k in range(count)]
+    chunks = cli.chunked(files, workers)
+    assert [pair for chunk in chunks for pair in chunk] == files
+    lengths = [len(chunk) for chunk in chunks]
+    assert lengths == sorted(lengths, reverse=True)
+    assert lengths[-1:] == [1][:count]
+    remaining = count
+    for n in lengths:
+        # a 1 / (2 * workers) share, rounded up, of the files not yet sent
+        assert n == -(-remaining // (2 * workers))
+        remaining -= n
+
+
 def test_every_artifact_is_the_same_at_one_and_two_jobs(write_tree, tmp_path):
     sources = {
         "Alpha.java": ALPHA_SRC,
