@@ -320,8 +320,9 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
     round until no two display paths are equal.  A file reached twice (a
     repeated root, or hard links to one file) counts once, under the first
     path, by device and inode.  Inner symbolic links are never followed;
-    special files (pipes, devices) and oversized files are skipped with a
-    diagnostic.  A missing root is fatal.
+    special files (pipes, devices), oversized files and files whose display
+    path is not valid UTF-8 are skipped with a diagnostic.  A missing root
+    is fatal.
     """
     # (display, its root's prefix, fs path, problem or None); the prefix is
     # "" for a file root, whose display path already is the root
@@ -361,11 +362,12 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
         prefix = root.replace(os.sep, "/").rstrip("/") + "/"
         for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
             dirnames.sort()
+            rel_dir = os.path.relpath(dirpath, root)
             for name in sorted(filenames):
                 fs_path = os.path.join(dirpath, name)
                 if os.path.islink(fs_path):
                     continue
-                rel = os.path.relpath(fs_path, root)
+                rel = name if rel_dir == "." else os.path.join(rel_dir, name)
                 offer(rel, prefix, fs_path, check_globs=True)
 
     # qualifying may make a new clash (a/B.java from root a, and from root c
@@ -383,6 +385,12 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
     found: list[tuple[str, str]] = []
     diagnostics: list[Diagnostic] = []
     for display, (_, _, fs_path, problem) in zip(displays, entries):
+        try:
+            display.encode("utf-8")
+        except UnicodeEncodeError:
+            # the name's undecodable bytes, written as \xNN escapes
+            display = os.fsencode(display).decode("utf-8", "backslashreplace")
+            problem = "skipped: file name is not valid UTF-8"
         if problem is None:
             found.append((display, fs_path))
         else:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from mutdense import errors
 from mutdense.scanner import scan
 from mutdense.source_model import (
     BodySpan,
+    GenericAngles,
     SourceUnit,
     SpanKind,
     Token,
@@ -121,15 +122,21 @@ class Mutant:
     insert_after: int | None = None
 
 
-AOR_B_MAP = {"+": "-", "-": "+", "*": "/", "/": "*", "%": "*"}
-AOR_S_MAP = {"++": "--", "--": "++"}
-ROR_MAP = {"<": ">=", ">": "<=", "<=": ">", ">=": "<", "==": "!=", "!=": "=="}
-COR_MAP = {"&&": "||", "||": "&&"}
-LOR_MAP = {"&": "|", "|": "&", "^": "&"}
-SOR_MAP = {"<<": ">>", ">>": "<<", ">>>": "<<"}
-ASR_S_MAP = {
-    "+=": "-=", "-=": "+=", "*=": "/=", "/=": "*=", "%=": "*=",
-    "<<=": ">>=", ">>=": "<<=", "&=": "|=", "|=": "&=", "^=": "&=",
+# Each token-rewriting operator's fixed replacement for each token text it
+# applies to.  NOI, NRV and NIV match constructs instead of single tokens.
+REWRITES: dict[str, dict[str, str]] = {
+    "AOR-B": {"+": "-", "-": "+", "*": "/", "/": "*", "%": "*"},
+    "AOR-S": {"++": "--", "--": "++"},
+    "AOR-U": {"-": ""},
+    "ROR": {"<": ">=", ">": "<=", "<=": ">", ">=": "<", "==": "!=", "!=": "=="},
+    "COR": {"&&": "||", "||": "&&"},
+    "LOR": {"&": "|", "|": "&", "^": "&"},
+    "SOR": {"<<": ">>", ">>": "<<", ">>>": "<<"},
+    "ASR-S": {
+        "+=": "-=", "-=": "+=", "*=": "/=", "/=": "*=", "%=": "*=",
+        "<<=": ">>=", ">>=": "<<=", "&=": "|=", "|=": "&=", "^=": "&=",
+    },
+    "NNC": {"==": "!=", "!=": "=="},
 }
 
 _BINARY_LEFT_KINDS = frozenset(
@@ -156,6 +163,28 @@ def _string_adjacent(tokens: Sequence[Token], idx: int) -> bool:
     return idx + 1 < len(tokens) and tokens[idx + 1].kind is TokenKind.STRING_LITERAL
 
 
+def _arithmetic_site(tokens: Sequence[Token], idx: int, angles: GenericAngles) -> bool:
+    """'*', '/', '%' always; '+'/'-' in binary position, but no '+' next to
+    a string literal, which is concatenation."""
+    tx = tokens[idx].text
+    if tx != "+" and tx != "-":
+        return True
+    return _is_binary(tokens, idx) and not (tx == "+" and _string_adjacent(tokens, idx))
+
+
+# Where each operator in REWRITES applies; one missing here applies at every
+# token it names.  A '<' or a '>'-run that closes type arguments is no
+# comparison or shift.
+_SITES: dict[str, Callable[[Sequence[Token], int, GenericAngles], bool]] = {
+    "AOR-B": _arithmetic_site,
+    "AOR-U": lambda tokens, idx, angles: not _is_binary(tokens, idx),
+    "ROR": lambda tokens, idx, angles: idx not in angles.indices,
+    "LOR": lambda tokens, idx, angles: _is_binary(tokens, idx),
+    "SOR": lambda tokens, idx, angles: idx not in angles.indices,
+    "NNC": lambda tokens, idx, angles: _null_adjacent(tokens, idx),
+}
+
+
 def find_mutation_sites(
     unit: SourceUnit, spans: Sequence[BodySpan], operator_set: OperatorSet
 ) -> list[Mutant]:
@@ -167,9 +196,14 @@ def find_mutation_sites(
     tokens = unit.tokens
     angles = unit.angles
     region = span_region_lines(unit, spans)
-    enabled = operator_set.enabled_ids
-    traditional = Family.TRADITIONAL in operator_set.families
-    null_type = Family.NULL_TYPE in operator_set.families
+    # an id outside the set's families stays off, however the set was built
+    enabled = {op_id for op_id in operator_set.enabled_ids
+               if _OPERATORS_BY_ID[op_id].family in operator_set.families}
+    # token text -> [(operator id, replacement, site predicate or None)]
+    rules: dict[str, list[tuple[str, str, Callable | None]]] = {}
+    for op_id in sorted(enabled & REWRITES.keys()):
+        for text, replacement in REWRITES[op_id].items():
+            rules.setdefault(text, []).append((op_id, replacement, _SITES.get(op_id)))
     out: list[Mutant] = []
     returns: list[int] = []  # NRV candidates, matched to their spans below
 
@@ -193,54 +227,18 @@ def find_mutation_sites(
     for idx, tok in enumerate(tokens):
         if tok.line not in region:
             continue
-        tx = tok.text
-
-        if traditional:
-            if tx in ("+", "-"):
-                if _is_binary(tokens, idx):
-                    if "AOR-B" in enabled and not (tx == "+" and _string_adjacent(tokens, idx)):
-                        emit("AOR-B", tok.line, tok.column, tok.start, tok.end, AOR_B_MAP[tx])
-                elif tx == "-" and "AOR-U" in enabled:
-                    emit("AOR-U", tok.line, tok.column, tok.start, tok.end, "")
-            elif tx in ("*", "/", "%"):
-                if "AOR-B" in enabled:
-                    emit("AOR-B", tok.line, tok.column, tok.start, tok.end, AOR_B_MAP[tx])
-            elif tx in AOR_S_MAP:
-                if "AOR-S" in enabled:
-                    emit("AOR-S", tok.line, tok.column, tok.start, tok.end, AOR_S_MAP[tx])
-            elif tx in ("<", ">"):
-                if "ROR" in enabled and idx not in angles.indices:
-                    emit("ROR", tok.line, tok.column, tok.start, tok.end, ROR_MAP[tx])
-            elif tx in ("<=", ">="):
-                if "ROR" in enabled:
-                    emit("ROR", tok.line, tok.column, tok.start, tok.end, ROR_MAP[tx])
-            elif tx in COR_MAP:
-                if "COR" in enabled:
-                    emit("COR", tok.line, tok.column, tok.start, tok.end, COR_MAP[tx])
-            elif tx in LOR_MAP:
-                if "LOR" in enabled and _is_binary(tokens, idx):
-                    emit("LOR", tok.line, tok.column, tok.start, tok.end, LOR_MAP[tx])
-            elif tx in SOR_MAP:
-                # shift tokens doubling as generic closers are not shifts
-                if "SOR" in enabled and idx not in angles.indices:
-                    emit("SOR", tok.line, tok.column, tok.start, tok.end, SOR_MAP[tx])
-            elif tx in ASR_S_MAP:
-                if "ASR-S" in enabled:
-                    emit("ASR-S", tok.line, tok.column, tok.start, tok.end, ASR_S_MAP[tx])
-
-        if tx in ("==", "!="):
-            if traditional and "ROR" in enabled:
-                emit("ROR", tok.line, tok.column, tok.start, tok.end, ROR_MAP[tx])
-            if null_type and "NNC" in enabled and _null_adjacent(tokens, idx):
-                emit("NNC", tok.line, tok.column, tok.start, tok.end,
-                     "!=" if tx == "==" else "==")
-
-        if null_type and tok.kind is TokenKind.KEYWORD:
-            if tx == "new" and "NOI" in enabled:
-                site = match_creation(tokens, angles, idx, len(tokens))
-                if site is not None:
-                    emit("NOI", tok.line, tok.column, tok.start, tokens[site[1]].end, "null")
-            elif tx == "return" and "NRV" in enabled:
+        matches = rules.get(tok.text)
+        if matches is not None:
+            for op_id, replacement, site in matches:
+                if site is None or site(tokens, idx, angles):
+                    emit(op_id, tok.line, tok.column, tok.start, tok.end, replacement)
+        elif tok.kind is TokenKind.KEYWORD:
+            if tok.text == "new" and "NOI" in enabled:
+                site_range = match_creation(tokens, angles, idx, len(tokens))
+                if site_range is not None:
+                    emit("NOI", tok.line, tok.column, tok.start,
+                         tokens[site_range[1]].end, "null")
+            elif tok.text == "return" and "NRV" in enabled:
                 returns.append(idx)
 
     for idx, span in _return_owners(returns, spans).items():
@@ -249,7 +247,7 @@ def find_mutation_sites(
             tok = tokens[idx]
             emit("NRV", tok.line, tok.column, tok.start, end, "return null;")
 
-    if null_type and "NIV" in enabled:
+    if "NIV" in enabled:
         for span in spans:
             insert_at = tokens[span.body_token_range[0]].end
             for (param_name, type_text), name_idx in zip(

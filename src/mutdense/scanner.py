@@ -66,6 +66,23 @@ _NUMBER = TokenKind.NUMBER_LITERAL
 _STRING = TokenKind.STRING_LITERAL
 _CHAR = TokenKind.CHAR_LITERAL
 
+# Operator texts; every other token that is not a word, a number or a
+# literal is punctuation, including a character outside the language.
+_OPERATORS = frozenset(
+    "= > < ! ~ ? : + - * / & | ^ % "
+    "== <= >= != && || ++ -- -> << >> >>> "
+    "+= -= *= /= &= |= ^= %= <<= >>= >>>=".split()
+)
+# The multi-character tokens, matched longest first; the two that are not
+# operators are punctuation.
+_MULTI = frozenset(t for t in _OPERATORS if len(t) > 1) | {"::", "..."}
+# first character -> the lengths to try, longest first; a character that
+# starts no multi-character token, such as ( ) ; , is always one long
+_LENGTHS = {
+    c: tuple(sorted({len(t) for t in _MULTI if t[0] == c}, reverse=True))
+    for c in {t[0] for t in _MULTI}
+}
+
 
 def scan(text: str) -> list[Token]:
     n = len(text)
@@ -119,81 +136,56 @@ def scan(text: str) -> list[Token]:
                         "unterminated block comment", start_line, start_col
                     )
                 continue
-            if c2 == "=":
-                append(_new(Token, (_OPERATOR, "/=", line, col, start, start + 2)))
-                i += 2
+            # otherwise "/" or "/=", an operator
+
+        if c == '"' and text[i + 1 : i + 3] == '""':
+            # text block: """ ... """, backslash escapes apply
+            start_line, start_col = line, col
+            i += 3
+            closed = False
+            while i < n:
+                ch = text[i]
+                if ch == "\\":
+                    # a backslash-newline leaves the line end to the
+                    # branch below, so it is counted like any other
+                    nxt = text[i + 1 : i + 2]
+                    i += 1 if nxt == "\n" or nxt == "\r" else 2
+                    continue
+                if ch == '"' and i + 2 < n and text[i + 1] == '"' and text[i + 2] == '"':
+                    i += 3
+                    closed = True
+                    break
+                if ch == "\n" or (ch == "\r" and text[i + 1 : i + 2] != "\n"):
+                    line += 1
+                    line_start = i + 1
+                i += 1
+            if not closed:
+                raise errors.UnterminatedLiteral(
+                    "unterminated text block", start_line, start_col
+                )
+            append(_new(Token, (_STRING, text[start:i], start_line, start_col, start, i)))
+            continue
+
+        if c == '"' or c == "'":
+            # a string or character literal, closed by its own quote
+            if c == '"':
+                kind, what = _STRING, "unterminated string literal"
             else:
-                append(_new(Token, (_OPERATOR, "/", line, col, start, start + 1)))
-                i += 1
-            continue
-
-        if c == '"':
-            if i + 2 < n and text[i + 1] == '"' and text[i + 2] == '"':
-                # text block: """ ... """, backslash escapes apply
-                start_line, start_col = line, col
-                i += 3
-                closed = False
-                while i < n:
-                    ch = text[i]
-                    if ch == "\\":
-                        # a backslash-newline leaves the line end to the
-                        # branch below, so it is counted like any other
-                        nxt = text[i + 1 : i + 2]
-                        i += 1 if nxt == "\n" or nxt == "\r" else 2
-                        continue
-                    if ch == '"' and i + 2 < n and text[i + 1] == '"' and text[i + 2] == '"':
-                        i += 3
-                        closed = True
-                        break
-                    if ch == "\n" or (ch == "\r" and text[i + 1 : i + 2] != "\n"):
-                        line += 1
-                        line_start = i + 1
-                    i += 1
-                if not closed:
-                    raise errors.UnterminatedLiteral(
-                        "unterminated text block", start_line, start_col
-                    )
-                append(_new(Token, (_STRING, text[start:i], start_line, start_col, start, i)))
-                continue
+                kind, what = _CHAR, "unterminated character literal"
             i += 1
             while True:
                 if i >= n or text[i] == "\n" or text[i] == "\r":
-                    raise errors.UnterminatedLiteral(
-                        "unterminated string literal", line, col
-                    )
+                    raise errors.UnterminatedLiteral(what, line, col)
                 ch = text[i]
                 if ch == "\\":
                     if i + 1 < n and text[i + 1] != "\n" and text[i + 1] != "\r":
                         i += 2
                         continue
-                    raise errors.UnterminatedLiteral(
-                        "unterminated string literal", line, col
-                    )
+                    raise errors.UnterminatedLiteral(what, line, col)
                 i += 1
-                if ch == '"':
+                if ch == c:
                     break
-            append(_new(Token, (_STRING, text[start:i], line, col, start, i)))
-            continue
-
-        if c == "'":
-            i += 1
-            while True:
-                if i >= n or text[i] == "\n" or text[i] == "\r":
-                    raise errors.UnterminatedLiteral(
-                        "unterminated character literal", line, col
-                    )
-                ch = text[i]
-                if ch == "\\":
-                    if i + 1 < n and text[i + 1] != "\n" and text[i + 1] != "\r":
-                        i += 2
-                        continue
-                    raise errors.UnterminatedLiteral(
-                        "unterminated character literal", line, col
-                    )
-                i += 1
-                if ch == "'":
-                    break
-            append(_new(Token, (_CHAR, text[start:i], line, col, start, i)))
+            append(_new(Token, (kind, text[start:i], line, col, start, i)))
             continue
 
         if c.isalpha() or c == "_" or c == "$":
@@ -230,55 +222,13 @@ def scan(text: str) -> list[Token]:
             continue
 
         # operators and punctuation, longest match first
-        c2 = text[i + 1] if i + 1 < n else ""
-        kind = _OPERATOR
-        if c == ">":
-            if text[i : i + 4] == ">>>=":
-                length = 4
-            elif text[i : i + 3] == ">>>" or text[i : i + 3] == ">>=":
-                length = 3
-            elif c2 == ">" or c2 == "=":
-                length = 2
-            else:
-                length = 1
-        elif c == "<":
-            if text[i : i + 3] == "<<=":
-                length = 3
-            elif c2 == "<" or c2 == "=":
-                length = 2
-            else:
-                length = 1
-        elif c == "+" or c == "-":
-            if c2 == c or c2 == "=" or (c == "-" and c2 == ">"):
-                length = 2
-            else:
-                length = 1
-        elif c == "&" or c == "|":
-            length = 2 if (c2 == c or c2 == "=") else 1
-        elif c == "*" or c == "%" or c == "^" or c == "=" or c == "!":
-            length = 2 if c2 == "=" else 1
-        elif c == ":":
-            if c2 == ":":
-                length = 2
-                kind = _PUNCTUATION
-            else:
-                length = 1
-        elif c == ".":
-            if text[i : i + 3] == "...":
-                length = 3
-            else:
-                length = 1
-            kind = _PUNCTUATION
-        elif c in "(){}[];,@":
-            length = 1
-            kind = _PUNCTUATION
-        elif c == "~" or c == "?":
-            length = 1
-        else:
-            # outside the subset: emit a one-character token, never crash
-            length = 1
-            kind = _PUNCTUATION
-        i = start + length
-        append(_new(Token, (kind, text[start:i], line, col, start, i)))
+        tok = c
+        for length in _LENGTHS.get(c, ()):
+            if text[i : i + length] in _MULTI:
+                tok = text[i : i + length]
+                break
+        i += len(tok)
+        kind = _OPERATOR if tok in _OPERATORS else _PUNCTUATION
+        append(_new(Token, (kind, tok, line, col, start, i)))
 
     return out

@@ -85,7 +85,6 @@ class BodySpan:
     body_token_range: tuple[int, int]
     param_types: tuple[tuple[str, str], ...]
     return_type_text: str | None
-    name_token_index: int = field(compare=False, default=-1)
     param_name_indices: tuple[int, ...] = field(compare=False, default=())
 
 
@@ -334,7 +333,6 @@ def _try_callable(
             body_token_range=(body_open, body_close + 1),
             param_types=params,
             return_type_text=None if kind is SpanKind.CONSTRUCTOR else return_type,
-            name_token_index=i,
             param_name_indices=name_indices,
         )
     )

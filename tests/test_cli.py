@@ -364,6 +364,43 @@ def test_special_files_are_skipped(write_tree, tmp_path):
     assert [d["path"] for d in doc["diagnostics"]] == ["P.java"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "html", "svg"])
+def test_non_utf8_file_name_is_a_diagnostic(write_tree, tmp_path, fmt):
+    root = write_tree({"Ok.java": ALPHA_SRC})
+    try:
+        with open(os.path.join(os.fsencode(root), b"\xff.java"), "w") as fh:
+            fh.write(BETA_SRC)
+    except (OSError, ValueError) as exc:
+        pytest.skip(f"the filesystem refuses a non-UTF-8 name: {exc}")
+    files, diagnostics = discover(Config(roots=(str(root),)))
+    assert [d for d, _ in files] == ["Ok.java"]
+    assert diagnostics == [
+        Diagnostic("\\xff.java", "skipped: file name is not valid UTF-8")]
+    out = tmp_path / "out"
+    assert main(["analyze", str(root), "--format", fmt, "--out", str(out)]) == 0
+    artifact = {"json": "project.json", "text": "project.txt",
+                "html": "Ok.java.html", "svg": "project.svg"}[fmt]
+    assert sorted(p.name for p in out.iterdir()) == [artifact]
+    if fmt == "json":
+        doc = json.loads((out / "project.json").read_bytes())
+        assert [d["path"] for d in doc["diagnostics"]] == ["\\xff.java"]
+    if fmt == "text":
+        assert "\\xff.java: skipped" in (out / "project.txt").read_text("utf-8")
+
+
+@pytest.mark.parametrize("spelling", ["t", "t/", "./t", ".", "absolute"])
+def test_display_paths_do_not_depend_on_root_spelling(write_tree, monkeypatch, spelling):
+    root = write_tree(
+        {"A.java": ALPHA_SRC, "p/C.java": GAMMA_SRC, "p/q/B.java": BETA_SRC},
+        subdir="t",
+    )
+    monkeypatch.chdir(root if spelling == "." else root.parent)
+    given = str(root) if spelling == "absolute" else spelling
+    files, diagnostics = discover(Config(roots=(given,)))
+    assert [d for d, _ in files] == ["A.java", "p/C.java", "p/q/B.java"]
+    assert diagnostics == []
+
+
 def test_discovery_missing_root():
     with pytest.raises(errors.MutdenseError):
         discover(Config(roots=("does/not/exist",)))

@@ -8,6 +8,7 @@ import pytest
 
 from mutdense import errors
 from mutdense.fault_model import (
+    ALL_OPERATOR_IDS,
     CATALOG,
     Family,
     OperatorSet,
@@ -58,6 +59,38 @@ def test_operator_set_validation():
         OperatorSet.default(enabled_ids=[])
     with pytest.raises(ValueError, match="no operator is enabled.*ROR"):
         OperatorSet.default([Family.NULL_TYPE], enabled_ids=["ROR"])
+
+
+ALL_SITES_SRC = """\
+class T {
+    String m(String s, int a, int b) {
+        int c = a + b * -a;
+        a++;
+        boolean d = a < b && s == null;
+        int e = (a & b) << 2;
+        a += 1;
+        Object o = new Object();
+        return s;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("op_id", sorted(ALL_OPERATOR_IDS))
+def test_each_operator_alone_yields_only_its_own_mutants(op_id):
+    _, everything = mutants_of(ALL_SITES_SRC)
+    assert {m.operator_id for m in everything} == ALL_OPERATOR_IDS
+    _, alone = mutants_of(ALL_SITES_SRC, OperatorSet.default(enabled_ids=[op_id]))
+    assert alone == [m for m in everything if m.operator_id == op_id]
+
+
+def test_family_filter_applies_to_a_hand_built_operator_set():
+    hand_built = OperatorSet(
+        families=frozenset({Family.TRADITIONAL}), enabled_ids=ALL_OPERATOR_IDS
+    )
+    _, mutants = mutants_of(ALL_SITES_SRC, hand_built)
+    assert mutants and {m.family for m in mutants} == {Family.TRADITIONAL}
+    assert mutants == mutants_of(ALL_SITES_SRC, TRADITIONAL)[1]
 
 
 # ---------------------------------------------------------------------------

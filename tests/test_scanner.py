@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -83,6 +84,37 @@ def test_mixed_snippet_matches_hand_walk():
 )
 def test_maximal_munch(src, expected):
     assert [t.text for t in tokenize(src)] == expected
+
+
+# The operator and separator tokens of the Java grammar that the symbol
+# alphabet below can spell; "." alone is a separator too.
+_REFERENCE_KINDS = dict.fromkeys(
+    "= > < ! ~ ? : -> == >= <= != && || ++ -- + - * / & | ^ % << >> >>> "
+    "+= -= *= /= &= |= ^= %= <<= >>= >>>=".split(),
+    TokenKind.OPERATOR,
+) | dict.fromkeys([".", "...", "::"], TokenKind.PUNCTUATION)
+
+
+def reference_symbols(src):
+    """(text, kind) of each token of a symbol-only string, by taking the
+    longest listed token at each position."""
+    out, i = [], 0
+    while i < len(src):
+        text = next(
+            src[i : i + n] for n in (4, 3, 2, 1) if src[i : i + n] in _REFERENCE_KINDS
+        )
+        out.append((text, _REFERENCE_KINDS[text]))
+        i += len(text)
+    return out
+
+
+def test_symbol_runs_match_longest_match_reference():
+    alphabet = "<>=+-&|*%^!:.~?"
+    for length in range(1, 5):
+        for chars in itertools.product(alphabet, repeat=length):
+            src = "".join(chars)
+            got = [(t.text, t.kind) for t in scanner.scan(src)]
+            assert got == reference_symbols(src), src
 
 
 def test_keywords_vs_identifiers():
