@@ -321,8 +321,8 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
     repeated root, or hard links to one file) counts once, under the first
     path, by device and inode.  Inner symbolic links are never followed;
     special files (pipes, devices), oversized files and files whose display
-    path is not valid UTF-8 are skipped with a diagnostic.  A missing root
-    is fatal.
+    path is not valid UTF-8 are skipped with a diagnostic, and so is a
+    directory that cannot be listed.  A missing root is fatal.
     """
     # (display, its root's prefix, fs path, problem or None); the prefix is
     # "" for a file root, whose display path already is the root
@@ -360,7 +360,16 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
             offer(root, "", root, check_globs=False)
             continue
         prefix = root.replace(os.sep, "/").rstrip("/") + "/"
-        for dirpath, dirnames, filenames in os.walk(root, followlinks=False):
+
+        def unlisted(exc: OSError) -> None:
+            # os.walk leaves out a directory it cannot list, files and all
+            if exc.filename == root:
+                entries.append((root, "", root, f"unreadable: {exc}"))
+            else:
+                display = os.path.relpath(exc.filename, root).replace(os.sep, "/")
+                entries.append((display, prefix, exc.filename, f"unreadable: {exc}"))
+
+        for dirpath, dirnames, filenames in os.walk(root, onerror=unlisted, followlinks=False):
             dirnames.sort()
             rel_dir = os.path.relpath(dirpath, root)
             for name in sorted(filenames):

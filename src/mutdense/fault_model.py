@@ -149,12 +149,18 @@ _BINARY_LEFT_KINDS = frozenset(
 )
 
 
+# Other tokens that close an operand: a ')' or ']', the literal words, and a
+# '++'/'--', which just before an operator can only be postfix ('++-a' does
+# not compile).
+_BINARY_LEFT_TEXTS = frozenset({")", "]", "true", "false", "null", "++", "--"})
+
+
 def _is_binary(tokens: Sequence[Token], idx: int) -> bool:
     """'+'/'-'/'&'/'|'/'^' is binary iff an operand just closed on its left."""
     if idx == 0:
         return False
     prev = tokens[idx - 1]
-    return prev.kind in _BINARY_LEFT_KINDS or prev.text in (")", "]")
+    return prev.kind in _BINARY_LEFT_KINDS or prev.text in _BINARY_LEFT_TEXTS
 
 
 def _string_adjacent(tokens: Sequence[Token], idx: int) -> bool:

@@ -6,15 +6,19 @@ position of the token start and ``start``/``end`` are half-open character
 offsets.  Comments and whitespace are consumed silently; literals keep their
 delimiters; multi-character operators are maximal-munch.
 
-A line ends at ``\\n``, at ``\\r\\n`` or at a lone ``\\r``.
+A line ends at ``\\n``, at ``\\r\\n`` or at a lone ``\\r``: ``LINE_END`` is
+that rule, and every line fact (token lines, ``split_lines``) comes from it.
 """
 
 from __future__ import annotations
 
+import re
 from enum import IntEnum
 from typing import NamedTuple
 
 from mutdense import errors
+
+LINE_END = re.compile(r"\r\n?|\n")
 
 # The only scanner kernel; perfbench records this name in its fingerprint.
 BACKEND = "python"
@@ -84,86 +88,76 @@ _LENGTHS = {
 }
 
 
+def split_lines(text: str) -> tuple[str, ...]:
+    """Lines as ``LINE_END`` ends them; a trailing line end adds no empty line."""
+    if not text:
+        return ()
+    parts = LINE_END.split(text)
+    if parts[-1] == "":
+        parts.pop()
+    return tuple(parts)
+
+
 def scan(text: str) -> list[Token]:
     n = len(text)
     i = 0
+    # offsets where a line starts after the first; tokens come in offset
+    # order, so the walk below only moves forward through them
+    starts = list(map(re.Match.end, LINE_END.finditer(text)))
+    starts.append(n + 1)  # sentinel: no token starts there
+    next_start = starts[0]
     line = 1
     line_start = 0  # offset of the first character of the current line
     out: list[Token] = []
     append = out.append
     _new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
 
-    # Line ends: every "\n", and every "\r" not followed by "\n".  The "\r"
-    # of a "\r\n" pair is plain whitespace; its "\n" ends the line.
     while i < n:
         c = text[i]
 
-        if c == "\n" or (c == "\r" and text[i + 1 : i + 2] != "\n"):
-            i += 1
-            line += 1
-            line_start = i
-            continue
-        if c == " " or c == "\t" or c == "\r" or c == "\f" or c == "\x0b":
+        # whitespace, line ends included: the table above places the lines
+        if c in " \t\n\r\f\x0b":
             i += 1
             continue
 
         start = i
+        while i >= next_start:
+            line_start = next_start
+            next_start = starts[line]
+            line += 1
         col = i - line_start + 1
 
         if c == "/":
             c2 = text[i + 1] if i + 1 < n else ""
             if c2 == "/":
-                i += 2
-                while i < n and text[i] != "\n" and text[i] != "\r":
-                    i += 1
+                m = LINE_END.search(text, i + 2)
+                i = m.start() if m else n
                 continue
             if c2 == "*":
-                start_line, start_col = line, col
+                i = text.find("*/", i + 2)
+                if i < 0:
+                    raise errors.UnterminatedComment("unterminated block comment", line, col)
                 i += 2
-                closed = False
-                while i < n:
-                    ch = text[i]
-                    if ch == "*" and i + 1 < n and text[i + 1] == "/":
-                        i += 2
-                        closed = True
-                        break
-                    if ch == "\n" or (ch == "\r" and text[i + 1 : i + 2] != "\n"):
-                        line += 1
-                        line_start = i + 1
-                    i += 1
-                if not closed:
-                    raise errors.UnterminatedComment(
-                        "unterminated block comment", start_line, start_col
-                    )
                 continue
             # otherwise "/" or "/=", an operator
 
         if c == '"' and text[i + 1 : i + 3] == '""':
             # text block: """ ... """, backslash escapes apply
-            start_line, start_col = line, col
             i += 3
             closed = False
             while i < n:
                 ch = text[i]
                 if ch == "\\":
-                    # a backslash-newline leaves the line end to the
-                    # branch below, so it is counted like any other
-                    nxt = text[i + 1 : i + 2]
-                    i += 1 if nxt == "\n" or nxt == "\r" else 2
+                    i += 2
                     continue
-                if ch == '"' and i + 2 < n and text[i + 1] == '"' and text[i + 2] == '"':
+                if ch == '"' and text[i + 1 : i + 3] == '""':
                     i += 3
                     closed = True
                     break
-                if ch == "\n" or (ch == "\r" and text[i + 1 : i + 2] != "\n"):
-                    line += 1
-                    line_start = i + 1
                 i += 1
             if not closed:
-                raise errors.UnterminatedLiteral(
-                    "unterminated text block", start_line, start_col
-                )
-            append(_new(Token, (_STRING, text[start:i], start_line, start_col, start, i)))
+                raise errors.UnterminatedLiteral("unterminated text block", line, col)
+            append(_new(Token, (_STRING, text[start:i], line, col, start, i)))
             continue
 
         if c == '"' or c == "'":

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from mutdense import errors, scanner
-from mutdense.scanner import Token, TokenKind
+from mutdense.scanner import Token, TokenKind, split_lines
 
 
 def tokenize(text: str) -> list[Token]:
@@ -50,19 +50,6 @@ class SourceUnit:
     @cached_property
     def angles(self) -> GenericAngles:
         return mark_generic_angles(self.tokens)
-
-
-def split_lines(text: str) -> tuple[str, ...]:
-    """Lines ended by ``\\n``, ``\\r\\n`` or a lone ``\\r``, as the scanner
-    counts them; a trailing line end does not add an empty line."""
-    if not text:
-        return ()
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    parts = text.split("\n")
-    if parts[-1] == "":
-        parts.pop()
-    return tuple(parts)
 
 
 class SpanKind(Enum):
@@ -503,11 +490,10 @@ def relevant_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> LineSet:
 
 def _nonblank_lines(unit: SourceUnit) -> set[int]:
     covered = {tok.line for tok in unit.tokens}
-    # only text blocks span lines; they may hold "\r\n" or lone "\r" ends
+    # only text blocks span lines
     for tok in unit.tokens:
         if tok.kind is TokenKind.STRING_LITERAL and tok.text.startswith('"""'):
-            text = tok.text
-            last_line = tok.line + text.count("\n") + text.count("\r") - text.count("\r\n")
+            last_line = tok.line + len(scanner.LINE_END.findall(tok.text))
             covered.update(range(tok.line + 1, last_line + 1))
     # a token may sit on a line that strip() calls blank (U+00A0, say)
     lines = unit.lines

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -399,6 +400,32 @@ def test_display_paths_do_not_depend_on_root_spelling(write_tree, monkeypatch, s
     files, diagnostics = discover(Config(roots=(given,)))
     assert [d for d, _ in files] == ["A.java", "p/C.java", "p/q/B.java"]
     assert diagnostics == []
+
+
+@pytest.mark.parametrize(
+    "denied,display,found", [("t/sub", "sub", ["A.java"]), ("t", "t", [])]
+)
+def test_unlistable_directory_is_a_diagnostic(
+    write_tree, tmp_path, monkeypatch, denied, display, found
+):
+    # a stand-in for os.scandir, because chmod 000 denies nothing to root
+    write_tree({"A.java": ALPHA_SRC, "sub/B.java": BETA_SRC}, subdir="t")
+    monkeypatch.chdir(tmp_path)
+    real_scandir = os.scandir
+
+    def scandir(path="."):
+        if os.fspath(path) == denied:
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    error = f"unreadable: [Errno {errno.EACCES}] Permission denied: '{denied}'"
+    files, diagnostics = discover(Config(roots=("t",)))
+    assert [d for d, _ in files] == found
+    assert diagnostics == [Diagnostic(display, error)]
+    assert main(["analyze", "t", "--out", "out"]) == 0
+    doc = json.loads((tmp_path / "out" / "project.json").read_bytes())
+    assert doc["diagnostics"] == [{"path": display, "error": error}]
 
 
 def test_discovery_missing_root():

@@ -210,11 +210,19 @@ def test_unary_minus_is_deleted_not_replaced():
         ("x = a - -b;", ["AOR-B", "AOR-U"]),
         ("f(-a);", ["AOR-U"]),
         ("x = 3 - 4;", ["AOR-B"]),          # literal operand on the left
+        ("int y = a++ - 1;", ["AOR-S", "AOR-B"]),  # postfix '++' closes one
+        ("x = a-- + 1;", ["AOR-S", "AOR-B"]),
     ],
 )
 def test_minus_binarity(stmt, expected_ops):
     _, mutants = mutants_of(in_method(stmt), TRADITIONAL)
     assert [m.operator_id for m in mutants] == expected_ops
+
+
+@pytest.mark.parametrize("stmt", ["boolean z = true & b;", "boolean z = false ^ b;"])
+def test_literal_word_closes_an_operand(stmt):
+    _, mutants = mutants_of(in_method(stmt), TRADITIONAL)
+    assert [m.operator_id for m in mutants] == ["LOR"]
 
 
 def test_bitwise_needs_binary_position():

@@ -27,6 +27,7 @@ from conftest import (
     INTERFACE_SRC,
     SHAPE_SRC,
     SOUP_ALPHABET,
+    gen_mixed_unit,
     seeded_soups,
 )
 
@@ -339,3 +340,35 @@ def test_cr_only_unit_counts_physical_lines():
     )
     assert len(unit.lines) == 5
     assert sorted(relevant_lines(unit, locate_bodies(unit)).relevant) == [2, 3, 4]
+
+
+def line_facts(src):
+    """What line ends may not move: tokens, lines and relevant lines, or the
+    error and its position.  A text block keeps its line ends in its text,
+    so token texts are compared with each end read as "\\n"."""
+    try:
+        unit = SourceUnit.from_text("S.java", src)
+        relevant = relevant_lines(unit, locate_bodies(unit)).relevant
+    except errors.SourcePositionError as exc:
+        return type(exc), exc.line, exc.column
+    tokens = [(t.kind, _LINE_END.sub("\n", t.text), t.line, t.column) for t in unit.tokens]
+    return tokens, unit.lines, relevant
+
+
+def rotate_line_ends(src):
+    """Each "\\n" in turn as "\\n", "\\r" and "\\r\\n"; in this order a lone
+    "\\r" is never followed by a "\\n", which would merge two line ends."""
+    parts = src.split("\n")
+    ends = itertools.cycle(["\n", "\r", "\r\n"])
+    return parts[0] + "".join(next(ends) + part for part in parts[1:])
+
+
+def test_line_ends_agree_on_seeded_inputs():
+    rng = random.Random(31)
+    sources = list(seeded_soups(SOUP_ALPHABET))
+    sources += [gen_mixed_unit(rng, idx)[1] for idx in range(100)]
+    for src in sources:
+        expected = line_facts(src)
+        for variant in (src.replace("\n", "\r\n"), src.replace("\n", "\r"),
+                        rotate_line_ends(src)):
+            assert line_facts(variant) == expected, repr(variant)
