@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 from mutdense import errors
 from mutdense.scanner import scan
 from mutdense.source_model import (
+    PRIMITIVE_TYPES,
     BodySpan,
     GenericAngles,
     SourceUnit,
@@ -156,10 +157,16 @@ _BINARY_LEFT_TEXTS = frozenset({")", "]", "true", "false", "null", "++", "--"})
 
 
 def _is_binary(tokens: Sequence[Token], idx: int) -> bool:
-    """'+'/'-'/'&'/'|'/'^' is binary iff an operand just closed on its left."""
+    """'+'/'-'/'&'/'|'/'^' is binary iff an operand just closed on its left.
+
+    The ')' of a primitive cast such as '(int)' closes none; after any other
+    ')', as in '(a) - b', the operator is binary (JLS 15.16).
+    """
     if idx == 0:
         return False
     prev = tokens[idx - 1]
+    if prev.text == ")" and idx >= 3 and tokens[idx - 2].text in PRIMITIVE_TYPES:
+        return tokens[idx - 3].text != "("
     return prev.kind in _BINARY_LEFT_KINDS or prev.text in _BINARY_LEFT_TEXTS
 
 
@@ -240,7 +247,7 @@ def find_mutation_sites(
                     emit(op_id, tok.line, tok.column, tok.start, tok.end, replacement)
         elif tok.kind is TokenKind.KEYWORD:
             if tok.text == "new" and "NOI" in enabled:
-                site_range = match_creation(tokens, angles, idx, len(tokens))
+                site_range = match_creation(unit, idx, len(tokens))
                 if site_range is not None:
                     emit("NOI", tok.line, tok.column, tok.start,
                          tokens[site_range[1]].end, "null")
@@ -248,7 +255,7 @@ def find_mutation_sites(
                 returns.append(idx)
 
     for idx, span in _return_owners(returns, spans).items():
-        end = _nullable_return_range(tokens, idx, span)
+        end = _nullable_return_range(unit, idx, span)
         if end is not None:
             tok = tokens[idx]
             emit("NRV", tok.line, tok.column, tok.start, end, "return null;")
@@ -297,24 +304,20 @@ def _return_owners(returns: list[int], spans: Sequence[BodySpan]) -> dict[int, B
     return owners
 
 
-def _nullable_return_range(tokens, idx, span) -> int | None:
+def _nullable_return_range(unit: SourceUnit, idx: int, span: BodySpan) -> int | None:
     """For 'return expr;' in a method returning a reference type, the end
-    offset of the terminating ';'; 'return null;' yields nothing."""
+    offset of the terminating ';', reached by jumping over bracket groups;
+    'return null;' yields nothing."""
     if span.kind is not SpanKind.METHOD or not is_reference_type(span.return_type_text):
         return None
-    body_end = span.body_token_range[1]
-    depth = 0
-    for k in range(idx + 1, body_end):
-        tx = tokens[k].text
-        if tx in ("(", "[", "{"):
-            depth += 1
-        elif tx in (")", "]", "}"):
-            depth -= 1
-        elif tx == ";" and depth == 0:
-            expr = tokens[idx + 1 : k]
-            if len(expr) == 1 and expr[0].text == "null":
+    tokens, pairs = unit.tokens, unit.pairs
+    k = idx + 1
+    while k < span.body_token_range[1]:
+        if tokens[k].text == ";":
+            if k == idx + 2 and tokens[idx + 1].text == "null":
                 return None
             return tokens[k].end
+        k = pairs.get(k, k) + 1
     return None
 
 

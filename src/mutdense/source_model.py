@@ -30,8 +30,9 @@ def tokenize(text: str) -> list[Token]:
 class SourceUnit:
     """One source file: raw text, physical lines, and its token stream.
 
-    ``braces`` and ``angles`` are derived from the tokens on first use and
-    kept, so every layer that reads them shares one computation.
+    ``pairs`` (bracket pairs) and ``angles`` are derived from the tokens on
+    first use and kept, so every layer that reads them shares one
+    computation.
     """
 
     path: str
@@ -44,7 +45,7 @@ class SourceUnit:
         return cls(path=path, text=text, lines=split_lines(text), tokens=tuple(tokenize(text)))
 
     @cached_property
-    def braces(self) -> dict[int, int]:
+    def pairs(self) -> dict[int, int]:
         return match_braces(self.tokens)
 
     @cached_property
@@ -153,13 +154,13 @@ _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
 _FORBIDDEN_BEFORE_NAME = frozenset(
     {"new", "if", "for", "while", "switch", "catch", "synchronized"}
 )
-_PRIMITIVE_TYPES = frozenset(
+PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double"}
 )
 
 
 def is_reference_type(type_text: str | None) -> bool:
-    return type_text is not None and type_text not in _PRIMITIVE_TYPES and type_text != "void"
+    return type_text is not None and type_text not in PRIMITIVE_TYPES and type_text != "void"
 
 
 def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
@@ -173,7 +174,7 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     in a type body, an initializer ``{`` or a callable body also opens a
     block frame.
     """
-    braces = unit.braces  # unbalanced braces fail here, even in a unit with no bodies
+    pairs = unit.pairs  # unbalanced braces fail here, even in a unit with no bodies
     tokens = unit.tokens
     spans: list[BodySpan] = []
     frames: list[tuple[int, int, str | None]] = [(0, len(tokens), None)]
@@ -194,7 +195,7 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                     if j < hi:
                         body_open = j
             elif tok.kind is TokenKind.KEYWORD and tok.text == "new":
-                site = match_creation(tokens, unit.angles, i, hi)
+                site = match_creation(unit, i, hi)
                 if site is not None and site[1] + 1 < hi and tokens[site[1] + 1].text == "{":
                     child_name, body_open = site[0], site[1] + 1
             elif type_name is not None:
@@ -205,7 +206,7 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
             if body_open is None:
                 i += 1
                 continue
-            close = braces[body_open]
+            close = pairs[body_open]
             frames.append((close + 1, hi, type_name))
             frames.append((body_open + 1, close, child_name))
             break
@@ -214,44 +215,42 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
 
 
 def match_braces(tokens: Sequence[Token]) -> dict[int, int]:
-    """Map each '{' token index to its matching '}' index."""
+    """Map each '(', '[' and '{' token index to the index of its closer.
+
+    Each kind pairs on its own stack, in one pass.  Curly braces must
+    balance; an unmatched '(' or '[' is left out and a stray ')' or ']' is
+    passed over.
+    """
     pairs: dict[int, int] = {}
-    stack: list[int] = []
+    paren: list[int] = []
+    bracket: list[int] = []
+    brace: list[int] = []
+    stacks = {"(": paren, ")": paren, "[": bracket, "]": bracket, "{": brace, "}": brace}
     for idx, tok in enumerate(tokens):
-        if tok.text == "{":
+        tx = tok.text
+        stack = stacks.get(tx)
+        if stack is None:
+            continue
+        if tx in "([{":
             stack.append(idx)
-        elif tok.text == "}":
-            if not stack:
-                raise errors.UnbalancedBraces("unmatched '}'", tok.line, tok.column)
+        elif stack:
             pairs[stack.pop()] = idx
-    if stack:
-        tok = tokens[stack[-1]]
+        elif tx == "}":
+            raise errors.UnbalancedBraces("unmatched '}'", tok.line, tok.column)
+    if brace:
+        tok = tokens[brace[-1]]
         raise errors.UnbalancedBraces("unclosed '{'", tok.line, tok.column)
     return pairs
 
 
-def _match_paren(tokens: Sequence[Token], open_idx: int, hi: int) -> int | None:
-    depth = 0
-    for j in range(open_idx, hi):
-        tx = tokens[j].text
-        if tx == "(":
-            depth += 1
-        elif tx == ")":
-            depth -= 1
-            if depth == 0:
-                return j
-    return None
-
-
-def match_creation(
-    tokens: Sequence[Token], angles: GenericAngles, i: int, hi: int
-) -> tuple[str, int] | None:
+def match_creation(unit: SourceUnit, i: int, hi: int) -> tuple[str, int] | None:
     """At the 'new' keyword at index ``i``, match ``new Name(.Name)* [<...>]
     ( ... )`` within ``tokens[:hi]``.
 
     Returns the last name and the index of the closing ')', or None for
     anything else (array creation, a parenthesis left open before ``hi``).
     """
+    tokens, angles = unit.tokens, unit.angles
     j = i + 1
     if j >= hi or tokens[j].kind is not TokenKind.IDENTIFIER:
         return None
@@ -264,10 +263,8 @@ def match_creation(
         j = angles.open_close[j] + 1
     if j >= hi or tokens[j].text != "(":
         return None
-    pclose = _match_paren(tokens, j, hi)
-    if pclose is None:
-        return None
-    return name, pclose
+    pclose = unit.pairs.get(j, hi)
+    return (name, pclose) if pclose < hi else None
 
 
 def _is_type_decl_keyword(tokens: Sequence[Token], i: int) -> bool:
@@ -291,8 +288,8 @@ def _try_callable(
     if prev is not None and prev.kind is TokenKind.KEYWORD and prev.text in _FORBIDDEN_BEFORE_NAME:
         return None
     popen = i + 1
-    pclose = _match_paren(tokens, popen, hi)
-    if pclose is None:
+    pclose = unit.pairs.get(popen, hi)
+    if pclose >= hi:
         return None
     j = pclose + 1
     if j < hi and tokens[j].kind is TokenKind.KEYWORD and tokens[j].text == "throws":
@@ -304,10 +301,10 @@ def _try_callable(
     if j >= hi or tokens[j].text != "{":
         return None
     body_open = j
-    body_close = unit.braces[body_open]
+    body_close = unit.pairs[body_open]
     name_tok = tokens[i]
     return_type = _return_type_text(tokens, unit.angles, i)
-    params, name_indices = _parse_params(tokens, unit.angles, popen, pclose)
+    params, name_indices = _parse_params(unit, popen, pclose)
     if return_type is None and name_tok.text == type_name:
         kind = SpanKind.CONSTRUCTOR
     else:
@@ -342,7 +339,7 @@ def _return_type_text(
             collected.append(k)
             k -= 1
             continue
-        if tok.kind is TokenKind.KEYWORD and (tx in _PRIMITIVE_TYPES or tx == "void"):
+        if tok.kind is TokenKind.KEYWORD and (tx in PRIMITIVE_TYPES or tx == "void"):
             collected.append(k)
             k -= 1
             continue
@@ -384,78 +381,54 @@ def _wordy(ch: str) -> bool:
 
 
 def _parse_params(
-    tokens: Sequence[Token], angles: GenericAngles, popen: int, pclose: int
+    unit: SourceUnit, popen: int, pclose: int
 ) -> tuple[tuple[tuple[str, str], ...], tuple[int, ...]]:
-    segments: list[list[int]] = []
-    current: list[int] = []
-    depth = 0
-    angle_depth = 0
-    for idx in range(popen + 1, pclose):
-        tx = tokens[idx].text
-        if tx in ("(", "["):
-            depth += 1
-        elif tx in (")", "]"):
-            depth -= 1
-        elif idx in angles.indices:
-            angle_depth += 1 if tx == "<" else -_CLOSER_DEPTH[tx]
-        if tx == "," and depth == 0 and angle_depth == 0:
-            segments.append(current)
-            current = []
-        else:
-            current.append(idx)
-    if current:
-        segments.append(current)
-
+    """Name and type of each parameter between ``popen`` and ``pclose``,
+    split at the commas outside bracket and generic groups."""
+    tokens, pairs, angles = unit.tokens, unit.pairs, unit.angles
     params: list[tuple[str, str]] = []
     name_indices: list[int] = []
-    for seg in segments:
-        kept = _strip_param_modifiers(tokens, seg)
-        name_pos = None
-        for idx in reversed(kept):
-            if tokens[idx].kind is TokenKind.IDENTIFIER:
-                name_pos = idx
-                break
-        if name_pos is None:
+    lo = idx = popen + 1
+    while idx <= pclose:
+        if idx < pclose and tokens[idx].text != ",":
+            # past the group this token opens, if any; in broken code a '['
+            # may close past the list
+            group_end = pairs.get(idx) or angles.open_close.get(idx, idx)
+            idx = min(group_end, pclose - 1) + 1
             continue
-        type_indices = [idx for idx in kept if idx != name_pos]
-        type_text = _render_type(tokens, type_indices) if type_indices else ""
-        params.append((tokens[name_pos].text, type_text))
-        name_indices.append(name_pos)
+        kept = _strip_param_modifiers(unit, lo, idx)
+        names = [k for k in kept if tokens[k].kind is TokenKind.IDENTIFIER]
+        if names:
+            type_indices = [k for k in kept if k != names[-1]]
+            params.append((tokens[names[-1]].text, _render_type(tokens, type_indices)))
+            name_indices.append(names[-1])
+        lo = idx = idx + 1
     return tuple(params), tuple(name_indices)
 
 
-def _strip_param_modifiers(tokens: Sequence[Token], seg: list[int]) -> list[int]:
-    """Drop 'final' and annotations from a parameter segment."""
+def _strip_param_modifiers(unit: SourceUnit, lo: int, hi: int) -> list[int]:
+    """Indices of the parameter tokens in ``[lo, hi)`` but 'final' and
+    annotations."""
+    tokens = unit.tokens
     kept: list[int] = []
-    k = 0
-    while k < len(seg):
-        idx = seg[k]
-        tok = tokens[idx]
+    k = lo
+    while k < hi:
+        tok = tokens[k]
         if tok.kind is TokenKind.KEYWORD and tok.text == "final":
             k += 1
             continue
         if tok.text == "@":
             k += 1
-            while k < len(seg) and tokens[seg[k]].kind is TokenKind.IDENTIFIER:
+            while k < hi and tokens[k].kind is TokenKind.IDENTIFIER:
                 k += 1
-                if k + 1 < len(seg) and tokens[seg[k]].text == ".":
+                if k + 1 < hi and tokens[k].text == ".":
                     k += 1
                 else:
                     break
-            if k < len(seg) and tokens[seg[k]].text == "(":
-                depth = 0
-                while k < len(seg):
-                    tx = tokens[seg[k]].text
-                    if tx == "(":
-                        depth += 1
-                    elif tx == ")":
-                        depth -= 1
-                        if depth == 0:
-                            k += 1
-                            break
-                    k += 1
+            if k < hi and tokens[k].text == "(":
+                k = min(unit.pairs.get(k, hi) + 1, hi)  # past the arguments
             continue
-        kept.append(idx)
+        kept.append(k)
         k += 1
     return kept
 

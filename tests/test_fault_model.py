@@ -212,6 +212,8 @@ def test_unary_minus_is_deleted_not_replaced():
         ("x = 3 - 4;", ["AOR-B"]),          # literal operand on the left
         ("int y = a++ - 1;", ["AOR-S", "AOR-B"]),  # postfix '++' closes one
         ("x = a-- + 1;", ["AOR-S", "AOR-B"]),
+        ("int y = (int) -x;", ["AOR-U"]),   # a primitive cast's ')' closes none
+        ("long z = (long) +x;", []),
     ],
 )
 def test_minus_binarity(stmt, expected_ops):
@@ -271,6 +273,10 @@ def test_nrv_rules():
         src = f"class T {{\n    {ret} f() {{\n        {stmt}\n    }}\n}}\n"
         _, mutants = mutants_of(src, NULL_TYPE)
         assert [m for m in mutants if m.operator_id == "NRV"] == []
+    # an array of a primitive type is a reference
+    src = "class T {\n    int[] f() {\n        return a;\n    }\n}\n"
+    _, mutants = mutants_of(src, NULL_TYPE)
+    assert [(m.operator_id, m.original) for m in mutants] == [("NRV", "return a;")]
     # the innermost span decides: run() is void, so its return gets no NRV
     src = """\
 class T {
@@ -343,6 +349,10 @@ def test_niv_covers_reference_params_only():
         ("a", "a = null"),
         ("c", "c = null"),
     ]
+    # an array of a primitive type is a reference
+    src = "class T {\n    void f(int[] e, int k) {\n    }\n}\n"
+    _, mutants = mutants_of(src, NULL_TYPE)
+    assert [m.original for m in mutants if m.operator_id == "NIV"] == ["e"]
     mutated = apply_mutant(unit, niv[0])
     assert "{ a = null;" in mutated
 

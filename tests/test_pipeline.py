@@ -23,6 +23,7 @@ from mutdense.metrics import (
     UnitReport,
     UnitSummary,
     aggregate_project,
+    analyze_source,
     analyze_unit,
     build_unit_report,
 )
@@ -267,6 +268,40 @@ def test_nesting_depth_is_not_bounded_by_the_interpreter_stack(tmp_path):
     assert doc["diagnostics"] == []
     assert {u["path"]: len(u["mutants"]) for u in doc["units"]} == {
         name: mutants for name, (_, _, mutants) in cases.items()}
+
+
+class CountingTokens(tuple):
+    """A token tuple that counts its indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def _nested_creations(depth: int) -> str:
+    return "class C {\nObject f() {\nreturn " + "new A(" * depth + "x" + ")" * depth + ";\n}\n}\n"
+
+
+def _nested_lambda_returns(depth: int) -> str:
+    opening = "return g(() -> {\n" * depth
+    return "class C {\nObject f() {\n" + opening + "return x;\n" + "});\n" * depth + "}\n}\n"
+
+
+@pytest.mark.parametrize("nested", [_nested_creations, _nested_lambda_returns])
+def test_nesting_cost_grows_linearly(nested):
+    """Token reads of the whole chain double, no more, when the depth of
+    nested brackets doubles: each closer is looked up, never walked to."""
+    reads = []
+    for depth in (300, 600):
+        src = nested(depth)
+        tokens = CountingTokens(source_model.tokenize(src))
+        unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
+        # one NOI per 'new', or one NRV per 'return'
+        assert len(analyze_source(unit, ALL_OPS).mutants) == depth + 1
+        reads.append(tokens.reads)
+    assert reads[1] <= 2.2 * reads[0], reads
 
 
 def test_braces_and_angles_are_built_once_per_unit(monkeypatch):

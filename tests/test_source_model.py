@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mutdense import errors
@@ -9,6 +11,7 @@ from mutdense.source_model import (
     SpanKind,
     locate_bodies,
     mark_generic_angles,
+    match_braces,
     relevant_lines,
     span_region_lines,
     split_lines,
@@ -18,7 +21,10 @@ from conftest import (
     FACTORIAL_SRC,
     GENERICS_ZOO_SRC,
     INTERFACE_SRC,
+    SOUP_ALPHABET,
+    gen_mixed_unit,
     make_unit,
+    seeded_soups,
 )
 
 
@@ -246,6 +252,67 @@ def test_unbalanced_braces_reported():
     with pytest.raises(errors.UnbalancedBraces) as exc_info:
         locate_bodies(make_unit("}}"))
     assert (exc_info.value.line, exc_info.value.column) == (1, 1)
+
+
+_CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
+
+
+def walked_pairs(texts):
+    """Each opener's closer, found by a forward walk that counts only its
+    own kind; an opener the walk cannot close is absent."""
+    pairs = {}
+    for i, opener in enumerate(texts):
+        if opener not in _CLOSER_OF:
+            continue
+        depth = 0
+        for j in range(i, len(texts)):
+            depth += (texts[j] == opener) - (texts[j] == _CLOSER_OF[opener])
+            if depth == 0:
+                pairs[i] = j
+                break
+    return pairs
+
+
+def brace_error(texts, pairs):
+    """Message and token index of the first fault in the curly braces: a
+    '}' that closes nothing, else the last '{' left open."""
+    depth = 0
+    for i, tx in enumerate(texts):
+        depth += (tx == "{") - (tx == "}")
+        if depth < 0:
+            return "unmatched '}'", i
+    unclosed = [i for i, tx in enumerate(texts) if tx == "{" and i not in pairs]
+    return ("unclosed '{'", unclosed[-1]) if unclosed else None
+
+
+def test_pair_table_matches_a_walk_per_kind():
+    rng = random.Random(7)
+    sources = [*seeded_soups(SOUP_ALPHABET), *seeded_soups(SOUP_ALPHABET + "\r")]
+    sources += [gen_mixed_unit(rng, idx)[1] for idx in range(100)]
+    seen = {"table": 0, "unmatched": 0, "unmatched '}'": 0, "unclosed '{'": 0}
+    for src in sources:
+        try:
+            tokens = tokenize(src)
+        except errors.MutdenseError:
+            continue
+        texts = [t.text for t in tokens]
+        walked = walked_pairs(texts)
+        expected_error = brace_error(texts, walked)
+        if expected_error is not None:
+            with pytest.raises(errors.UnbalancedBraces) as exc_info:
+                match_braces(tokens)
+            message, at = expected_error
+            line, column = tokens[at].line, tokens[at].column
+            assert str(exc_info.value) == f"{message} at line {line}, column {column}"
+            assert (exc_info.value.line, exc_info.value.column) == (line, column)
+            seen[message] += 1
+            continue
+        # every '(', '[' and '{' maps to the walk's closer, and exactly the
+        # unmatched '(' and '[' are absent
+        assert match_braces(tokens) == walked, src
+        seen["table"] += 1
+        seen["unmatched"] += any(tx in "([" and i not in walked for i, tx in enumerate(texts))
+    assert min(seen.values()) >= 20, seen
 
 
 def test_blank_line_inside_method_is_not_relevant():
