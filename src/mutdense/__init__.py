@@ -16,18 +16,14 @@ from mutdense.fault_model import (
     OperatorSet,
     apply_mutant,
     find_mutation_sites,
-    list_operators,
 )
 from mutdense.metrics import (
     Diagnostic,
-    LineDensity,
     ProjectReport,
     UnitReport,
     aggregate_project,
     analyze_unit,
-    average_density,
     build_unit_report,
-    line_densities,
     rank_units,
     top_lines,
 )
@@ -60,16 +56,12 @@ __all__ = [
     "OperatorSet",
     "apply_mutant",
     "find_mutation_sites",
-    "list_operators",
     "Diagnostic",
-    "LineDensity",
     "ProjectReport",
     "UnitReport",
     "aggregate_project",
     "analyze_unit",
-    "average_density",
     "build_unit_report",
-    "line_densities",
     "rank_units",
     "top_lines",
     "HeatmapStyle",

@@ -62,13 +62,6 @@ _OPERATORS_BY_ID = {op.id: op for op in CATALOG}
 ALL_OPERATOR_IDS = frozenset(_OPERATORS_BY_ID)
 
 
-def list_operators(family: Family | None = None) -> list[MutationOperator]:
-    """The fixed catalog, optionally restricted to one family."""
-    if family is None:
-        return list(CATALOG)
-    return [op for op in CATALOG if op.family is family]
-
-
 @dataclass(frozen=True)
 class OperatorSet:
     """The enabled slice of the catalog: families plus optional id filter."""
@@ -113,7 +106,6 @@ class Mutant:
 
     operator_id: str
     family: Family
-    unit_path: str
     line: int
     column: int
     start: int
@@ -226,7 +218,6 @@ def find_mutation_sites(
             Mutant(
                 operator_id=op_id,
                 family=_OPERATORS_BY_ID[op_id].family,
-                unit_path=unit.path,
                 line=tok_line,
                 column=tok_col,
                 start=start,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Sequence
 
 from mutdense import errors
 from mutdense._version import VERSION
@@ -26,27 +26,15 @@ from mutdense.fault_model import (
 )
 from mutdense.source_model import LineSet, SourceUnit, locate_bodies, relevant_lines
 
-MetricKey = Literal["traditional", "null-type", "combined"]
-COMBINED: MetricKey = "combined"
 _FAMILIES = tuple(Family)
 _FAMILY_INDEX = {fam: k for k, fam in enumerate(_FAMILIES)}
-
-
-@dataclass(frozen=True)
-class LineDensity:
-    """Mutant counts for one physical line, split by operator family."""
-
-    line: int
-    relevant: bool
-    count_by_family: dict[Family, int]
-    total: int
 
 
 class _UnitAverages:
     """Averages of a unit that carries ``relevant_line_count`` and
     ``mutant_count_by_family``: each family's mutant count over the relevant
     line count, 0 when no line is relevant.  Every mutant sits on a relevant
-    line, so this equals ``average_density`` over the unit's per-line rows.
+    line, so this is the mean of the family's per-line counts over them.
     """
 
     relevant_line_count: int
@@ -76,7 +64,7 @@ class UnitReport(_UnitAverages):
 
     Every mutant must sit on a relevant line; a report that breaks this
     span/relevance contract raises MutantOnIrrelevantLine.  Per-line
-    densities, per-family counts and averages are derived from the four
+    counts, per-family counts and averages are derived from the four
     fields on first read, so a pickled report carries only what was found.
     """
 
@@ -106,39 +94,17 @@ class UnitReport(_UnitAverages):
         return {ln: tuple(per_family) for ln, per_family in counts.items()}
 
     @cached_property
-    def line_densities(self) -> tuple[LineDensity, ...]:
-        """One LineDensity per physical line of the unit."""
-        counts = self.line_counts
-        zero = (0,) * len(_FAMILIES)
-        return tuple(
-            LineDensity(
-                line=ln,
-                relevant=ln in self.relevant_lines,
-                count_by_family=dict(zip(_FAMILIES, per_family)),
-                total=sum(per_family),
-            )
-            for ln in range(1, self.physical_line_count + 1)
-            for per_family in (counts.get(ln, zero),)
-        )
-
-    @cached_property
     def mutant_count_by_family(self) -> dict[Family, int]:
         counts = dict.fromkeys(_FAMILIES, 0)
         for m in self.mutants:
             counts[m.family] += 1
         return counts
 
-    def top_lines(self, n: int, key: Family | MetricKey = COMBINED) -> list[tuple[int, int]]:
-        """The unit's n highest-density lines as (line, value), ties by line.
-
-        Only lines that host a mutant of ``key`` qualify; all are relevant.
+    def top_lines(self, n: int) -> list[tuple[int, int]]:
+        """The unit's n lines with the most mutants as (line, count), ties by
+        line.  Only lines that host a mutant qualify; all are relevant.
         """
-        k = None if key == COMBINED else _FAMILY_INDEX[Family(key)]
-        rows = [
-            (ln, sum(per_family) if k is None else per_family[k])
-            for ln, per_family in self.line_counts.items()
-        ]
-        rows = [row for row in rows if row[1] > 0]
+        rows = [(ln, sum(per_family)) for ln, per_family in self.line_counts.items()]
         rows.sort(key=lambda row: (-row[1], row[0]))
         return rows[:n]
 
@@ -167,12 +133,11 @@ class UnitSummary(_UnitAverages):
             top_rows=tuple(report.top_lines(top_n)),
         )
 
-    def top_lines(self, n: int, key: Family | MetricKey = COMBINED) -> list[tuple[int, int]]:
-        """``UnitReport.top_lines`` for the combined key and n up to ``top_n``."""
-        if key != COMBINED or n > self.top_n:
+    def top_lines(self, n: int) -> list[tuple[int, int]]:
+        """``UnitReport.top_lines`` for n up to ``top_n``."""
+        if n > self.top_n:
             raise ValueError(
-                f"a summary holds only the top {self.top_n} combined lines, "
-                f"not the top {n} by {key}"
+                f"a summary holds only the top {self.top_n} lines, not the top {n}"
             )
         return list(self.top_rows[:n])
 
@@ -189,36 +154,6 @@ class ProjectReport:
     diagnostics: tuple[Diagnostic, ...]
     tool_version: str = VERSION
     operator_catalog: tuple[MutationOperator, ...] = field(default=CATALOG)
-
-
-def line_densities(
-    unit: SourceUnit, relevant: LineSet, mutants: Sequence[Mutant]
-) -> tuple[LineDensity, ...]:
-    """One LineDensity per physical line of the unit.
-
-    A mutant landing on a non-relevant line breaks the span/relevance
-    contract and raises MutantOnIrrelevantLine.
-    """
-    return build_unit_report(unit, relevant, mutants).line_densities
-
-
-def average_density(
-    densities: Sequence[LineDensity], key: Family | MetricKey = COMBINED
-) -> Fraction:
-    """(sum of per-line densities over relevant lines) / (relevant line count).
-
-    Zero when no line is relevant; the owning report then carries
-    ``empty: true``.
-    """
-    relevant = [d for d in densities if d.relevant]
-    if not relevant:
-        return Fraction(0)
-    if key == COMBINED:
-        total = sum(d.total for d in relevant)
-    else:
-        fam = Family(key)
-        total = sum(d.count_by_family[fam] for d in relevant)
-    return Fraction(total, len(relevant))
 
 
 def build_unit_report(
@@ -263,34 +198,24 @@ def aggregate_project(
     return ProjectReport(units=ordered, diagnostics=tuple(diagnostics))
 
 
-def _unit_value(unit: UnitReport | UnitSummary, key: Family | MetricKey) -> Fraction:
-    if key == COMBINED:
-        return unit.avg_density_combined
-    return unit.avg_density_by_family[Family(key)]
-
-
-def rank_units(
-    report: ProjectReport, key: Family | MetricKey = COMBINED
-) -> list[tuple[str, Fraction]]:
-    """Units by descending value; ties broken by ascending path."""
-    pairs = [(u.path, _unit_value(u, key)) for u in report.units]
+def rank_units(report: ProjectReport) -> list[tuple[str, Fraction]]:
+    """Units by descending combined average; ties broken by ascending path."""
+    pairs = [(u.path, u.avg_density_combined) for u in report.units]
     pairs.sort(key=lambda pv: (-pv[1], pv[0]))
     return pairs
 
 
-def top_lines(
-    report: ProjectReport, n: int, key: Family | MetricKey = COMBINED
-) -> list[tuple[str, int, int]]:
-    """The n highest-density relevant lines project-wide.
+def top_lines(report: ProjectReport, n: int) -> list[tuple[str, int, int]]:
+    """The n lines with the most mutants project-wide.
 
-    Zero-density lines never qualify, so fewer than n entries may return.
+    Lines without a mutant never qualify, so fewer than n entries may return.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rows = [
         (u.path, line, value)
         for u in report.units
-        for line, value in u.top_lines(n, key)
+        for line, value in u.top_lines(n)
     ]
     rows.sort(key=lambda r: (-r[2], r[0], r[1]))
     return rows[:n]

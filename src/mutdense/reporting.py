@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from mutdense import errors
 from mutdense.fault_model import Family
-from mutdense.metrics import COMBINED, ProjectReport, UnitReport, rank_units, top_lines
+from mutdense.metrics import ProjectReport, UnitReport, rank_units, top_lines
 from mutdense.source_model import SourceUnit
 
 
@@ -225,7 +225,7 @@ def render_barchart(report: ProjectReport) -> str:
     if not report.units:
         raise errors.EmptyProject("bar chart requires at least one unit")
     by_path = {u.path: u for u in report.units}
-    order = [by_path[path] for path, _ in rank_units(report, COMBINED)]
+    order = [by_path[path] for path, _ in rank_units(report)]
 
     max_value = max(
         (
@@ -305,7 +305,7 @@ def render_text(report: ProjectReport, top_n: int = 10) -> str:
         lines.extend(fmt(r) for r in rows)
 
     if top_n > 0 and report.units:
-        ranked = top_lines(report, top_n, COMBINED)
+        ranked = top_lines(report, top_n)
         lines.append("")
         lines.append(f"top {top_n} lines (combined density)")
         if ranked:

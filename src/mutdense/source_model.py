@@ -104,45 +104,53 @@ class GenericAngles:
 
 
 def mark_generic_angles(tokens: Sequence[Token]) -> GenericAngles:
+    """Mark each '<' that a later closer matches, with the '<'s and closers
+    between them, unless an earlier match encloses it.  One walk over a run
+    of type-argument tokens settles every '<' in the run."""
     marked: set[int] = set()
     open_close: dict[int, int] = {}
     close_open: dict[int, int] = {}
     n = len(tokens)
-    for i in range(n):
-        tok = tokens[i]
-        if tok.text != "<" or i in marked:
+    i = 0
+    while i < n:
+        if tokens[i].text != "<":
+            i += 1
             continue
-        depth = 1
-        angle_indices = [i]
-        j = i + 1
-        matched = False
+        angle_indices: list[int] = []  # each '<' and closer of the run
+        unsettled: list[tuple[int, int]] = []  # ('<' index, depth before it)
+        matches: dict[int, int] = {}  # '<' index -> its closer's index
+        depth = 0
+        j = i
         while j < n:
             t = tokens[j]
             tx = t.text
             if tx == "<":
+                unsettled.append((j, depth))
                 depth += 1
                 angle_indices.append(j)
             elif tx in _CLOSER_DEPTH:
                 depth -= _CLOSER_DEPTH[tx]
                 angle_indices.append(j)
-                if depth == 0:
-                    matched = True
-                    break
-                if depth < 0:
-                    break
-            elif t.kind is TokenKind.IDENTIFIER:
-                pass
-            elif t.kind is TokenKind.KEYWORD and tx in _ANGLE_KEYWORDS:
-                pass
-            elif tx in _ANGLE_PUNCT:
-                pass
-            else:
+                # the closer ends each '<' opened at or above the new depth;
+                # the one opened exactly at it matches here
+                while unsettled and unsettled[-1][1] >= depth:
+                    k, before = unsettled.pop()
+                    if before == depth:
+                        matches[k] = j
+            elif not (t.kind is TokenKind.IDENTIFIER or tx in _ANGLE_PUNCT
+                      or (t.kind is TokenKind.KEYWORD and tx in _ANGLE_KEYWORDS)):
                 break
             j += 1
-        if matched:
-            marked.update(angle_indices)
-            open_close[i] = j
-            close_open[j] = i
+        enclosing_end = -1
+        for k in angle_indices:
+            if k <= enclosing_end:
+                marked.add(k)
+            elif k in matches:
+                enclosing_end = matches[k]
+                open_close[k] = enclosing_end
+                close_open[enclosing_end] = k
+                marked.add(k)
+        i = j + 1
     return GenericAngles(frozenset(marked), open_close, close_open)
 
 

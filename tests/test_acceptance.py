@@ -25,7 +25,7 @@ from mutdense.fault_model import (
     apply_mutant,
     find_mutation_sites,
 )
-from mutdense.metrics import build_unit_report, line_densities
+from mutdense.metrics import build_unit_report
 from mutdense.source_model import SourceUnit, locate_bodies, relevant_lines
 
 from conftest import (
@@ -113,8 +113,7 @@ def test_criterion_1_loop_header_example():
     aor_text = apply_mutant(unit, by_op["AOR-S"])
     assert "i--" in aor_text.splitlines()[FACTORIAL_LOOP_LINE - 1]
 
-    density = {d.line: d.total for d in report.line_densities}
-    assert density[FACTORIAL_LOOP_LINE] == 2
+    assert sum(report.line_counts[FACTORIAL_LOOP_LINE]) == 2
     assert elapsed < 1.0
 
 
@@ -161,15 +160,13 @@ def test_criterion_3_family_split():
 
         assert Counter(both) == Counter(trad) + Counter(null), path
 
-        rows = line_densities(unit, relevant, both)
-        trad_rows = {d.line: d for d in line_densities(unit, relevant, trad)}
-        null_rows = {d.line: d for d in line_densities(unit, relevant, null)}
-        for row in rows:
-            t = row.count_by_family[Family.TRADITIONAL]
-            n = row.count_by_family[Family.NULL_TYPE]
-            assert row.total == t + n
-            assert t == trad_rows[row.line].total
-            assert n == null_rows[row.line].total
+        rows = build_unit_report(unit, relevant, both).line_counts
+        trad_rows = build_unit_report(unit, relevant, trad).line_counts
+        null_rows = build_unit_report(unit, relevant, null).line_counts
+        assert rows.keys() == trad_rows.keys() | null_rows.keys(), path
+        for line, (t, n) in rows.items():
+            assert trad_rows.get(line, (0, 0)) == (t, 0)
+            assert null_rows.get(line, (0, 0)) == (0, n)
 
 
 # ---------------------------------------------------------------------------

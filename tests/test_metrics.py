@@ -1,8 +1,10 @@
-"""Per-line densities, exact averages, aggregation, rankings."""
+"""Per-line counts, exact averages, aggregation, rankings."""
 
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,17 +13,15 @@ from mutdense import errors
 from mutdense.fault_model import Family, Mutant, OperatorSet, find_mutation_sites
 from mutdense.metrics import (
     Diagnostic,
-    LineDensity,
     UnitReport,
     UnitSummary,
     aggregate_project,
-    average_density,
     build_unit_report,
-    line_densities,
     rank_units,
     top_lines,
 )
-from mutdense.source_model import LineSet, locate_bodies, relevant_lines
+from mutdense.reporting import emit_unit_json
+from mutdense.source_model import locate_bodies, relevant_lines
 from conftest import (
     ALPHA_SRC,
     BETA_SRC,
@@ -52,20 +52,10 @@ def report_for(src, path="U.java"):
     return build_unit_report(unit, relevant, mutants)
 
 
-def fake_density(line, relevant, traditional=0, null_type=0):
-    return LineDensity(
-        line=line,
-        relevant=relevant,
-        count_by_family={Family.TRADITIONAL: traditional, Family.NULL_TYPE: null_type},
-        total=traditional + null_type,
-    )
-
-
 def fake_mutant(line, family=Family.TRADITIONAL, column=1):
     return Mutant(
         operator_id="ROR" if family is Family.TRADITIONAL else "NNC",
         family=family,
-        unit_path="U.java",
         line=line,
         column=column,
         start=0,
@@ -76,42 +66,34 @@ def fake_mutant(line, family=Family.TRADITIONAL, column=1):
 
 
 # ---------------------------------------------------------------------------
-# line densities
+# per-line counts
 # ---------------------------------------------------------------------------
 
 
 def test_factorial_loop_line_density_is_two():
-    unit, relevant, mutants = analyzed(FACTORIAL_SRC)
-    densities = line_densities(unit, relevant, mutants)
-    loop = densities[FACTORIAL_LOOP_LINE - 1]
-    assert loop.total == 2
-    assert loop.count_by_family[Family.TRADITIONAL] == 2
-    assert loop.count_by_family[Family.NULL_TYPE] == 0
+    report = report_for(FACTORIAL_SRC)
+    assert report.line_counts[FACTORIAL_LOOP_LINE] == (2, 0)  # traditional, null-type
 
 
 def test_blank_line_has_zero_density_and_no_relevance():
     src = "class A {\n    int f() {\n\n        return 1;\n    }\n}\n"
     unit, relevant, mutants = analyzed(src)
-    densities = line_densities(unit, relevant, mutants)
-    blank = densities[2]
-    assert (blank.relevant, blank.total) == (False, 0)
-    assert len(densities) == len(unit.lines)
+    report = build_unit_report(unit, relevant, mutants)
+    assert 3 not in report.relevant_lines
+    assert 3 not in report.line_counts
+    assert report.physical_line_count == len(unit.lines)
 
 
 def test_null_check_line_density_splits_families():
     src = "class T {\n    void m() {\n        if (x == null) y = a + b;\n    }\n}\n"
-    unit, relevant, mutants = analyzed(src)
-    line = line_densities(unit, relevant, mutants)[2]
-    assert line.count_by_family[Family.TRADITIONAL] == 2
-    assert line.count_by_family[Family.NULL_TYPE] == 1
-    assert line.total == 3
+    assert report_for(src).line_counts[3] == (2, 1)
 
 
 def test_mutant_on_irrelevant_line_is_a_contract_violation():
     unit, relevant, _ = analyzed(ALPHA_SRC)
     stray = fake_mutant(line=1)  # class header: never relevant
     with pytest.raises(errors.MutantOnIrrelevantLine):
-        line_densities(unit, relevant, [stray])
+        build_unit_report(unit, relevant, [stray])
     # the report itself holds the contract, however it is built
     with pytest.raises(errors.MutantOnIrrelevantLine, match="line 1 of U.java"):
         UnitReport("U.java", len(unit.lines), relevant.relevant, (stray,))
@@ -119,10 +101,11 @@ def test_mutant_on_irrelevant_line_is_a_contract_violation():
 
 def test_totals_equal_family_sums():
     unit, relevant, mutants = analyzed(BETA_SRC)
-    for d in line_densities(unit, relevant, mutants):
-        assert d.total == sum(d.count_by_family.values())
-        if not d.relevant:
-            assert d.total == 0
+    report = build_unit_report(unit, relevant, mutants)
+    assert report.line_counts
+    for line, per_family in report.line_counts.items():
+        assert line in relevant.relevant
+        assert sum(per_family) == sum(1 for m in mutants if m.line == line)
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +114,15 @@ def test_totals_equal_family_sums():
 
 
 def test_average_of_two_zero_one_is_one():
-    densities = [
-        fake_density(1, True, traditional=2),
-        fake_density(2, True),
-        fake_density(3, True, traditional=1),
-    ]
-    assert average_density(densities) == Fraction(1)
+    mutants = (fake_mutant(1), fake_mutant(1, column=2), fake_mutant(3))
+    report = UnitReport("U.java", 3, frozenset({1, 2, 3}), mutants)
+    assert report.avg_density_combined == Fraction(1)
 
 
 def test_average_with_no_relevant_lines_is_zero_and_flagged_empty():
-    densities = [fake_density(1, False), fake_density(2, False)]
-    assert average_density(densities) == Fraction(0)
+    bare = UnitReport("U.java", 2, frozenset(), ())
+    assert bare.avg_density_combined == Fraction(0)
+    assert bare.empty is True
     report = report_for(INTERFACE_SRC)
     assert report.relevant_line_count == 0
     assert report.avg_density_combined == 0
@@ -149,8 +130,8 @@ def test_average_with_no_relevant_lines_is_zero_and_flagged_empty():
 
 
 def test_single_relevant_line_with_density_two_averages_two():
-    densities = [fake_density(1, True, traditional=2)]
-    assert average_density(densities) == Fraction(2)
+    report = UnitReport("U.java", 1, frozenset({1}), (fake_mutant(1), fake_mutant(1, column=2)))
+    assert report.avg_density_combined == Fraction(2)
 
 
 def test_average_identity_on_fixtures():
@@ -257,16 +238,21 @@ def test_top_lines_rules():
         top_lines(report, 0)
 
 
-def _line_density_top_lines(report, n, key):
-    """top_lines as read from every unit's per-line rows."""
-    def value(d):
-        return d.total if key == "combined" else d.count_by_family[Family(key)]
+_JSON_FAMILY = {Family.TRADITIONAL: "traditional", Family.NULL_TYPE: "nullType"}
 
+
+def _json_rows(report):
+    """The unit's per-line rows as its ``project.json`` entry writes them."""
+    return json.loads(emit_unit_json(report))["lines"]
+
+
+def _json_top_lines(project, n):
+    """top_lines as read from every unit's ``project.json`` rows."""
     rows = [
-        (u.path, d.line, value(d))
-        for u in report.units
-        for d in u.line_densities
-        if d.relevant and value(d) > 0
+        (u.path, row["line"], row["total"])
+        for u in project.units
+        for row in _json_rows(u)
+        if row["relevant"] and row["total"] > 0
     ]
     rows.sort(key=lambda r: (-r[2], r[0], r[1]))
     return rows[:n]
@@ -278,15 +264,18 @@ def test_averages_and_top_lines_match_the_per_line_rows():
     sources += [gen_mixed_unit(rng, idx)[1] for idx in range(25)]
     reports = [report_for(src, f"U{k}.java") for k, src in enumerate(sources)]
     for report in reports:
+        relevant_rows = [row for row in _json_rows(report) if row["relevant"]]
+
+        def per_row_average(column):
+            total = sum(row[column] for row in relevant_rows)
+            return Fraction(total, len(relevant_rows)) if relevant_rows else 0
+
         for fam in Family:
-            assert report.avg_density_by_family[fam] == average_density(
-                report.line_densities, fam
-            )
-        assert report.avg_density_combined == average_density(report.line_densities)
+            assert report.avg_density_by_family[fam] == per_row_average(_JSON_FAMILY[fam])
+        assert report.avg_density_combined == per_row_average("total")
     project = aggregate_project(reports)
-    for key in ("combined", *(f.value for f in Family)):
-        for n in (1, 3, 10, 1000):
-            assert top_lines(project, n, key) == _line_density_top_lines(project, n, key)
+    for n in (1, 3, 10, 1000):
+        assert top_lines(project, n) == _json_top_lines(project, n)
 
 
 def test_summary_reads_as_its_report():
@@ -305,11 +294,9 @@ def test_summary_reads_as_its_report():
     for n in (1, 2, 4):
         assert top_lines(by_summary, n) == top_lines(by_report, n)
     assert rank_units(by_summary) == rank_units(by_report)
-    # a summary keeps only the combined top rows it was built with
+    # a summary keeps only the top rows it was built with
     with pytest.raises(ValueError):
         top_lines(by_summary, 5)
-    with pytest.raises(ValueError):
-        top_lines(by_summary, 2, Family.TRADITIONAL)
 
 
 # ---------------------------------------------------------------------------
@@ -320,34 +307,32 @@ def test_summary_reads_as_its_report():
 def test_conservation_of_mutant_counts():
     for src in (FACTORIAL_SRC, BETA_SRC, SHAPE_SRC):
         unit, relevant, mutants = analyzed(src)
-        densities = line_densities(unit, relevant, mutants)
-        assert sum(d.total for d in densities) == len(mutants)
-        for fam in Family:
-            assert sum(d.count_by_family[fam] for d in densities) == sum(
+        counts = build_unit_report(unit, relevant, mutants).line_counts
+        assert sum(map(sum, counts.values())) == len(mutants)
+        for k, fam in enumerate(Family):
+            assert sum(per_family[k] for per_family in counts.values()) == sum(
                 1 for m in mutants if m.family is fam
             )
 
 
 def test_duplicating_relevant_lines_preserves_average():
-    unit, relevant, mutants = analyzed(BETA_SRC)
-    densities = line_densities(unit, relevant, mutants)
-    doubled = []
-    next_line = 1
-    for d in densities:
-        copies = 2 if d.relevant else 1
-        for _ in range(copies):
-            doubled.append(
-                LineDensity(next_line, d.relevant, dict(d.count_by_family), d.total)
-            )
-            next_line += 1
-    assert average_density(doubled) == average_density(densities)
-    for fam in Family:
-        assert average_density(doubled, fam) == average_density(densities, fam)
+    report = report_for(BETA_SRC)
+    relevant, mutants, line = set(), [], 0
+    for ln in range(1, report.physical_line_count + 1):
+        for _ in range(2 if ln in report.relevant_lines else 1):
+            line += 1
+            if ln in report.relevant_lines:
+                relevant.add(line)
+            mutants += [replace(m, line=line) for m in report.mutants if m.line == ln]
+    doubled = UnitReport("U.java", line, frozenset(relevant), tuple(mutants))
+    assert doubled.relevant_line_count == 2 * report.relevant_line_count
+    assert doubled.avg_density_by_family == report.avg_density_by_family
+    assert doubled.avg_density_combined == report.avg_density_combined
 
 
 def test_adding_a_mutant_strictly_increases_average():
-    unit, relevant, mutants = analyzed(BETA_SRC)
-    base = average_density(line_densities(unit, relevant, mutants))
-    target = min(relevant.relevant)
-    grown = line_densities(unit, relevant, mutants + [fake_mutant(target)])
-    assert average_density(grown) > base
+    report = report_for(BETA_SRC)
+    target = min(report.relevant_lines)
+    grown = UnitReport(report.path, report.physical_line_count, report.relevant_lines,
+                       report.mutants + (fake_mutant(target),))
+    assert grown.avg_density_combined > report.avg_density_combined

@@ -12,8 +12,10 @@ import dataclasses
 import json
 import pickle
 import random
+import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -289,7 +291,12 @@ def _nested_lambda_returns(depth: int) -> str:
     return "class C {\nObject f() {\n" + opening + "return x;\n" + "});\n" * depth + "}\n}\n"
 
 
-@pytest.mark.parametrize("nested", [_nested_creations, _nested_lambda_returns])
+def _comparison_chain(depth: int) -> str:
+    return "class C {\nObject f() {\nreturn " + "a < " * depth + "a;\n}\n}\n"
+
+
+@pytest.mark.parametrize(
+    "nested", [_nested_creations, _nested_lambda_returns, _comparison_chain])
 def test_nesting_cost_grows_linearly(nested):
     """Token reads of the whole chain double, no more, when the depth of
     nested brackets doubles: each closer is looked up, never walked to."""
@@ -298,7 +305,8 @@ def test_nesting_cost_grows_linearly(nested):
         src = nested(depth)
         tokens = CountingTokens(source_model.tokenize(src))
         unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
-        # one NOI per 'new', or one NRV per 'return'
+        # one NOI per 'new', or one NRV per 'return', or one ROR per '<'
+        # and the NRV
         assert len(analyze_source(unit, ALL_OPS).mutants) == depth + 1
         reads.append(tokens.reads)
     assert reads[1] <= 2.2 * reads[0], reads
@@ -327,6 +335,18 @@ def test_analyze_unit_matches_the_layered_calls():
     assert analyze_unit("Outer.java", _NESTED_SRC, ALL_OPS) == layered
 
 
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_snippets_run():
+    """Each fenced python block of the README runs against the code."""
+    blocks = re.findall(r"^```python\n(.*?)^```", _README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"source_text": FACTORIAL_SRC})
+
+
 _FOUND = ["path", "physical_line_count", "relevant_lines", "mutants"]
 
 
@@ -350,5 +370,5 @@ def test_worker_result_holds_only_what_analysis_found(tmp_path):
     assert clone == report
     assert emit_json(aggregate_project([clone])) == emit_json(aggregate_project([report]))
     # each derived view is built once, on first read
-    assert report.line_densities is report.line_densities
+    assert report.line_counts is report.line_counts
     assert report.avg_density_by_family is report.avg_density_by_family

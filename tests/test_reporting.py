@@ -64,7 +64,7 @@ def synthetic_report(path, trad, null):
     relevant = math.lcm(*(a.denominator for a in avg.values()))
     operator_id = {Family.TRADITIONAL: "ROR", Family.NULL_TYPE: "NNC"}
     mutants = tuple(
-        Mutant(operator_id[fam], fam, path, line=1, column=1, start=0, end=1,
+        Mutant(operator_id[fam], fam, line=1, column=1, start=0, end=1,
                original="<", replacement=">=")
         for fam in Family
         for _ in range(int(avg[fam] * relevant))

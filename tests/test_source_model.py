@@ -221,6 +221,8 @@ def test_nested_generics_all_marked():
     assert angle_texts("Map<Key.Part, Value[]> m;") == ["<", ">"]
     assert angle_texts("Box<T extends A & B> b;") == ["<", ">"]
     assert angle_texts("Set<?> s;") == ["<", ">"]
+    # only the second '<' closes: the first one's walk ends with its run
+    assert angle_texts("a < b < c > d") == ["<", ">"]
 
 
 def test_relational_angles_stay_unmarked():
@@ -229,6 +231,8 @@ def test_relational_angles_stay_unmarked():
     assert angle_texts("x = a < b ? c : d;") == []
     assert angle_texts("while (i < n) i++;") == []
     assert angle_texts("a << 2 >> 1") == []
+    # '>>' overshoots the first '<'; only the last pair is generic
+    assert angle_texts("a < b >> c < d > e") == ["<", ">"]
 
 
 def test_call_argument_ambiguity_resolves_to_generic():
