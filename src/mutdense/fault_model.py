@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from mutdense import errors
 from mutdense.scanner import scan
@@ -95,8 +95,7 @@ class OperatorSet:
         return cls(families=fams, enabled_ids=ids)
 
 
-@dataclass(frozen=True)
-class Mutant:
+class Mutant(NamedTuple):
     """One applicable mutation at one site.
 
     ``start``/``end`` are half-open offsets of the replaced text;
@@ -211,22 +210,16 @@ def find_mutation_sites(
             rules.setdefault(text, []).append((op_id, replacement, _SITES.get(op_id)))
     out: list[Mutant] = []
     returns: list[int] = []  # NRV candidates, matched to their spans below
+    lambdas: list[tuple[int, int]] = []  # block lambda bodies, as token ranges
+    rule_arrows: set[int] = set()  # each '->' that ends a switch label
+    nrv = "NRV" in enabled
+    text = unit.text
+    _new = tuple.__new__  # builds a Mutant without NamedTuple's Python-level __new__
 
     def emit(op_id: str, tok_line: int, tok_col: int, start: int, end: int,
              replacement: str, insert_after: int | None = None) -> None:
-        out.append(
-            Mutant(
-                operator_id=op_id,
-                family=_OPERATORS_BY_ID[op_id].family,
-                line=tok_line,
-                column=tok_col,
-                start=start,
-                end=end,
-                original=unit.text[start:end],
-                replacement=replacement,
-                insert_after=insert_after,
-            )
-        )
+        out.append(_new(Mutant, (op_id, _OPERATORS_BY_ID[op_id].family, tok_line, tok_col,
+                                 start, end, text[start:end], replacement, insert_after)))
 
     for idx, tok in enumerate(tokens):
         if tok.line not in region:
@@ -242,10 +235,18 @@ def find_mutation_sites(
                 if site_range is not None:
                     emit("NOI", tok.line, tok.column, tok.start,
                          tokens[site_range[1]].end, "null")
-            elif tok.text == "return" and "NRV" in enabled:
+            elif tok.text == "return" and nrv:
                 returns.append(idx)
+            elif (tok.text == "case" or tok.text == "default") and nrv:
+                arrow = _rule_arrow(unit, idx)
+                if arrow is not None:
+                    rule_arrows.add(arrow)
+        elif tok.text == "->" and nrv and idx not in rule_arrows:
+            body = idx + 1
+            if body < len(tokens) and tokens[body].text == "{":
+                lambdas.append((body, unit.pairs[body] + 1))
 
-    for idx, span in _return_owners(returns, spans).items():
+    for idx, span in _return_owners(returns, spans, lambdas).items():
         end = _nullable_return_range(unit, idx, span)
         if end is not None:
             tok = tokens[idx]
@@ -254,10 +255,11 @@ def find_mutation_sites(
     if "NIV" in enabled:
         for span in spans:
             insert_at = tokens[span.body_token_range[0]].end
-            for (param_name, type_text), name_idx in zip(
-                span.param_types, span.param_name_indices
+            for (param_name, type_text), name_idx, final in zip(
+                span.param_types, span.param_name_indices, span.param_final
             ):
-                if not is_reference_type(type_text):
+                # a 'final' parameter cannot be assigned
+                if final or not is_reference_type(type_text):
                     continue
                 name_tok = tokens[name_idx]
                 emit("NIV", name_tok.line, name_tok.column, name_tok.start,
@@ -273,25 +275,50 @@ def _null_adjacent(tokens: Sequence[Token], idx: int) -> bool:
     return idx + 1 < len(tokens) and tokens[idx + 1].text == "null"
 
 
-def _return_owners(returns: list[int], spans: Sequence[BodySpan]) -> dict[int, BodySpan]:
-    """Map each 'return' token index to the innermost span whose body holds it.
+_LABEL_STOPS = frozenset({":", ";", "{", "}"})
 
-    ``returns`` is ascending and ``spans`` is sorted by body start, so one
-    sweep with a stack of open spans serves every return.  A span that has
-    closed before one return has closed before every later one.
+
+def _rule_arrow(unit: SourceUnit, idx: int) -> int | None:
+    """For the 'case' or 'default' at ``idx``, the '->' that ends its switch
+    label, reached by jumping over bracket groups; None for a ':' label or
+    a 'default' modifier."""
+    tokens, pairs = unit.tokens, unit.pairs
+    k = idx + 1
+    while k < len(tokens):
+        tx = tokens[k].text
+        if tx == "->":
+            return k
+        if tx in _LABEL_STOPS:
+            return None
+        k = pairs.get(k, k) + 1
+    return None
+
+
+def _return_owners(
+    returns: list[int], spans: Sequence[BodySpan], lambdas: list[tuple[int, int]]
+) -> dict[int, BodySpan]:
+    """Map each 'return' token index to the innermost span whose body holds
+    it, unless a block lambda body inside that span holds it: that return
+    leaves the lambda, whose type is unknown here.
+
+    ``returns`` is ascending and ``spans`` and ``lambdas`` are sorted by body
+    start, so one sweep with a stack of open bodies serves every return.  A
+    body that has closed before one return has closed before every later one.
     """
+    # two sorted runs: the sort merges them
+    bodies = iter(sorted([*((s.body_token_range, s) for s in spans),
+                          *((body, None) for body in lambdas)], key=lambda b: b[0][0]))
     owners: dict[int, BodySpan] = {}
-    stack: list[BodySpan] = []
-    pending = iter(spans)
-    nxt = next(pending, None)
+    stack: list[tuple[tuple[int, int], BodySpan | None]] = []
+    nxt = next(bodies, None)
     for idx in returns:
-        while nxt is not None and nxt.body_token_range[0] < idx:
+        while nxt is not None and nxt[0][0] < idx:
             stack.append(nxt)
-            nxt = next(pending, None)
-        while stack and idx >= stack[-1].body_token_range[1] - 1:
+            nxt = next(bodies, None)
+        while stack and idx >= stack[-1][0][1] - 1:
             stack.pop()
-        if stack:
-            owners[idx] = stack[-1]
+        if stack and stack[-1][1] is not None:
+            owners[idx] = stack[-1][1]
     return owners
 
 

@@ -14,11 +14,13 @@ import html
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Iterator, Sequence
 
 from mutdense import errors
 from mutdense.fault_model import Family
 from mutdense.metrics import ProjectReport, UnitReport, rank_units, top_lines
+from mutdense.scanner import split_lines
 from mutdense.source_model import SourceUnit
 
 
@@ -57,7 +59,8 @@ def emit_json(report: ProjectReport, unit_fragments: Sequence[bytes] | None = No
     """The project document: ``unit_fragments`` (one ``emit_unit_json`` per
     unit of ``report``, in its order) joined between the head and the tail.
 
-    Without fragments, every unit must be a UnitReport; it is serialized here.
+    Without fragments, every unit must be a UnitReport; each is serialized
+    here by ``emit_unit_json``.
     """
     if unit_fragments is None:
         unit_fragments = [emit_unit_json(u) for u in report.units]
@@ -74,44 +77,41 @@ def emit_json(report: ProjectReport, unit_fragments: Sequence[bytes] | None = No
     ))
 
 
+# One unit's entry, written row by row with the bytes json.dumps(...,
+# separators=(",", ":"), ensure_ascii=False) gives: strings through its own
+# escaper, floats in its repr form, key order fixed.
+_UNIT_HEAD = '{"path":%s,"physicalLineCount":%d,"relevantLineCount":%d,"mutants":['
+_MUTANT_ROW = ('{"operatorId":%s,"family":%s,"line":%d,"column":%d,'
+               '"original":%s,"replacement":%s}')
+_LINE_ROW = '{"line":%d,"relevant":%s,"traditional":%d,"nullType":%d,"total":%d}'
+_UNIT_TAIL = '],"avg":{"traditional":%r,"nullType":%r,"combined":%r},"empty":%s}'
+_JSON_BOOL = {False: "false", True: "true"}
+
+
 def emit_unit_json(unit: UnitReport) -> bytes:
     """One unit's entry in the ``units`` list of ``project.json``."""
-    return _dumps(_unit_json(unit))
-
-
-def _unit_json(unit: UnitReport) -> dict:
-    return {
-        "path": unit.path,
-        "physicalLineCount": unit.physical_line_count,
-        "relevantLineCount": unit.relevant_line_count,
-        "mutants": [
-            {
-                "operatorId": m.operator_id,
-                "family": m.family.value,
-                "line": m.line,
-                "column": m.column,
-                "original": m.original,
-                "replacement": m.replacement,
-            }
-            for m in unit.mutants
-        ],
-        "lines": [
-            {
-                "line": ln,
-                "relevant": relevant,
-                "traditional": traditional,
-                "nullType": null_type,
-                "total": traditional + null_type,
-            }
+    enc = encode_basestring
+    bool_text = _JSON_BOOL
+    avg = unit.avg_density_by_family
+    return "".join((
+        _UNIT_HEAD % (enc(unit.path), unit.physical_line_count, unit.relevant_line_count),
+        ",".join([
+            _MUTANT_ROW % (enc(op_id), enc(family.value), line, column,
+                           enc(original), enc(replacement))
+            for op_id, family, line, column, _, _, original, replacement, _ in unit.mutants
+        ]),
+        '],"lines":[',
+        ",".join([
+            _LINE_ROW % (ln, bool_text[relevant], traditional, null_type, traditional + null_type)
             for ln, relevant, traditional, null_type in _line_rows(unit)
-        ],
-        "avg": {
-            "traditional": json_density(unit.avg_density_by_family[Family.TRADITIONAL]),
-            "nullType": json_density(unit.avg_density_by_family[Family.NULL_TYPE]),
-            "combined": json_density(unit.avg_density_combined),
-        },
-        "empty": unit.empty,
-    }
+        ]),
+        _UNIT_TAIL % (
+            json_density(avg[Family.TRADITIONAL]),
+            json_density(avg[Family.NULL_TYPE]),
+            json_density(unit.avg_density_combined),
+            bool_text[unit.empty],
+        ),
+    )).encode("utf-8")
 
 
 def _line_rows(unit: UnitReport) -> Iterator[tuple[int, bool, int, int]]:
@@ -168,26 +168,32 @@ def render_heatmap(
     unit: SourceUnit, unit_report: UnitReport, style: HeatmapStyle = DEFAULT_STYLE
 ) -> str:
     """Self-contained HTML: one row per physical line, shaded by density."""
-    mutants_by_line: dict[int, list] = {}
+    # escaping adds and removes no line end, so this is each line escaped
+    sources = split_lines(html.escape(unit.text))
+    # each distinct rewrite's title is escaped once
+    titles: dict[tuple[str, str, str], str] = {}
+    details: dict[int, list[str]] = {}
     for m in unit_report.mutants:
-        mutants_by_line.setdefault(m.line, []).append(m)
+        key = (m.operator_id, m.original, m.replacement)
+        title = titles.get(key)
+        if title is None:
+            title = titles[key] = html.escape(f"{key[0]}: {key[1]} -> {key[2]}", quote=True)
+        details.setdefault(m.line, []).append(title)
 
     rows: list[str] = []
     for ln, relevant, traditional, null_type in _line_rows(unit_report):
         total = traditional + null_type
-        source = unit.lines[ln - 1] if ln - 1 < len(unit.lines) else ""
+        source = sources[ln - 1] if ln - 1 < len(sources) else ""
         color = style.shade(relevant, total)
+        # digits, spaces, '(', ')', ',', 'T' and 'N': nothing to escape
         badge = f"{total} (T {traditional}, N {null_type})" if relevant else ""
-        detail = "&#10;".join(
-            html.escape(f"{m.operator_id}: {m.original} -> {m.replacement}", quote=True)
-            for m in mutants_by_line.get(ln, ())
-        )
+        detail = "&#10;".join(details.get(ln, ()))
         title_attr = f' title="{detail}"' if detail else ""
         rows.append(
             f'<tr style="background:{color}"{title_attr}>'
             f'<td class="ln">{ln}</td>'
-            f'<td class="badge">{html.escape(badge)}</td>'
-            f"<td>{html.escape(source)}</td></tr>"
+            f'<td class="badge">{badge}</td>'
+            f"<td>{source}</td></tr>"
         )
 
     title = html.escape(unit.path)

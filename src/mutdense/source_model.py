@@ -65,6 +65,8 @@ class BodySpan:
     ``body_token_range`` is a half-open token-index pair whose first token
     is the opening ``{`` and whose last covered token is the matching ``}``.
     ``decl_line`` is the line of the name token in the declaration header.
+    ``param_name_indices`` and ``param_final`` hold, per parameter, the
+    index of its name token and whether it is declared ``final``.
     """
 
     kind: SpanKind
@@ -74,6 +76,7 @@ class BodySpan:
     param_types: tuple[tuple[str, str], ...]
     return_type_text: str | None
     param_name_indices: tuple[int, ...] = field(compare=False, default=())
+    param_final: tuple[bool, ...] = field(compare=False, default=())
 
 
 @dataclass(frozen=True)
@@ -312,7 +315,7 @@ def _try_callable(
     body_close = unit.pairs[body_open]
     name_tok = tokens[i]
     return_type = _return_type_text(tokens, unit.angles, i)
-    params, name_indices = _parse_params(unit, popen, pclose)
+    params, name_indices, final = _parse_params(unit, popen, pclose)
     if return_type is None and name_tok.text == type_name:
         kind = SpanKind.CONSTRUCTOR
     else:
@@ -326,6 +329,7 @@ def _try_callable(
             param_types=params,
             return_type_text=None if kind is SpanKind.CONSTRUCTOR else return_type,
             param_name_indices=name_indices,
+            param_final=final,
         )
     )
     return body_open
@@ -390,12 +394,14 @@ def _wordy(ch: str) -> bool:
 
 def _parse_params(
     unit: SourceUnit, popen: int, pclose: int
-) -> tuple[tuple[tuple[str, str], ...], tuple[int, ...]]:
-    """Name and type of each parameter between ``popen`` and ``pclose``,
-    split at the commas outside bracket and generic groups."""
+) -> tuple[tuple[tuple[str, str], ...], tuple[int, ...], tuple[bool, ...]]:
+    """Name and type, name token index and ``final`` modifier of each
+    parameter between ``popen`` and ``pclose``, split at the commas outside
+    bracket and generic groups."""
     tokens, pairs, angles = unit.tokens, unit.pairs, unit.angles
     params: list[tuple[str, str]] = []
     name_indices: list[int] = []
+    final: list[bool] = []
     lo = idx = popen + 1
     while idx <= pclose:
         if idx < pclose and tokens[idx].text != ",":
@@ -404,25 +410,28 @@ def _parse_params(
             group_end = pairs.get(idx) or angles.open_close.get(idx, idx)
             idx = min(group_end, pclose - 1) + 1
             continue
-        kept = _strip_param_modifiers(unit, lo, idx)
+        kept, is_final = _strip_param_modifiers(unit, lo, idx)
         names = [k for k in kept if tokens[k].kind is TokenKind.IDENTIFIER]
         if names:
             type_indices = [k for k in kept if k != names[-1]]
             params.append((tokens[names[-1]].text, _render_type(tokens, type_indices)))
             name_indices.append(names[-1])
+            final.append(is_final)
         lo = idx = idx + 1
-    return tuple(params), tuple(name_indices)
+    return tuple(params), tuple(name_indices), tuple(final)
 
 
-def _strip_param_modifiers(unit: SourceUnit, lo: int, hi: int) -> list[int]:
+def _strip_param_modifiers(unit: SourceUnit, lo: int, hi: int) -> tuple[list[int], bool]:
     """Indices of the parameter tokens in ``[lo, hi)`` but 'final' and
-    annotations."""
+    annotations, and whether 'final' was among them."""
     tokens = unit.tokens
     kept: list[int] = []
+    is_final = False
     k = lo
     while k < hi:
         tok = tokens[k]
         if tok.kind is TokenKind.KEYWORD and tok.text == "final":
+            is_final = True
             k += 1
             continue
         if tok.text == "@":
@@ -438,7 +447,7 @@ def _strip_param_modifiers(unit: SourceUnit, lo: int, hi: int) -> list[int]:
             continue
         kept.append(k)
         k += 1
-    return kept
+    return kept, is_final
 
 
 # ---------------------------------------------------------------------------

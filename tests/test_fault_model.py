@@ -355,6 +355,89 @@ def test_niv_covers_reference_params_only():
     assert "{ a = null;" in mutated
 
 
+@pytest.mark.parametrize("params, nulled", [
+    ("final String s", []),  # a final parameter cannot be assigned
+    ("String s", ["s"]),
+    ("final int n", []),
+    ("final String s, String t, @Deprecated final List<T> u", ["t"]),
+])
+def test_niv_skips_final_params(params, nulled):
+    src = "class T {\n    void f(" + params + ") {\n        g();\n    }\n}\n"
+    _, mutants = mutants_of(src, NULL_TYPE)
+    assert [m.original for m in mutants if m.operator_id == "NIV"] == nulled
+
+
+def _nrv_lines(src):
+    _, mutants = mutants_of(src, NULL_TYPE)
+    return [m.line for m in mutants if m.operator_id == "NRV"]
+
+
+def test_no_nrv_for_a_return_inside_a_block_lambda():
+    src = """\
+class T {
+    String f(int k) {
+        IntSupplier s = () -> {
+            if (k > 0) {
+                return k;
+            }
+            return 0;
+        };
+        Function<String, String> g = x -> { return x; };
+        return "v" + s.getAsInt();
+    }
+}
+"""
+    # the lambdas' returns are typed by their lambdas, not by f
+    assert _nrv_lines(src) == [10]
+
+
+def test_nrv_kept_in_anonymous_class_and_switch_rule_inside_a_lambda():
+    src = """\
+class T {
+    Object f(int k) {
+        Supplier<Comparator<String>> s = () -> {
+            return new Comparator<String>() {
+                public String name(int i) {
+                    return "c" + i;
+                }
+            };
+        };
+        switch (k) {
+            case 1, 2 -> {
+                return s;
+            }
+            case 3 -> run(() -> { return k; });
+            default -> {
+                return null;
+            }
+        }
+        return s;
+    }
+}
+"""
+    # line 4 leaves the lambda; line 6 leaves name(); line 12 leaves f from
+    # a switch rule's block; line 14 leaves a lambda in a rule; line 16 is
+    # bare null
+    assert _nrv_lines(src) == [6, 12, 19]
+
+
+def test_old_style_switch_labels_keep_their_returns():
+    src = """\
+class T {
+    String f(int k) {
+        switch (k) {
+            case 1:
+                return "a";
+            default:
+                Runnable r = () -> { return; };
+                return "b";
+        }
+    }
+}
+"""
+    assert _nrv_lines(src) == [5, 8]
+
+
 def test_apply_mutant_examples_and_stale_site():
     unit, mutants = mutants_of(in_method("x = a + b;"), TRADITIONAL)
     assert "a - b" in apply_mutant(unit, mutants[0])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -323,7 +322,7 @@ def test_duplicating_relevant_lines_preserves_average():
             line += 1
             if ln in report.relevant_lines:
                 relevant.add(line)
-            mutants += [replace(m, line=line) for m in report.mutants if m.line == ln]
+            mutants += [m._replace(line=line) for m in report.mutants if m.line == ln]
     doubled = UnitReport("U.java", line, frozenset(relevant), tuple(mutants))
     assert doubled.relevant_line_count == 2 * report.relevant_line_count
     assert doubled.avg_density_by_family == report.avg_density_by_family

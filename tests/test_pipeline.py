@@ -282,32 +282,47 @@ class CountingTokens(tuple):
         return super().__getitem__(key)
 
 
-def _nested_creations(depth: int) -> str:
-    return "class C {\nObject f() {\nreturn " + "new A(" * depth + "x" + ")" * depth + ";\n}\n}\n"
+# Each builds a unit nested ``depth`` deep and gives its mutant count.
 
 
-def _nested_lambda_returns(depth: int) -> str:
+def _nested_creations(depth: int) -> tuple[str, int]:
+    # one NOI per 'new' and the NRV
+    src = "class C {\nObject f() {\nreturn " + "new A(" * depth + "x" + ")" * depth + ";\n}\n}\n"
+    return src, depth + 1
+
+
+def _nested_lambda_returns(depth: int) -> tuple[str, int]:
+    # only f's own 'return' is an NRV: the others leave a block lambda
     opening = "return g(() -> {\n" * depth
-    return "class C {\nObject f() {\n" + opening + "return x;\n" + "});\n" * depth + "}\n}\n"
+    src = "class C {\nObject f() {\n" + opening + "return x;\n" + "});\n" * depth + "}\n}\n"
+    return src, 1
 
 
-def _comparison_chain(depth: int) -> str:
-    return "class C {\nObject f() {\nreturn " + "a < " * depth + "a;\n}\n}\n"
+def _nested_switch_rules(depth: int) -> tuple[str, int]:
+    # a switch rule's block is no lambda: one NRV per 'return'
+    opening = "switch (k) {\ncase 1, 2 -> {\n" * depth
+    closing = "}\ndefault -> {\nreturn y;\n}\n}\n" * depth
+    src = "class C {\nObject f() {\n" + opening + "return x;\n" + closing + "}\n}\n"
+    return src, depth + 1
+
+
+def _comparison_chain(depth: int) -> tuple[str, int]:
+    # one ROR per '<' and the NRV
+    return "class C {\nObject f() {\nreturn " + "a < " * depth + "a;\n}\n}\n", depth + 1
 
 
 @pytest.mark.parametrize(
-    "nested", [_nested_creations, _nested_lambda_returns, _comparison_chain])
+    "nested",
+    [_nested_creations, _nested_lambda_returns, _nested_switch_rules, _comparison_chain])
 def test_nesting_cost_grows_linearly(nested):
     """Token reads of the whole chain double, no more, when the depth of
     nested brackets doubles: each closer is looked up, never walked to."""
     reads = []
     for depth in (300, 600):
-        src = nested(depth)
+        src, mutants = nested(depth)
         tokens = CountingTokens(source_model.tokenize(src))
         unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
-        # one NOI per 'new', or one NRV per 'return', or one ROR per '<'
-        # and the NRV
-        assert len(analyze_source(unit, ALL_OPS).mutants) == depth + 1
+        assert len(analyze_source(unit, ALL_OPS).mutants) == mutants
         reads.append(tokens.reads)
     assert reads[1] <= 2.2 * reads[0], reads
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import html
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -16,10 +18,12 @@ from mutdense.metrics import (
     UnitReport,
     UnitSummary,
     aggregate_project,
+    analyze_source,
     build_unit_report,
     rank_units,
 )
 from mutdense.reporting import (
+    _HEATMAP_CSS,
     DEFAULT_STYLE,
     HeatmapStyle,
     emit_json,
@@ -40,7 +44,10 @@ from conftest import (
     GAMMA_SRC,
     SHAPE_HOT_LINE,
     SHAPE_SRC,
+    SOUP_ALPHABET,
+    gen_mixed_unit,
     make_unit,
+    seeded_soups,
 )
 
 BOTH = OperatorSet.default()
@@ -368,3 +375,137 @@ def test_text_lists_diagnostics():
     )
     out = render_text(project, 0)
     assert "Bad.java: unterminated block comment" in out
+
+
+# ---------------------------------------------------------------------------
+# the unit entry and the heatmap against their plain reference forms
+# ---------------------------------------------------------------------------
+
+
+def reference_unit_json(report):
+    """The unit entry built as a dict and passed through ``json.dumps``."""
+    counts = report.line_counts
+    rows = []
+    for ln in range(1, report.physical_line_count + 1):
+        traditional, null_type = counts.get(ln, (0, 0))
+        rows.append({"line": ln, "relevant": ln in report.relevant_lines,
+                     "traditional": traditional, "nullType": null_type,
+                     "total": traditional + null_type})
+    avg = report.avg_density_by_family
+    doc = {
+        "path": report.path,
+        "physicalLineCount": report.physical_line_count,
+        "relevantLineCount": report.relevant_line_count,
+        "mutants": [
+            {"operatorId": m.operator_id, "family": m.family.value, "line": m.line,
+             "column": m.column, "original": m.original, "replacement": m.replacement}
+            for m in report.mutants
+        ],
+        "lines": rows,
+        "avg": {
+            "traditional": json_density(avg[Family.TRADITIONAL]),
+            "nullType": json_density(avg[Family.NULL_TYPE]),
+            "combined": json_density(report.avg_density_combined),
+        },
+        "empty": report.empty,
+    }
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def reference_heatmap(unit, report, style=DEFAULT_STYLE):
+    """The heatmap with each line, badge and mutant title escaped on its own."""
+    rows = []
+    for ln in range(1, report.physical_line_count + 1):
+        traditional, null_type = report.line_counts.get(ln, (0, 0))
+        relevant = ln in report.relevant_lines
+        total = traditional + null_type
+        source = unit.lines[ln - 1] if ln - 1 < len(unit.lines) else ""
+        badge = f"{total} (T {traditional}, N {null_type})" if relevant else ""
+        detail = "&#10;".join(
+            html.escape(f"{m.operator_id}: {m.original} -> {m.replacement}", quote=True)
+            for m in report.mutants if m.line == ln
+        )
+        title_attr = f' title="{detail}"' if detail else ""
+        rows.append(
+            f'<tr style="background:{style.shade(relevant, total)}"{title_attr}>'
+            f'<td class="ln">{ln}</td>'
+            f'<td class="badge">{html.escape(badge)}</td>'
+            f"<td>{html.escape(source)}</td></tr>"
+        )
+    title = html.escape(unit.path)
+    avg = report.avg_density_by_family
+    summary = html.escape(
+        f"relevant lines: {report.relevant_line_count} | "
+        f"avg density: traditional {format_density(avg[Family.TRADITIONAL])}, "
+        f"null-type {format_density(avg[Family.NULL_TYPE])}, "
+        f"combined {format_density(report.avg_density_combined)}"
+    )
+    return (
+        "<!DOCTYPE html>\n"
+        f'<html lang="en"><head><meta charset="utf-8"><title>{title}</title>'
+        f"<style>{_HEATMAP_CSS}</style></head><body>\n"
+        f"<h1>{title}</h1>\n<p>{summary}</p>\n<table>\n"
+        + "\n".join(rows)
+        + "\n</table>\n</body></html>\n"
+    )
+
+
+# a quote, a backslash, two control characters, a line separator, a
+# character outside the BMP, and the markup characters
+_AWKWARD = '"\\\x01\x7f\u2028\U0001d4b3&<>\'</td>'
+_AWKWARD_LITERAL = '\\"\\\\\x01\x7f\u2028\U0001d4b3&<>\'</td>'  # the same, in a Java literal
+
+_AWKWARD_SRC = f"""\
+// {_AWKWARD} in a comment
+class Awk {{
+    String f(String s, int \U0001d4b3) {{
+        if (s == null) return "{_AWKWARD_LITERAL}" + s;
+        Object o = new Box("{_AWKWARD_LITERAL}", \U0001d4b3 < 2 ? '<' : '&');
+        /* {_AWKWARD} */ int k = \U0001d4b3 >> 1 & 3;
+        return s + "{_AWKWARD_LITERAL}" + k;
+    }}
+}}
+"""
+
+
+def _reference_units():
+    """(unit, report) for every seeded soup that analyzes, generated
+    units and the hand-written ones."""
+    sources = [("Soup.java", soup) for alphabet in (SOUP_ALPHABET, SOUP_ALPHABET + "\r")
+               for soup in seeded_soups(alphabet)]
+    rng = random.Random(43)
+    sources += [gen_mixed_unit(rng, idx) for idx in range(100)]
+    sources += [
+        (f"src/{_AWKWARD}.java", _AWKWARD_SRC),
+        (f"{_AWKWARD}/Crlf.java", _AWKWARD_SRC.replace("\n", "\r\n")),
+        ("Cr.java", _AWKWARD_SRC.replace("\n", "\r") + "\r\r"),
+        ("NoEnd.java", _AWKWARD_SRC.rstrip("\n")),
+    ]
+    for path, src in sources:
+        try:
+            unit = make_unit(src, path)
+            report = analyze_source(unit, BOTH)
+        except errors.MutdenseError:
+            continue
+        yield unit, report
+
+
+def test_unit_json_and_heatmap_equal_their_reference_forms():
+    checked = 0
+    kinds = set()
+    for unit, report in _reference_units():
+        assert emit_unit_json(report) == reference_unit_json(report), unit.path
+        assert render_heatmap(unit, report) == reference_heatmap(unit, report), unit.path
+        checked += 1
+        kinds.update(m.operator_id for m in report.mutants)
+    assert checked > 100
+    assert kinds >= {"NRV", "NOI", "NIV", "NNC", "ROR", "LOR", "SOR", "AOR-B"}
+
+
+def test_awkward_characters_reach_the_mutant_texts():
+    unit = make_unit(_AWKWARD_SRC, f"src/{_AWKWARD}.java")
+    report = analyze_source(unit, BOTH)
+    texts = [m.original for m in report.mutants if m.operator_id in ("NRV", "NOI")]
+    assert len(texts) == 3
+    assert all(_AWKWARD_LITERAL in text for text in texts)
+    assert json.loads(emit_unit_json(report))["path"] == unit.path
