@@ -21,7 +21,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from mutdense import errors
 from mutdense._version import VERSION
@@ -298,17 +298,18 @@ def load_config(cli_args: Sequence[str], config_file: str | None = None) -> Conf
 # ---------------------------------------------------------------------------
 
 
-def _glob_match(rel_path: str, pattern: str) -> bool:
-    if fnmatch.fnmatch(rel_path, pattern):
-        return True
-    # '**/' may also match zero directories
-    return pattern.startswith("**/") and fnmatch.fnmatch(rel_path, pattern[3:])
-
-
-def _wanted(rel_path: str, config: Config) -> bool:
-    if not any(_glob_match(rel_path, g) for g in config.include_globs):
-        return False
-    return not any(_glob_match(rel_path, g) for g in config.exclude_globs)
+def _glob_matcher(globs: Sequence[str]) -> Callable[[str], bool]:
+    """One compiled test for "matches any of ``globs``" (``fnmatch`` rules;
+    a leading ``**/`` may also match zero directories)."""
+    patterns = []
+    for glob in globs:
+        glob = os.path.normcase(glob)
+        patterns.append(fnmatch.translate(glob))
+        if glob.startswith("**/"):
+            patterns.append(fnmatch.translate(glob[3:]))
+    # translate's groups are numbered apart, so its results join with '|'
+    match = re.compile("|".join(patterns) or "(?!)").match
+    return lambda path: match(os.path.normcase(path)) is not None
 
 
 def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
@@ -323,20 +324,19 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
     special files (pipes, devices), oversized files and files whose display
     path is not valid UTF-8 are skipped with a diagnostic, and so is a
     directory that cannot be listed.  A missing root is fatal.
+
+    Each directory is listed once, its entries in name order: its files
+    first, then each subdirectory's tree.  A file's display path is tested
+    against the globs before its one ``stat``.
     """
+    included = _glob_matcher(config.include_globs)
+    excluded = _glob_matcher(config.exclude_globs)
     # (display, its root's prefix, fs path, problem or None); the prefix is
     # "" for a file root, whose display path already is the root
     entries: list[tuple[str, str, str, str | None]] = []
     seen: set[tuple[int, int]] = set()  # (st_dev, st_ino) of each file offered
 
-    def offer(display: str, prefix: str, fs_path: str, check_globs: bool) -> None:
-        display = display.replace(os.sep, "/")
-        if check_globs and not _wanted(display, config):
-            return
-        if not check_globs and any(
-            _glob_match(display, g) for g in config.exclude_globs
-        ):
-            return
+    def offer(display: str, prefix: str, fs_path: str) -> None:
         try:
             st = os.stat(fs_path)
         except OSError as exc:
@@ -357,27 +357,42 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
         if not os.path.exists(root):
             raise errors.MutdenseError(f"root does not exist: {root}")
         if not os.path.isdir(root):
-            offer(root, "", root, check_globs=False)
+            display = root.replace(os.sep, "/")
+            if not excluded(display):
+                offer(display, "", root)
             continue
         prefix = root.replace(os.sep, "/").rstrip("/") + "/"
-
-        def unlisted(exc: OSError) -> None:
-            # os.walk leaves out a directory it cannot list, files and all
-            if exc.filename == root:
-                entries.append((root, "", root, f"unreadable: {exc}"))
-            else:
-                display = os.path.relpath(exc.filename, root).replace(os.sep, "/")
-                entries.append((display, prefix, exc.filename, f"unreadable: {exc}"))
-
-        for dirpath, dirnames, filenames in os.walk(root, onerror=unlisted, followlinks=False):
-            dirnames.sort()
-            rel_dir = os.path.relpath(dirpath, root)
-            for name in sorted(filenames):
-                fs_path = os.path.join(dirpath, name)
-                if os.path.islink(fs_path):
+        # (fs path, display path of the directory with a trailing '/', or ""
+        # for the root), popped in pre-order
+        stack = [(root, "")]
+        while stack:
+            directory, shown = stack.pop()
+            try:
+                with os.scandir(directory) as listing:
+                    listed = sorted(listing, key=lambda entry: entry.name)
+            except OSError as exc:
+                if shown:
+                    entries.append((shown[:-1], prefix, directory, f"unreadable: {exc}"))
+                else:
+                    entries.append((root, "", root, f"unreadable: {exc}"))
+                continue
+            base = os.path.join(directory, "")
+            subdirs = []
+            for entry in listed:
+                try:
+                    if entry.is_symlink():
+                        continue
+                    is_dir = entry.is_dir()
+                except OSError:
+                    is_dir = False  # as os.path.isdir has it
+                name = entry.name
+                if is_dir:
+                    subdirs.append((base + name, shown + name + "/"))
                     continue
-                rel = name if rel_dir == "." else os.path.join(rel_dir, name)
-                offer(rel, prefix, fs_path, check_globs=True)
+                display = shown + name
+                if included(display) and not excluded(display):
+                    offer(display, prefix, base + name)
+            stack.extend(reversed(subdirs))
 
     # qualifying may make a new clash (a/B.java from root a, and from root c
     # holding a/), so repeat; each entry is qualified at most once
@@ -439,12 +454,20 @@ class UnitResult(NamedTuple):
     summary: UnitSummary | None = None
 
 
+def read_text(fs_path: str) -> str:
+    """The file's text as ``open(fs_path, encoding="utf-8")`` reads it, with
+    universal newlines: one byte read, one decode, then ``\r\n`` and a lone
+    ``\r`` become ``\n``."""
+    with open(fs_path, "rb") as fh:
+        data = fh.read()
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def analyze_path(display: str, fs_path: str, settings: UnitSettings) -> UnitResult:
     """Run the full per-unit pipeline and build the unit's pieces for the
     requested formats; failures come back as a message."""
     try:
-        with open(fs_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(fs_path)
     except UnicodeDecodeError:
         return UnitResult(display, "not valid UTF-8")
     except OSError as exc:
@@ -494,6 +517,14 @@ def chunked(files: Sequence[tuple[str, str]], workers: int) -> list[Sequence[tup
 def worker_count(jobs: int, files: int, cpus: int) -> int:
     """Pool size for ``--jobs``: never more workers than files or CPUs."""
     return min(jobs, files, cpus)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 _UNSAFE_PATH_CHARS = re.compile(r"[/\\:]")
@@ -546,7 +577,7 @@ def run(config: Config) -> int:
         return 1
 
     settings = UnitSettings(operator_set, config.formats, style, config.top_lines)
-    workers = worker_count(config.jobs, len(files), os.cpu_count() or 1)
+    workers = worker_count(config.jobs, len(files), usable_cpus())
     tasks = [(chunk, settings) for chunk in chunked(files, workers)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

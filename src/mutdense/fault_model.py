@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from mutdense import errors
@@ -189,6 +190,29 @@ _SITES: dict[str, Callable[[Sequence[Token], int, GenericAngles], bool]] = {
 }
 
 
+@lru_cache(maxsize=8)
+def _rule_table(
+    operator_set: OperatorSet,
+) -> tuple[frozenset[str], dict[str, list[tuple[str, str, Callable | None]]], tuple[str, ...]]:
+    """The enabled operator ids, the rewrite rules by token text, and every
+    token text ``find_mutation_sites`` acts on; built once per operator set
+    and shared, so callers must not change them."""
+    # an id outside the set's families stays off, however the set was built
+    enabled = frozenset(op_id for op_id in operator_set.enabled_ids
+                        if _OPERATORS_BY_ID[op_id].family in operator_set.families)
+    # token text -> [(operator id, replacement, site predicate or None)]
+    rules: dict[str, list[tuple[str, str, Callable | None]]] = {}
+    for op_id in sorted(enabled & REWRITES.keys()):
+        for text, replacement in REWRITES[op_id].items():
+            rules.setdefault(text, []).append((op_id, replacement, _SITES.get(op_id)))
+    visited = [*rules]
+    if "NOI" in enabled:
+        visited.append("new")
+    if "NRV" in enabled:
+        visited += ["return", "case", "default", "->"]
+    return enabled, rules, tuple(visited)
+
+
 def find_mutation_sites(
     unit: SourceUnit, spans: Sequence[BodySpan], operator_set: OperatorSet
 ) -> list[Mutant]:
@@ -200,19 +224,11 @@ def find_mutation_sites(
     tokens = unit.tokens
     angles = unit.angles
     region = span_region_lines(unit, spans)
-    # an id outside the set's families stays off, however the set was built
-    enabled = {op_id for op_id in operator_set.enabled_ids
-               if _OPERATORS_BY_ID[op_id].family in operator_set.families}
-    # token text -> [(operator id, replacement, site predicate or None)]
-    rules: dict[str, list[tuple[str, str, Callable | None]]] = {}
-    for op_id in sorted(enabled & REWRITES.keys()):
-        for text, replacement in REWRITES[op_id].items():
-            rules.setdefault(text, []).append((op_id, replacement, _SITES.get(op_id)))
+    enabled, rules, visited = _rule_table(operator_set)
     out: list[Mutant] = []
     returns: list[int] = []  # NRV candidates, matched to their spans below
     lambdas: list[tuple[int, int]] = []  # block lambda bodies, as token ranges
     rule_arrows: set[int] = set()  # each '->' that ends a switch label
-    nrv = "NRV" in enabled
     text = unit.text
     _new = tuple.__new__  # builds a Mutant without NamedTuple's Python-level __new__
 
@@ -221,30 +237,31 @@ def find_mutation_sites(
         out.append(_new(Mutant, (op_id, _OPERATORS_BY_ID[op_id].family, tok_line, tok_col,
                                  start, end, text[start:end], replacement, insert_after)))
 
-    for idx, tok in enumerate(tokens):
+    # ascending, so each 'case' comes before its label's '->'
+    for idx in unit.positions_of(visited):
+        tok = tokens[idx]
         if tok.line not in region:
             continue
-        matches = rules.get(tok.text)
+        tx = tok.text
+        matches = rules.get(tx)
         if matches is not None:
             for op_id, replacement, site in matches:
                 if site is None or site(tokens, idx, angles):
                     emit(op_id, tok.line, tok.column, tok.start, tok.end, replacement)
-        elif tok.kind is TokenKind.KEYWORD:
-            if tok.text == "new" and "NOI" in enabled:
-                site_range = match_creation(unit, idx, len(tokens))
-                if site_range is not None:
-                    emit("NOI", tok.line, tok.column, tok.start,
-                         tokens[site_range[1]].end, "null")
-            elif tok.text == "return" and nrv:
-                returns.append(idx)
-            elif (tok.text == "case" or tok.text == "default") and nrv:
-                arrow = _rule_arrow(unit, idx)
-                if arrow is not None:
-                    rule_arrows.add(arrow)
-        elif tok.text == "->" and nrv and idx not in rule_arrows:
+        elif tx == "new":
+            site_range = match_creation(unit, idx, len(tokens))
+            if site_range is not None:
+                emit("NOI", tok.line, tok.column, tok.start, tokens[site_range[1]].end, "null")
+        elif tx == "return":
+            returns.append(idx)
+        elif tx == "->":
             body = idx + 1
-            if body < len(tokens) and tokens[body].text == "{":
+            if idx not in rule_arrows and body < len(tokens) and tokens[body].text == "{":
                 lambdas.append((body, unit.pairs[body] + 1))
+        else:  # 'case' or 'default'
+            arrow = _rule_arrow(unit, idx)
+            if arrow is not None:
+                rule_arrows.add(arrow)
 
     for idx, span in _return_owners(returns, spans, lambdas).items():
         end = _nullable_return_range(unit, idx, span)

@@ -55,7 +55,9 @@ class _UnitAverages:
 
     @property
     def avg_density_combined(self) -> Fraction:
-        return sum(self.avg_density_by_family.values(), Fraction(0))
+        if self.empty:
+            return Fraction(0)
+        return Fraction(sum(self.mutant_count_by_family.values()), self.relevant_line_count)
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,13 @@ class UnitSummary(_UnitAverages):
             top_rows=tuple(report.top_lines(top_n)),
         )
 
+    def __reduce__(self):
+        # plain counts cross a process pipe: no Family member, no field dict
+        counts = self.mutant_count_by_family
+        return _summary, (self.path, self.relevant_line_count,
+                          counts[Family.TRADITIONAL], counts[Family.NULL_TYPE],
+                          self.top_n, self.top_rows)
+
     def top_lines(self, n: int) -> list[tuple[int, int]]:
         """``UnitReport.top_lines`` for n up to ``top_n``."""
         if n > self.top_n:
@@ -140,6 +149,13 @@ class UnitSummary(_UnitAverages):
                 f"a summary holds only the top {self.top_n} lines, not the top {n}"
             )
         return list(self.top_rows[:n])
+
+
+def _summary(path: str, relevant_line_count: int, traditional: int, null_type: int,
+             top_n: int, top_rows: tuple[tuple[int, int], ...]) -> UnitSummary:
+    """A ``UnitSummary`` from the plain fields ``__reduce__`` gives."""
+    counts = {Family.TRADITIONAL: traditional, Family.NULL_TYPE: null_type}
+    return UnitSummary(path, relevant_line_count, counts, top_n, top_rows)
 
 
 @dataclass(frozen=True)

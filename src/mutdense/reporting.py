@@ -19,20 +19,28 @@ from typing import Iterator, Sequence
 
 from mutdense import errors
 from mutdense.fault_model import Family
-from mutdense.metrics import ProjectReport, UnitReport, rank_units, top_lines
+from mutdense.metrics import ProjectReport, UnitReport, UnitSummary, rank_units, top_lines
 from mutdense.scanner import split_lines
 from mutdense.source_model import SourceUnit
 
 
-def _scaled(value: Fraction, places: int) -> int:
-    # Fraction.__round__ is exact half-to-even; no float detour
-    return round(value * 10**places)
+def _half_even(numerator: int, denominator: int) -> int:
+    """``numerator / denominator`` rounded half to even: the exact rule of
+    ``Fraction.__round__``, in integers."""
+    q, r = divmod(numerator, denominator)
+    if 2 * r > denominator or (2 * r == denominator and q % 2):
+        q += 1
+    return q
+
+
+def _decimal(numerator: int, denominator: int, places: int = 4) -> str:
+    """``numerator / denominator`` written with ``places`` decimals."""
+    whole, part = divmod(_half_even(numerator * 10**places, denominator), 10**places)
+    return f"{whole}.{part:0{places}d}"
 
 
 def format_density(value: Fraction, places: int = 4) -> str:
-    q = _scaled(value, places)
-    d = 10**places
-    return f"{q // d}.{q % d:0{places}d}"
+    return _decimal(value.numerator, value.denominator, places)
 
 
 def json_density(value: Fraction) -> float:
@@ -41,9 +49,19 @@ def json_density(value: Fraction) -> float:
 
 def label_2dp(value: Fraction) -> str:
     """Two-decimal label derived from the 4-decimal serialized value."""
-    q4 = _scaled(value, 4)
-    q2 = round(Fraction(q4, 100))
-    return f"{q2 // 100}.{q2 % 100:02d}"
+    return _decimal(_half_even(value.numerator * 10**4, value.denominator), 10**4, 2)
+
+
+def _unit_densities(unit: UnitReport | UnitSummary) -> tuple[str, str, str]:
+    """``format_density`` of the unit's traditional, null-type and combined
+    averages, taken from the counts they divide: no ``Fraction`` is built."""
+    lines = unit.relevant_line_count
+    if lines == 0:
+        return ("0.0000",) * 3
+    counts = unit.mutant_count_by_family
+    traditional, null_type = counts[Family.TRADITIONAL], counts[Family.NULL_TYPE]
+    return (_decimal(traditional, lines), _decimal(null_type, lines),
+            _decimal(traditional + null_type, lines))
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +102,11 @@ _UNIT_HEAD = '{"path":%s,"physicalLineCount":%d,"relevantLineCount":%d,"mutants"
 _MUTANT_ROW = ('{"operatorId":%s,"family":%s,"line":%d,"column":%d,'
                '"original":%s,"replacement":%s}')
 _LINE_ROW = '{"line":%d,"relevant":%s,"traditional":%d,"nullType":%d,"total":%d}'
+# _LINE_ROW for a line that hosts no mutant, by whether it is relevant
+_EMPTY_ROWS = {
+    False: '{"line":%d,"relevant":false,"traditional":0,"nullType":0,"total":0}',
+    True: '{"line":%d,"relevant":true,"traditional":0,"nullType":0,"total":0}',
+}
 _UNIT_TAIL = '],"avg":{"traditional":%r,"nullType":%r,"combined":%r},"empty":%s}'
 _JSON_BOOL = {False: "false", True: "true"}
 
@@ -91,8 +114,7 @@ _JSON_BOOL = {False: "false", True: "true"}
 def emit_unit_json(unit: UnitReport) -> bytes:
     """One unit's entry in the ``units`` list of ``project.json``."""
     enc = encode_basestring
-    bool_text = _JSON_BOOL
-    avg = unit.avg_density_by_family
+    traditional, null_type, combined = _unit_densities(unit)
     return "".join((
         _UNIT_HEAD % (enc(unit.path), unit.physical_line_count, unit.relevant_line_count),
         ",".join([
@@ -101,17 +123,28 @@ def emit_unit_json(unit: UnitReport) -> bytes:
             for op_id, family, line, column, _, _, original, replacement, _ in unit.mutants
         ]),
         '],"lines":[',
-        ",".join([
-            _LINE_ROW % (ln, bool_text[relevant], traditional, null_type, traditional + null_type)
-            for ln, relevant, traditional, null_type in _line_rows(unit)
-        ]),
+        ",".join(_json_line_rows(unit)),
         _UNIT_TAIL % (
-            json_density(avg[Family.TRADITIONAL]),
-            json_density(avg[Family.NULL_TYPE]),
-            json_density(unit.avg_density_combined),
-            bool_text[unit.empty],
+            float(traditional), float(null_type), float(combined),
+            _JSON_BOOL[unit.empty],
         ),
     )).encode("utf-8")
+
+
+def _json_line_rows(unit: UnitReport) -> list[str]:
+    """The ``lines`` rows of a unit's entry, one per physical line."""
+    counts = unit.line_counts
+    relevant = unit.relevant_lines
+    rows = []
+    for ln in range(1, unit.physical_line_count + 1):
+        per_family = counts.get(ln)
+        if per_family is None:
+            rows.append(_EMPTY_ROWS[ln in relevant] % ln)
+        else:
+            traditional, null_type = per_family
+            rows.append(_LINE_ROW % (ln, _JSON_BOOL[ln in relevant], traditional, null_type,
+                                     traditional + null_type))
+    return rows
 
 
 def _line_rows(unit: UnitReport) -> Iterator[tuple[int, bool, int, int]]:
@@ -197,12 +230,10 @@ def render_heatmap(
         )
 
     title = html.escape(unit.path)
-    avg = unit_report.avg_density_by_family
+    traditional, null_type, combined = _unit_densities(unit_report)
     summary = html.escape(
         f"relevant lines: {unit_report.relevant_line_count} | "
-        f"avg density: traditional {format_density(avg[Family.TRADITIONAL])}, "
-        f"null-type {format_density(avg[Family.NULL_TYPE])}, "
-        f"combined {format_density(unit_report.avg_density_combined)}"
+        f"avg density: traditional {traditional}, null-type {null_type}, combined {combined}"
     )
     return (
         "<!DOCTYPE html>\n"
@@ -289,16 +320,7 @@ def render_text(report: ProjectReport, top_n: int = 10) -> str:
     if not report.units:
         lines = ["  ".join(header), "no units analyzed"]
     else:
-        rows = [
-            (
-                u.path,
-                str(u.relevant_line_count),
-                format_density(u.avg_density_by_family[Family.TRADITIONAL]),
-                format_density(u.avg_density_by_family[Family.NULL_TYPE]),
-                format_density(u.avg_density_combined),
-            )
-            for u in report.units
-        ]
+        rows = [(u.path, str(u.relevant_line_count), *_unit_densities(u)) for u in report.units]
         widths = [
             max(len(header[col]), max(len(r[col]) for r in rows))
             for col in range(len(header))

@@ -7,6 +7,7 @@ lambdas, text blocks) are tokenized and skipped gracefully.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -30,9 +31,9 @@ def tokenize(text: str) -> list[Token]:
 class SourceUnit:
     """One source file: raw text, physical lines, and its token stream.
 
-    ``pairs`` (bracket pairs) and ``angles`` are derived from the tokens on
-    first use and kept, so every layer that reads them shares one
-    computation.
+    ``pairs`` (bracket pairs), ``angles`` and ``positions`` are derived from
+    the tokens on first use and kept, so every layer that reads them shares
+    one computation.
     """
 
     path: str
@@ -51,6 +52,37 @@ class SourceUnit:
     @cached_property
     def angles(self) -> GenericAngles:
         return mark_generic_angles(self.tokens)
+
+    @cached_property
+    def positions(self) -> dict[str, list[int]]:
+        return text_positions(self.tokens)
+
+    def positions_of(self, texts: Iterable[str]) -> list[int]:
+        """The ascending indices of the tokens whose text is one of
+        ``texts``, each a keyword, an operator or punctuation."""
+        positions = self.positions
+        found: list[int] = []
+        for text in texts:
+            found += positions.get(text, ())
+        found.sort()
+        return found
+
+
+_INDEXED_KINDS = frozenset({TokenKind.KEYWORD, TokenKind.OPERATOR, TokenKind.PUNCTUATION})
+
+
+def text_positions(tokens: Sequence[Token]) -> dict[str, list[int]]:
+    """Map each keyword, operator and punctuation text to the ascending
+    indices of its tokens; identifiers and literals are left out."""
+    positions: dict[str, list[int]] = {}
+    for idx, tok in enumerate(tokens):
+        if tok.kind in _INDEXED_KINDS:
+            at = positions.get(tok.text)
+            if at is None:
+                positions[tok.text] = [idx]
+            else:
+                at.append(idx)
+    return positions
 
 
 class SpanKind(Enum):
@@ -162,6 +194,7 @@ def mark_generic_angles(tokens: Sequence[Token]) -> GenericAngles:
 # ---------------------------------------------------------------------------
 
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
+_BLOCK_OPENERS = ("new", *sorted(_TYPE_KEYWORDS))
 _FORBIDDEN_BEFORE_NAME = frozenset(
     {"new", "if", "for", "while", "switch", "catch", "synchronized"}
 )
@@ -183,15 +216,22 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     bounded by memory rather than by the interpreter stack.  In any frame a
     type declaration or an anonymous class body opens a type-body frame;
     in a type body, an initializer ``{`` or a callable body also opens a
-    block frame.
+    block frame.  A block frame reads no other token: it jumps from one
+    ``new`` or type keyword to the next through ``unit.positions``.
     """
     pairs = unit.pairs  # unbalanced braces fail here, even in a unit with no bodies
     tokens = unit.tokens
+    openers = unit.positions_of(_BLOCK_OPENERS)
     spans: list[BodySpan] = []
     frames: list[tuple[int, int, str | None]] = [(0, len(tokens), None)]
     while frames:
         i, hi, type_name = frames.pop()
         while i < hi:
+            if type_name is None:
+                k = bisect_left(openers, i)
+                if k == len(openers) or openers[k] >= hi:
+                    break
+                i = openers[k]
             tok = tokens[i]
             body_open = None
             child_name = None

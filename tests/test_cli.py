@@ -5,10 +5,12 @@ from __future__ import annotations
 import errno
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -591,11 +593,24 @@ def inline_pool(sizes):
 def test_run_sizes_pool_by_worker_count(write_tree, tmp_path, monkeypatch):
     sizes = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 64)
     root = trio(write_tree)
     cfg = load_config([str(root), "--out", str(tmp_path / "o"), "--jobs", "1000000"])
     assert run(cfg) == 0
     assert sizes == [3]
+
+
+def test_one_usable_cpu_runs_in_process(write_tree, tmp_path, monkeypatch):
+    # the host may have more CPUs than this process may use
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    root = trio(write_tree)
+    cfg = load_config([str(root), "--out", str(tmp_path / "o"), "--jobs", "4"])
+    assert cli.usable_cpus() == 1
+    assert run(cfg) == 0
+    assert sizes == []
 
 
 def test_run_dispatches_files_in_chunks(write_tree, tmp_path, monkeypatch):
@@ -608,7 +623,7 @@ def test_run_dispatches_files_in_chunks(write_tree, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
     monkeypatch.setattr(cli, "analyze_chunk", recording_chunk)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 64)
     names = [f"p{k:02d}/U{k}.java" for k in range(40)]
     root = write_tree(dict.fromkeys(names, ALPHA_SRC))
     outputs = []
@@ -741,6 +756,38 @@ def test_failed_unit_becomes_diagnostic_not_fatal(write_tree, tmp_path):
         "Broken.java",
         "Lopsided.java",
     ]
+
+
+_READ_PIECES = [b"\r", b"\n", b"\r\n", b"\r\r\n", b"\xef\xbb\xbf", "\u00e9".encode(),
+                "\u4e16".encode(), b"\xff", b"a", b"x = 1;", b" "]
+
+
+def _seeded_bytes(rng):
+    pieces = [p for p in _READ_PIECES if p != b"\xff" or rng.random() < 0.3]
+    # some inputs are longer than a text reader's buffer, so a piece may
+    # straddle two of its reads
+    count = rng.choice((rng.randint(0, 12), rng.randint(2000, 6000)))
+    data = b"".join(rng.choice(pieces) for _ in range(count))
+    return data + b"\r" if rng.random() < 0.3 else data
+
+
+def test_byte_read_equals_a_text_read(tmp_path):
+    rng = random.Random(5)
+    path = tmp_path / "U.java"
+    outcomes = Counter()
+    for _ in range(400):
+        path.write_bytes(_seeded_bytes(rng))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                expected = fh.read()
+        except UnicodeDecodeError:
+            with pytest.raises(UnicodeDecodeError):
+                cli.read_text(str(path))
+            outcomes["invalid"] += 1
+            continue
+        assert cli.read_text(str(path)) == expected
+        outcomes["\r" in path.read_bytes().decode()] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_excluded_file_leaves_no_trace(write_tree, tmp_path):

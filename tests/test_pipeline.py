@@ -327,8 +327,26 @@ def test_nesting_cost_grows_linearly(nested):
     assert reads[1] <= 2.2 * reads[0], reads
 
 
+def _statements(count: int) -> str:
+    return "class C {\nint f(int a) {\n" + "a = a + 1;\nb.g(a, c[a]);\n" * count + "return a;\n}\n}\n"
+
+
+def test_block_frames_read_no_token_without_a_body_opener():
+    """Inside a body, locate_bodies reads only 'new' and type keywords."""
+    reads = []
+    for count in (200, 400):
+        src = _statements(count)
+        tokens = CountingTokens(source_model.tokenize(src))
+        unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
+        unit.pairs, unit.angles, unit.positions  # built before the count starts
+        tokens.reads = 0
+        assert len(source_model.locate_bodies(unit)) == 1
+        reads.append(tokens.reads)
+    assert reads[1] - reads[0] <= 2, reads
+
+
 def test_braces_and_angles_are_built_once_per_unit(monkeypatch):
-    calls = {"match_braces": 0, "mark_generic_angles": 0}
+    calls = {"match_braces": 0, "mark_generic_angles": 0, "text_positions": 0}
     for name in calls:
         original = getattr(source_model, name)
 
@@ -339,7 +357,7 @@ def test_braces_and_angles_are_built_once_per_unit(monkeypatch):
         monkeypatch.setattr(source_model, name, counted)
     report = analyze_unit("Outer.java", _NESTED_SRC, ALL_OPS)
     assert {m.operator_id for m in report.mutants} >= {"NOI", "NRV", "ROR", "SOR"}
-    assert calls == {"match_braces": 1, "mark_generic_angles": 1}
+    assert calls == {"match_braces": 1, "mark_generic_angles": 1, "text_positions": 1}
 
 
 def test_analyze_unit_matches_the_layered_calls():

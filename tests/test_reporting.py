@@ -121,6 +121,64 @@ def test_two_decimal_labels_derive_from_four_decimal_values(value, label):
     assert label_2dp(value) == label
 
 
+def _fraction_density(value: Fraction, places: int = 4) -> str:
+    # the reference: Fraction arithmetic and Fraction.__round__
+    q = round(value * 10**places)
+    return f"{q // 10**places}.{q % 10**places:0{places}d}"
+
+
+def _fraction_label(value: Fraction) -> str:
+    q2 = round(Fraction(round(value * 10**4), 100))
+    return f"{q2 // 100}.{q2 % 100:02d}"
+
+
+def _density_pairs():
+    """(mutants, relevant lines): every exact tie at 4 places up to a
+    density of 1 and at 2 places up to 2, each also with both terms
+    doubled or tripled, then seeded pairs."""
+    for k in range(10000):
+        yield 2 * k + 1, 20000
+        yield 4 * k + 2, 40000
+    for k in range(200):
+        yield 2 * k + 1, 200
+        yield 6 * k + 3, 600
+    rng = random.Random(7)
+    for _ in range(10000):
+        n = rng.choice((rng.randint(1, 60), rng.randint(1, 10**6)))
+        yield rng.randint(0, 5 * n), n
+
+
+def test_integer_rounding_equals_fraction_rounding():
+    ties = [0, 0]  # at 4 places, at 2
+    for m, n in _density_pairs():
+        value = Fraction(m, n)
+        for places in (2, 4):
+            assert format_density(value, places) == _fraction_density(value, places), (m, n)
+        assert json_density(value) == float(_fraction_density(value)), (m, n)
+        assert label_2dp(value) == _fraction_label(value), (m, n)
+        ties[0] += (value * 10**4).denominator == 2
+        ties[1] += (value * 10**2).denominator == 2
+    assert ties[0] >= 20000 and ties[1] >= 400
+
+
+def test_text_densities_equal_the_averages_formatted():
+    """The text table, the JSON averages and the heatmap summary format
+    each unit's counts directly; they must read as its averages would."""
+    rng = random.Random(11)
+    units = [UnitSummary(f"U{k}.java", rng.choice((0, rng.randint(1, 400))),
+                         {Family.TRADITIONAL: rng.randint(0, 900),
+                          Family.NULL_TYPE: rng.randint(0, 300)})
+             for k in range(2000)]
+    rows = render_text(aggregate_project(units), 0).splitlines()[2:]
+    for unit, row in zip(sorted(units, key=lambda u: u.path), rows):
+        avg = unit.avg_density_by_family
+        expected = [_fraction_density(avg[Family.TRADITIONAL]),
+                    _fraction_density(avg[Family.NULL_TYPE]),
+                    _fraction_density(sum(avg.values(), Fraction(0)))]
+        assert row.split()[2:] == expected
+        assert unit.avg_density_combined == sum(avg.values(), Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
