@@ -18,8 +18,6 @@ import re
 import stat
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -49,8 +47,7 @@ _SIZE_LIMIT = 10 * 1024 * 1024
 _FORMATS = ("json", "html", "svg", "text")
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     roots: tuple[str, ...]
     include_globs: tuple[str, ...] = ("**/*.java",)
     exclude_globs: tuple[str, ...] = ()
@@ -429,8 +426,7 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitSettings:
+class UnitSettings(NamedTuple):
     """What a worker needs of the run's settings to analyze a unit."""
 
     operator_set: OperatorSet
@@ -519,6 +515,15 @@ def worker_count(jobs: int, files: int, cpus: int) -> int:
     return min(jobs, files, cpus)
 
 
+def process_pool(workers: int):
+    """A ``concurrent.futures`` pool of ``workers`` processes.  The pool's
+    modules (``multiprocessing`` with them) are imported here, so a run
+    with one worker never loads them."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the
     platform has one, else every CPU of the host."""
@@ -580,7 +585,7 @@ def run(config: Config) -> int:
     workers = worker_count(config.jobs, len(files), usable_cpus())
     tasks = [(chunk, settings) for chunk in chunked(files, workers)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with process_pool(workers) as pool:
             chunks = list(pool.map(analyze_chunk, tasks))
     else:
         chunks = [analyze_chunk(task) for task in tasks]

@@ -11,7 +11,6 @@ keeps the density metric parametric in the fault model.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -37,8 +36,7 @@ class Family(str, Enum):
     NULL_TYPE = "null-type"
 
 
-@dataclass(frozen=True)
-class MutationOperator:
+class MutationOperator(NamedTuple):
     id: str
     family: Family
     description: str
@@ -63,8 +61,7 @@ _OPERATORS_BY_ID = {op.id: op for op in CATALOG}
 ALL_OPERATOR_IDS = frozenset(_OPERATORS_BY_ID)
 
 
-@dataclass(frozen=True)
-class OperatorSet:
+class OperatorSet(NamedTuple):
     """The enabled slice of the catalog: families plus optional id filter."""
 
     families: frozenset[Family]

@@ -9,10 +9,8 @@ reading can be recomputed downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from mutdense import errors
 from mutdense._version import VERSION
@@ -24,7 +22,7 @@ from mutdense.fault_model import (
     OperatorSet,
     find_mutation_sites,
 )
-from mutdense.source_model import LineSet, SourceUnit, locate_bodies, relevant_lines
+from mutdense.source_model import LineSet, SourceUnit, locate_bodies, memoized, relevant_lines
 
 _FAMILIES = tuple(Family)
 _FAMILY_INDEX = {fam: k for k, fam in enumerate(_FAMILIES)}
@@ -37,6 +35,8 @@ class _UnitAverages:
     line, so this is the mean of the family's per-line counts over them.
     """
 
+    __slots__ = ()
+
     relevant_line_count: int
     mutant_count_by_family: dict[Family, int]
 
@@ -44,7 +44,7 @@ class _UnitAverages:
     def empty(self) -> bool:
         return self.relevant_line_count == 0
 
-    @cached_property
+    @memoized
     def avg_density_by_family(self) -> dict[Family, Fraction]:
         if self.empty:
             return dict.fromkeys(_FAMILIES, Fraction(0))
@@ -60,33 +60,39 @@ class _UnitAverages:
         return Fraction(sum(self.mutant_count_by_family.values()), self.relevant_line_count)
 
 
-@dataclass(frozen=True)
-class UnitReport(_UnitAverages):
-    """What analysis found in one unit: its relevant lines and its mutants.
-
-    Every mutant must sit on a relevant line; a report that breaks this
-    span/relevance contract raises MutantOnIrrelevantLine.  Per-line
-    counts, per-family counts and averages are derived from the four
-    fields on first read, so a pickled report carries only what was found.
-    """
-
+class _ReportFields(NamedTuple):
     path: str
     physical_line_count: int
     relevant_lines: frozenset[int]
     mutants: tuple[Mutant, ...]
 
-    def __post_init__(self) -> None:
-        for m in self.mutants:
-            if m.line not in self.relevant_lines:
+
+class UnitReport(_ReportFields, _UnitAverages):
+    """What analysis found in one unit: its relevant lines and its mutants.
+
+    Every mutant must sit on a relevant line; a report that breaks this
+    span/relevance contract raises MutantOnIrrelevantLine.  Per-line
+    counts, per-family counts and averages are derived from the four
+    fields on first read and kept in the instance ``__dict__``.
+    """
+
+    def __new__(cls, path: str, physical_line_count: int, relevant_lines: frozenset[int],
+                mutants: tuple[Mutant, ...]) -> "UnitReport":
+        for m in mutants:
+            if m.line not in relevant_lines:
                 raise errors.MutantOnIrrelevantLine(
-                    f"{m.operator_id} mutant on non-relevant line {m.line} of {self.path}"
+                    f"{m.operator_id} mutant on non-relevant line {m.line} of {path}"
                 )
+        return tuple.__new__(cls, (path, physical_line_count, relevant_lines, mutants))
+
+    # _replace builds its copy through _make, which would skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def relevant_line_count(self) -> int:
         return len(self.relevant_lines)
 
-    @cached_property
+    @memoized
     def line_counts(self) -> dict[int, tuple[int, ...]]:
         """Mutants per family, in ``Family`` order (traditional, null-type),
         of each line that hosts one."""
@@ -95,7 +101,7 @@ class UnitReport(_UnitAverages):
             counts.setdefault(m.line, [0] * len(_FAMILIES))[_FAMILY_INDEX[m.family]] += 1
         return {ln: tuple(per_family) for ln, per_family in counts.items()}
 
-    @cached_property
+    @memoized
     def mutant_count_by_family(self) -> dict[Family, int]:
         counts = dict.fromkeys(_FAMILIES, 0)
         for m in self.mutants:
@@ -111,19 +117,20 @@ class UnitReport(_UnitAverages):
         return rows[:n]
 
 
-@dataclass(frozen=True)
-class UnitSummary(_UnitAverages):
-    """The part of a unit that the text table, the bar chart and the
-    threshold gate read, with the report's top ``top_n`` combined-density
-    lines.  ``mutdense analyze`` keeps this of each unit in place of the
-    UnitReport, which stays in the worker that built it.
-    """
-
+class _SummaryFields(NamedTuple):
     path: str
     relevant_line_count: int
     mutant_count_by_family: dict[Family, int]
     top_n: int = 0
     top_rows: tuple[tuple[int, int], ...] = ()
+
+
+class UnitSummary(_SummaryFields, _UnitAverages):
+    """The part of a unit that the text table, the bar chart and the
+    threshold gate read, with the report's top ``top_n`` combined-density
+    lines.  ``mutdense analyze`` keeps this of each unit in place of the
+    UnitReport, which stays in the worker that built it.
+    """
 
     @classmethod
     def from_report(cls, report: UnitReport, top_n: int = 0) -> "UnitSummary":
@@ -136,7 +143,7 @@ class UnitSummary(_UnitAverages):
         )
 
     def __reduce__(self):
-        # plain counts cross a process pipe: no Family member, no field dict
+        # plain counts cross a process pipe: no Family member, no view
         counts = self.mutant_count_by_family
         return _summary, (self.path, self.relevant_line_count,
                           counts[Family.TRADITIONAL], counts[Family.NULL_TYPE],
@@ -158,18 +165,16 @@ def _summary(path: str, relevant_line_count: int, traditional: int, null_type: i
     return UnitSummary(path, relevant_line_count, counts, top_n, top_rows)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     path: str
     error: str
 
 
-@dataclass(frozen=True)
-class ProjectReport:
+class ProjectReport(NamedTuple):
     units: tuple[UnitReport | UnitSummary, ...]
     diagnostics: tuple[Diagnostic, ...]
     tool_version: str = VERSION
-    operator_catalog: tuple[MutationOperator, ...] = field(default=CATALOG)
+    operator_catalog: tuple[MutationOperator, ...] = CATALOG
 
 
 def build_unit_report(

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import html
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from mutdense import errors
 from mutdense.fault_model import Family
@@ -161,17 +160,25 @@ def _line_rows(unit: UnitReport) -> Iterator[tuple[int, bool, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeatmapStyle:
-    """Shading ramp for relevant lines; density 0 stays white."""
-
+class _StyleFields(NamedTuple):
     color_stops: tuple[tuple[int, str], ...]
     gray_color: str = "#d4d4d4"
 
-    def __post_init__(self) -> None:
+
+class HeatmapStyle(_StyleFields):
+    """Shading ramp for relevant lines; density 0 stays white."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "HeatmapStyle":
+        self = super().__new__(cls, *args, **kwargs)
         thresholds = [t for t, _ in self.color_stops]
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("color stop thresholds must be strictly increasing")
+        return self
+
+    # _replace builds its copy through _make, which would skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def shade(self, relevant: bool, total: int) -> str:
         if not relevant:

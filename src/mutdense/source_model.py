@@ -8,10 +8,8 @@ lambdas, text blocks) are tokenized and skipped gracefully.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from mutdense import errors, scanner
 from mutdense.scanner import Token, TokenKind, split_lines
@@ -27,8 +25,32 @@ def tokenize(text: str) -> list[Token]:
     return scanner.scan(text)
 
 
-@dataclass(frozen=True)
-class SourceUnit:
+class memoized:
+    """A view computed on its first read and kept in the instance's
+    ``__dict__``, where later reads find it before this descriptor.  It is
+    ``functools.cached_property`` without the lock that Python 3.10 and
+    3.11 take on every first read."""
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
+class _SourceFields(NamedTuple):
+    path: str
+    text: str
+    lines: tuple[str, ...]
+    tokens: tuple[Token, ...]
+
+
+class SourceUnit(_SourceFields):
     """One source file: raw text, physical lines, and its token stream.
 
     ``pairs`` (bracket pairs), ``angles`` and ``positions`` are derived from
@@ -36,24 +58,19 @@ class SourceUnit:
     one computation.
     """
 
-    path: str
-    text: str
-    lines: tuple[str, ...]
-    tokens: tuple[Token, ...]
-
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceUnit":
-        return cls(path=path, text=text, lines=split_lines(text), tokens=tuple(tokenize(text)))
+        return cls(path, text, split_lines(text), tuple(tokenize(text)))
 
-    @cached_property
+    @memoized
     def pairs(self) -> dict[int, int]:
         return match_braces(self.tokens)
 
-    @cached_property
+    @memoized
     def angles(self) -> GenericAngles:
         return mark_generic_angles(self.tokens)
 
-    @cached_property
+    @memoized
     def positions(self) -> dict[str, list[int]]:
         return text_positions(self.tokens)
 
@@ -90,8 +107,7 @@ class SpanKind(Enum):
     CONSTRUCTOR = "constructor"
 
 
-@dataclass(frozen=True)
-class BodySpan:
+class BodySpan(NamedTuple):
     """A method or constructor with a brace-delimited body.
 
     ``body_token_range`` is a half-open token-index pair whose first token
@@ -107,12 +123,11 @@ class BodySpan:
     body_token_range: tuple[int, int]
     param_types: tuple[tuple[str, str], ...]
     return_type_text: str | None
-    param_name_indices: tuple[int, ...] = field(compare=False, default=())
-    param_final: tuple[bool, ...] = field(compare=False, default=())
+    param_name_indices: tuple[int, ...] = ()
+    param_final: tuple[bool, ...] = ()
 
 
-@dataclass(frozen=True)
-class LineSet:
+class LineSet(NamedTuple):
     relevant: frozenset[int]
 
 
@@ -129,8 +144,7 @@ _ANGLE_KEYWORDS = frozenset({"extends", "super"})
 _CLOSER_DEPTH = {">": 1, ">>": 2, ">>>": 3}
 
 
-@dataclass(frozen=True)
-class GenericAngles:
+class GenericAngles(NamedTuple):
     """Token indices classified as generic type brackets."""
 
     indices: frozenset[int]
@@ -520,11 +534,12 @@ def relevant_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> LineSet:
 
 def _nonblank_lines(unit: SourceUnit) -> set[int]:
     covered = {tok.line for tok in unit.tokens}
-    # only text blocks span lines
-    for tok in unit.tokens:
-        if tok.kind is TokenKind.STRING_LITERAL and tok.text.startswith('"""'):
-            last_line = tok.line + len(scanner.LINE_END.findall(tok.text))
-            covered.update(range(tok.line + 1, last_line + 1))
+    # only text blocks span lines, and a unit without '"""' holds none
+    if '"""' in unit.text:
+        for tok in unit.tokens:
+            if tok.kind is TokenKind.STRING_LITERAL and tok.text.startswith('"""'):
+                last_line = tok.line + len(scanner.LINE_END.findall(tok.text))
+                covered.update(range(tok.line + 1, last_line + 1))
     # a token may sit on a line that strip() calls blank (U+00A0, say)
     lines = unit.lines
     return {ln for ln in covered if ln - 1 < len(lines) and lines[ln - 1].strip()}

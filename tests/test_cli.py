@@ -592,7 +592,7 @@ def inline_pool(sizes):
 
 def test_run_sizes_pool_by_worker_count(write_tree, tmp_path, monkeypatch):
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
+    monkeypatch.setattr(cli, "process_pool", inline_pool(sizes))
     monkeypatch.setattr(cli, "usable_cpus", lambda: 64)
     root = trio(write_tree)
     cfg = load_config([str(root), "--out", str(tmp_path / "o"), "--jobs", "1000000"])
@@ -603,7 +603,7 @@ def test_run_sizes_pool_by_worker_count(write_tree, tmp_path, monkeypatch):
 def test_one_usable_cpu_runs_in_process(write_tree, tmp_path, monkeypatch):
     # the host may have more CPUs than this process may use
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
+    monkeypatch.setattr(cli, "process_pool", inline_pool(sizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     root = trio(write_tree)
@@ -621,7 +621,7 @@ def test_run_dispatches_files_in_chunks(write_tree, tmp_path, monkeypatch):
         tasks.append(task)
         return _original(task)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
+    monkeypatch.setattr(cli, "process_pool", inline_pool(sizes))
     monkeypatch.setattr(cli, "analyze_chunk", recording_chunk)
     monkeypatch.setattr(cli, "usable_cpus", lambda: 64)
     names = [f"p{k:02d}/U{k}.java" for k in range(40)]

@@ -96,6 +96,10 @@ def test_mutant_on_irrelevant_line_is_a_contract_violation():
     # the report itself holds the contract, however it is built
     with pytest.raises(errors.MutantOnIrrelevantLine, match="line 1 of U.java"):
         UnitReport("U.java", len(unit.lines), relevant.relevant, (stray,))
+    # a copy with a field changed is checked too
+    report = UnitReport("U.java", len(unit.lines), relevant.relevant, ())
+    with pytest.raises(errors.MutantOnIrrelevantLine):
+        report._replace(mutants=(stray,))
 
 
 def test_totals_equal_family_sums():

@@ -8,7 +8,6 @@ built once per unit.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pickle
 import random
@@ -389,9 +388,9 @@ def test_worker_result_holds_only_what_analysis_found(tmp_path):
     settings = cli.UnitSettings(ALL_OPS, ("json", "html", "text"), DEFAULT_STYLE, 10)
     result = cli.analyze_path("Outer.java", str(source), settings)
     report = analyze_unit("Outer.java", _NESTED_SRC, ALL_OPS)
-    assert [f.name for f in dataclasses.fields(UnitReport)] == _FOUND
+    assert list(UnitReport._fields) == _FOUND
     # no derived view was built by analysis
-    assert list(vars(report)) == _FOUND
+    assert vars(report) == {}
     assert result.error is None and report.mutants
     # the worker sends finished bytes and a summary, never the report
     assert result.json == emit_unit_json(report)

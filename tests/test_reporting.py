@@ -332,6 +332,8 @@ def test_style_requires_increasing_thresholds():
     with pytest.raises(ValueError):
         HeatmapStyle(color_stops=((3, "#aaa"), (1, "#bbb")))
     custom = HeatmapStyle(color_stops=((2, "#123456"),), gray_color="#eeeeee")
+    with pytest.raises(ValueError):
+        custom._replace(color_stops=((3, "#aaa"), (1, "#bbb")))
     assert custom.shade(False, 0) == "#eeeeee"
     assert custom.shade(True, 0) == "#ffffff"
     assert custom.shade(True, 1) == "#ffffff"

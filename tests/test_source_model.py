@@ -362,6 +362,30 @@ def test_text_block_interior_lines_are_relevant_unless_blank():
     assert sorted(relevant_lines(unit, locate_bodies(unit)).relevant) == [2, 3, 4, 6, 8, 9]
 
 
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        # '"""' only in a line comment: no text block, the comment line is blank
+        ('class A {\n    int f() {\n        // a """ here\n        int x = 1;\n\n'
+         '        return x;\n    }\n}\n', [2, 4, 6, 7]),
+        # only in a block comment over two lines
+        ('class A {\n    int f() {\n        /* opens """\n           closes """ */\n'
+         '        return 1;\n    }\n}\n', [2, 5, 6]),
+        # only in a character literal, which the scanner reads up to its quote
+        ("class A {\n    char f() {\n        char q = '\"\"\"';\n\n"
+         "        return q;\n    }\n}\n", [2, 3, 5, 6]),
+        # a text block whose lines 4 and 5 start no token
+        ('class A {\n    String f() {\n        return """\n            a\n'
+         '            b\n            """;\n    }\n}\n', [2, 3, 4, 5, 6, 7]),
+    ],
+    ids=["line-comment", "block-comment", "char-literal", "text-block"],
+)
+def test_relevant_lines_where_triple_quotes_appear(src, expected):
+    unit = make_unit(src)
+    assert '"""' in unit.text
+    assert sorted(relevant_lines(unit, locate_bodies(unit)).relevant) == expected
+
+
 def test_factorial_relevance_covers_both_methods():
     unit = make_unit(FACTORIAL_SRC)
     spans = locate_bodies(unit)
