@@ -22,12 +22,10 @@ from mutdense.source_model import (
     BodySpan,
     GenericAngles,
     SourceUnit,
-    SpanKind,
     Token,
     TokenKind,
     is_reference_type,
     match_creation,
-    span_region_lines,
 )
 
 
@@ -213,18 +211,22 @@ def _rule_table(
 def find_mutation_sites(
     unit: SourceUnit, spans: Sequence[BodySpan], operator_set: OperatorSet
 ) -> list[Mutant]:
-    """Enumerate every enabled-operator match inside span regions.
+    """Enumerate every enabled-operator match inside a body, between a
+    span's '{' and its '}', and each NIV, whose site is the parameter.
 
     Returned sorted by (line, column, operator id); identical inputs always
     produce the identical list.
     """
     tokens = unit.tokens
     angles = unit.angles
-    region = span_region_lines(unit, spans)
     enabled, rules, visited = _rule_table(operator_set)
     out: list[Mutant] = []
-    returns: list[int] = []  # NRV candidates, matched to their spans below
-    lambdas: list[tuple[int, int]] = []  # block lambda bodies, as token ranges
+    # the bodies entered so far, innermost last, as the index of each one's
+    # '}' and its span (None for a block lambda body); once those closed
+    # before the current token are popped from the top, the top holds it
+    open_bodies: list[tuple[int, BodySpan | None]] = []
+    starts = [span.body_token_range[0] for span in spans]  # ascending
+    pushed = 0
     rule_arrows: set[int] = set()  # each '->' that ends a switch label
     text = unit.text
     _new = tuple.__new__  # builds a Mutant without NamedTuple's Python-level __new__
@@ -234,11 +236,18 @@ def find_mutation_sites(
         out.append(_new(Mutant, (op_id, _OPERATORS_BY_ID[op_id].family, tok_line, tok_col,
                                  start, end, text[start:end], replacement, insert_after)))
 
-    # ascending, so each 'case' comes before its label's '->'
+    # ascending, so each body opens before the tokens it holds and each
+    # 'case' comes before its label's '->'
     for idx in unit.positions_of(visited):
+        while pushed < len(starts) and starts[pushed] < idx:
+            span = spans[pushed]
+            open_bodies.append((span.body_token_range[1] - 1, span))
+            pushed += 1
+        while open_bodies and open_bodies[-1][0] < idx:
+            open_bodies.pop()
+        if not open_bodies:
+            continue  # outside every body
         tok = tokens[idx]
-        if tok.line not in region:
-            continue
         tx = tok.text
         matches = rules.get(tx)
         if matches is not None:
@@ -250,21 +259,20 @@ def find_mutation_sites(
             if site_range is not None:
                 emit("NOI", tok.line, tok.column, tok.start, tokens[site_range[1]].end, "null")
         elif tx == "return":
-            returns.append(idx)
+            # a return that leaves a block lambda, whose type is unknown
+            # here, gets no NRV
+            owner = open_bodies[-1][1]
+            end = None if owner is None else _nullable_return_range(unit, idx, owner)
+            if end is not None:
+                emit("NRV", tok.line, tok.column, tok.start, end, "return null;")
         elif tx == "->":
             body = idx + 1
             if idx not in rule_arrows and body < len(tokens) and tokens[body].text == "{":
-                lambdas.append((body, unit.pairs[body] + 1))
+                open_bodies.append((unit.pairs[body], None))
         else:  # 'case' or 'default'
             arrow = _rule_arrow(unit, idx)
             if arrow is not None:
                 rule_arrows.add(arrow)
-
-    for idx, span in _return_owners(returns, spans, lambdas).items():
-        end = _nullable_return_range(unit, idx, span)
-        if end is not None:
-            tok = tokens[idx]
-            emit("NRV", tok.line, tok.column, tok.start, end, "return null;")
 
     if "NIV" in enabled:
         for span in spans:
@@ -308,39 +316,11 @@ def _rule_arrow(unit: SourceUnit, idx: int) -> int | None:
     return None
 
 
-def _return_owners(
-    returns: list[int], spans: Sequence[BodySpan], lambdas: list[tuple[int, int]]
-) -> dict[int, BodySpan]:
-    """Map each 'return' token index to the innermost span whose body holds
-    it, unless a block lambda body inside that span holds it: that return
-    leaves the lambda, whose type is unknown here.
-
-    ``returns`` is ascending and ``spans`` and ``lambdas`` are sorted by body
-    start, so one sweep with a stack of open bodies serves every return.  A
-    body that has closed before one return has closed before every later one.
-    """
-    # two sorted runs: the sort merges them
-    bodies = iter(sorted([*((s.body_token_range, s) for s in spans),
-                          *((body, None) for body in lambdas)], key=lambda b: b[0][0]))
-    owners: dict[int, BodySpan] = {}
-    stack: list[tuple[tuple[int, int], BodySpan | None]] = []
-    nxt = next(bodies, None)
-    for idx in returns:
-        while nxt is not None and nxt[0][0] < idx:
-            stack.append(nxt)
-            nxt = next(bodies, None)
-        while stack and idx >= stack[-1][0][1] - 1:
-            stack.pop()
-        if stack and stack[-1][1] is not None:
-            owners[idx] = stack[-1][1]
-    return owners
-
-
 def _nullable_return_range(unit: SourceUnit, idx: int, span: BodySpan) -> int | None:
     """For 'return expr;' in a method returning a reference type, the end
     offset of the terminating ';', reached by jumping over bracket groups;
-    'return null;' yields nothing."""
-    if span.kind is not SpanKind.METHOD or not is_reference_type(span.return_type_text):
+    'return null;' yields nothing.  A constructor has no return type."""
+    if not is_reference_type(span.return_type_text):
         return None
     tokens, pairs = unit.tokens, unit.pairs
     k = idx + 1

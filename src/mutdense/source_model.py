@@ -137,8 +137,9 @@ class LineSet(NamedTuple):
 
 # A '<' is a type bracket iff it can be closed by a later '>' / '>>' / '>>>'
 # with every enclosed token drawn from: Identifier, ',', '?', 'extends',
-# 'super', '.', '[', ']', '&', or a nested '<...>'.  Anything else makes it
-# a relational operator.
+# 'super', '.', '[', ']', '&', a primitive keyword followed by '[' (int[]),
+# an '@' followed by an identifier (@NonNull), or a nested '<...>'.
+# Anything else makes it a relational operator.
 _ANGLE_PUNCT = frozenset({",", ".", "[", "]", "?", "&"})
 _ANGLE_KEYWORDS = frozenset({"extends", "super"})
 _CLOSER_DEPTH = {">": 1, ">>": 2, ">>>": 3}
@@ -187,7 +188,9 @@ def mark_generic_angles(tokens: Sequence[Token]) -> GenericAngles:
                     if before == depth:
                         matches[k] = j
             elif not (t.kind is TokenKind.IDENTIFIER or tx in _ANGLE_PUNCT
-                      or (t.kind is TokenKind.KEYWORD and tx in _ANGLE_KEYWORDS)):
+                      or (t.kind is TokenKind.KEYWORD and tx in _ANGLE_KEYWORDS)
+                      or (tx in PRIMITIVE_TYPES and j + 1 < n and tokens[j + 1].text == "[")
+                      or (tx == "@" and j + 1 < n and tokens[j + 1].kind is TokenKind.IDENTIFIER)):
                 break
             j += 1
         enclosing_end = -1
@@ -509,8 +512,13 @@ def _strip_param_modifiers(unit: SourceUnit, lo: int, hi: int) -> tuple[list[int
 # ---------------------------------------------------------------------------
 
 
-def span_region_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> set[int]:
-    """All lines from each span's declaration line through its closing brace."""
+def relevant_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> LineSet:
+    """Non-blank lines from some span's declaration line through its closing
+    brace.
+
+    Blank means no non-whitespace character outside comments; a line holding
+    only a comment is blank for this purpose.
+    """
     region: set[int] = set()
     covered = 0  # every line up to here is in ``region``; nested spans add none
     tokens = unit.tokens
@@ -519,16 +527,6 @@ def span_region_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> set[int]:
         if last > covered:
             region.update(range(max(first, covered + 1), last + 1))
             covered = last
-    return region
-
-
-def relevant_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> LineSet:
-    """Non-blank lines within some span region.
-
-    Blank means no non-whitespace character outside comments; a line holding
-    only a comment is blank for this purpose.
-    """
-    region = span_region_lines(unit, spans)
     return LineSet(frozenset(region & _nonblank_lines(unit)))
 
 

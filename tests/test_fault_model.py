@@ -15,6 +15,7 @@ from mutdense.fault_model import (
     apply_mutant,
     find_mutation_sites,
 )
+from mutdense.metrics import analyze_unit
 from mutdense.source_model import SourceUnit, locate_bodies, relevant_lines, tokenize
 from conftest import FACTORIAL_LOOP_LINE, FACTORIAL_SRC, GENERICS_ZOO_SRC, make_unit
 
@@ -241,6 +242,29 @@ def test_shift_tokens_in_generics_are_not_shifts():
     assert [m for m in zoo if m.operator_id in ("ROR", "SOR")] == []
 
 
+@pytest.mark.parametrize(
+    "stmt,created",
+    [
+        ("java.util.List<int[]> a = new java.util.ArrayList<int[]>();",
+         ["new java.util.ArrayList<int[]>()"]),
+        ("Map<String, byte[][]> m = new HashMap<String, byte[][]>();",
+         ["new HashMap<String, byte[][]>()"]),
+        ("Function<int[], Integer> g = new Memo<int[], Integer>(f);",
+         ["new Memo<int[], Integer>(f)"]),
+        ("x = (List<int[]>) o;", []),
+        ("x = (IntFunction<int[]>) int[]::new;", []),
+        ("List<@NonNull String> a = new ArrayList<@NonNull String>();",
+         ["new ArrayList<@NonNull String>()"]),
+    ],
+    ids=["list-of-int-array", "map-of-byte-array", "function-of-int-array", "cast",
+         "array-constructor-reference", "type-use-annotation"],
+)
+def test_primitive_arrays_and_annotations_in_type_arguments(stmt, created):
+    _, mutants = mutants_of(in_method(stmt))
+    assert [m for m in mutants if m.operator_id in ("ROR", "SOR")] == []
+    assert [m.original for m in mutants if m.operator_id == "NOI"] == created
+
+
 def test_noi_object_creation_forms():
     cases = {
         "o = new String(\"x\");": "new String(\"x\")",
@@ -365,6 +389,20 @@ def test_niv_skips_final_params(params, nulled):
     src = "class T {\n    void f(" + params + ") {\n        g();\n    }\n}\n"
     _, mutants = mutants_of(src, NULL_TYPE)
     assert [m.original for m in mutants if m.operator_id == "NIV"] == nulled
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "class C { int f() { return 1; } int y = 2 * 3; }",
+        "class C { @A(x = 1 + 2) int f() { return 0; } }",
+        "non-sealed class C extends B { void f() { } }",
+        "class C {\n    void f() {\n    } Object o = new Object();\n}\n",
+    ],
+    ids=["field-after-body", "annotation-in-header", "non-sealed", "field-after-close"],
+)
+def test_no_site_outside_a_body_on_a_body_line(src):
+    assert analyze_unit("C.java", src, BOTH).mutants == ()
 
 
 def _nrv_lines(src):

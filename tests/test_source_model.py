@@ -13,7 +13,6 @@ from mutdense.source_model import (
     mark_generic_angles,
     match_braces,
     relevant_lines,
-    span_region_lines,
     split_lines,
     tokenize,
 )
@@ -221,6 +220,14 @@ def test_nested_generics_all_marked():
     assert angle_texts("Map<Key.Part, Value[]> m;") == ["<", ">"]
     assert angle_texts("Box<T extends A & B> b;") == ["<", ">"]
     assert angle_texts("Set<?> s;") == ["<", ">"]
+    # primitive array types and type-use annotations as type arguments
+    assert angle_texts("List<int[]> a;") == ["<", ">"]
+    assert angle_texts("Map<String, byte[][]> m;") == ["<", ">"]
+    assert angle_texts("Function<int[], Integer> g;") == ["<", ">"]
+    assert angle_texts("x = (List<int[]>) o;") == ["<", ">"]
+    assert angle_texts("x = (IntFunction<int[]>) int[]::new;") == ["<", ">"]
+    assert angle_texts("List<@NonNull String> a;") == ["<", ">"]
+    assert angle_texts("x = new java.util.ArrayList<int[]>();") == ["<", ">"]
     # only the second '<' closes: the first one's walk ends with its run
     assert angle_texts("a < b < c > d") == ["<", ">"]
 
@@ -231,6 +238,9 @@ def test_relational_angles_stay_unmarked():
     assert angle_texts("x = a < b ? c : d;") == []
     assert angle_texts("while (i < n) i++;") == []
     assert angle_texts("a << 2 >> 1") == []
+    assert angle_texts("b = i < a.length; c = x > 0;") == []
+    assert angle_texts("b = x < y[0] && z > 1;") == []
+    assert angle_texts("q = new int[a < b ? 1 : 2]; r = c > d;") == []
     # '>>' overshoots the first '<'; only the last pair is generic
     assert angle_texts("a < b >> c < d > e") == ["<", ">"]
 
@@ -432,7 +442,7 @@ class A {
     unit = make_unit(src)
     spans = locate_bodies(unit)
     assert spans[0].decl_line == 2
-    assert span_region_lines(unit, spans) == set(range(2, 7))
+    assert relevant_lines(unit, spans).relevant == frozenset(range(2, 7))
 
 
 @pytest.mark.parametrize(
