@@ -8,8 +8,6 @@ source, so an empty flag value means what an empty string means in the
 file.  Exit codes: 0 success, 2 threshold gate tripped, 1 fatal.
 """
 
-from __future__ import annotations
-
 import argparse
 import fnmatch
 import json

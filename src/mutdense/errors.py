@@ -1,7 +1,5 @@
 """Exception types shared across the analyzer."""
 
-from __future__ import annotations
-
 
 class MutdenseError(Exception):
     """Base class for all analyzer errors."""

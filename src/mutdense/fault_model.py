@@ -8,8 +8,6 @@ site yields one mutant per operator.  The enabled set is configurable, which
 keeps the density metric parametric in the fault model.
 """
 
-from __future__ import annotations
-
 import bisect
 from enum import Enum
 from functools import lru_cache
@@ -24,7 +22,6 @@ from mutdense.source_model import (
     SourceUnit,
     Token,
     TokenKind,
-    is_reference_type,
     match_creation,
 )
 
@@ -277,15 +274,10 @@ def find_mutation_sites(
     if "NIV" in enabled:
         for span in spans:
             insert_at = tokens[span.body_token_range[0]].end
-            for (param_name, type_text), name_idx, final in zip(
-                span.param_types, span.param_name_indices, span.param_final
-            ):
-                # a 'final' parameter cannot be assigned
-                if final or not is_reference_type(type_text):
-                    continue
+            for name_idx in span.nullable_params:
                 name_tok = tokens[name_idx]
                 emit("NIV", name_tok.line, name_tok.column, name_tok.start,
-                     name_tok.end, f"{param_name} = null", insert_after=insert_at)
+                     name_tok.end, f"{name_tok.text} = null", insert_after=insert_at)
 
     out.sort(key=lambda m: (m.line, m.column, m.operator_id))
     return out
@@ -320,7 +312,7 @@ def _nullable_return_range(unit: SourceUnit, idx: int, span: BodySpan) -> int | 
     """For 'return expr;' in a method returning a reference type, the end
     offset of the terminating ';', reached by jumping over bracket groups;
     'return null;' yields nothing.  A constructor has no return type."""
-    if not is_reference_type(span.return_type_text):
+    if not span.returns_reference:
         return None
     tokens, pairs = unit.tokens, unit.pairs
     k = idx + 1

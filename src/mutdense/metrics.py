@@ -7,8 +7,6 @@ metric; both the relevant and physical line counts are carried so either
 reading can be recomputed downstream.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 

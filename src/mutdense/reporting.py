@@ -8,8 +8,6 @@ with the JSON numbers by construction.  JSON bytes carry no timestamps and
 use a fixed key order, so identical input yields identical bytes.
 """
 
-from __future__ import annotations
-
 import html
 import json
 from fractions import Fraction

@@ -10,8 +10,6 @@ A line ends at ``\\n``, at ``\\r\\n`` or at a lone ``\\r``: ``LINE_END`` is
 that rule, and every line fact (token lines, ``split_lines``) comes from it.
 """
 
-from __future__ import annotations
-
 import re
 from enum import IntEnum
 from typing import NamedTuple

@@ -5,8 +5,6 @@ type resolution.  Constructs outside the subset (annotations, generics,
 lambdas, text blocks) are tokenized and skipped gracefully.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -67,7 +65,7 @@ class SourceUnit(_SourceFields):
         return match_braces(self.tokens)
 
     @memoized
-    def angles(self) -> GenericAngles:
+    def angles(self) -> "GenericAngles":
         return mark_generic_angles(self.tokens)
 
     @memoized
@@ -113,18 +111,18 @@ class BodySpan(NamedTuple):
     ``body_token_range`` is a half-open token-index pair whose first token
     is the opening ``{`` and whose last covered token is the matching ``}``.
     ``decl_line`` is the line of the name token in the declaration header.
-    ``param_name_indices`` and ``param_final`` hold, per parameter, the
-    index of its name token and whether it is declared ``final``.
+    ``returns_reference`` tells whether a method's return type is a
+    reference type (never for a constructor); ``nullable_params`` holds the
+    name-token index of each parameter that is not ``final``, not a
+    receiver and of a reference type.
     """
 
     kind: SpanKind
     name: str
     decl_line: int
     body_token_range: tuple[int, int]
-    param_types: tuple[tuple[str, str], ...]
-    return_type_text: str | None
-    param_name_indices: tuple[int, ...] = ()
-    param_final: tuple[bool, ...] = ()
+    returns_reference: bool
+    nullable_params: tuple[int, ...]
 
 
 class LineSet(NamedTuple):
@@ -218,10 +216,6 @@ _FORBIDDEN_BEFORE_NAME = frozenset(
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double"}
 )
-
-
-def is_reference_type(type_text: str | None) -> bool:
-    return type_text is not None and type_text not in PRIMITIVE_TYPES and type_text != "void"
 
 
 def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
@@ -371,9 +365,8 @@ def _try_callable(
     body_open = j
     body_close = unit.pairs[body_open]
     name_tok = tokens[i]
-    return_type = _return_type_text(tokens, unit.angles, i)
-    params, name_indices, final = _parse_params(unit, popen, pclose)
-    if return_type is None and name_tok.text == type_name:
+    return_type = _return_type(tokens, unit.angles, i)
+    if not return_type and name_tok.text == type_name:
         kind = SpanKind.CONSTRUCTOR
     else:
         kind = SpanKind.METHOD
@@ -383,20 +376,17 @@ def _try_callable(
             name=name_tok.text,
             decl_line=name_tok.line,
             body_token_range=(body_open, body_close + 1),
-            param_types=params,
-            return_type_text=None if kind is SpanKind.CONSTRUCTOR else return_type,
-            param_name_indices=name_indices,
-            param_final=final,
+            returns_reference=bool(return_type) and _is_reference(tokens, return_type),
+            nullable_params=_nullable_params(unit, popen, pclose),
         )
     )
     return body_open
 
 
-def _return_type_text(
-    tokens: Sequence[Token], angles: GenericAngles, name_idx: int
-) -> str | None:
-    """Collect the type tokens preceding a callable's name, walking backward
-    over qualified names, array brackets, and generic groups."""
+def _return_type(tokens: Sequence[Token], angles: GenericAngles, name_idx: int) -> list[int]:
+    """The ascending indices of the type tokens preceding a callable's name,
+    collected walking backward over qualified names, array brackets, and
+    generic groups; empty when no type precedes it."""
     collected: list[int] = []
     k = name_idx - 1
     while k >= 0:
@@ -428,37 +418,25 @@ def _return_type_text(
         group_close = angles.open_close.get(collected[0])
         if group_close is not None:
             collected = [x for x in collected if x > group_close]
-    if not collected:
-        return None
-    return _render_type(tokens, collected)
+    return collected
 
 
-def _render_type(tokens: Sequence[Token], indices: Iterable[int]) -> str:
-    parts: list[str] = []
-    prev = ""
-    for idx in indices:
-        tx = tokens[idx].text
-        if parts and (_wordy(prev[-1]) or prev == "?") and _wordy(tx[0]):
-            parts.append(" ")
-        parts.append(tx)
-        prev = tx
-    return "".join(parts)
+def _is_reference(tokens: Sequence[Token], indices: Sequence[int]) -> bool:
+    """Whether the type made of the tokens at ``indices`` is any type but a
+    lone primitive keyword or ``void``."""
+    if len(indices) != 1:
+        return True
+    tx = tokens[indices[0]].text
+    return tx not in PRIMITIVE_TYPES and tx != "void"
 
 
-def _wordy(ch: str) -> bool:
-    return ch.isalnum() or ch == "_" or ch == "$"
-
-
-def _parse_params(
-    unit: SourceUnit, popen: int, pclose: int
-) -> tuple[tuple[tuple[str, str], ...], tuple[int, ...], tuple[bool, ...]]:
-    """Name and type, name token index and ``final`` modifier of each
-    parameter between ``popen`` and ``pclose``, split at the commas outside
-    bracket and generic groups."""
+def _nullable_params(unit: SourceUnit, popen: int, pclose: int) -> tuple[int, ...]:
+    """The name token index of each parameter between ``popen`` and
+    ``pclose`` that may be assigned ``null``: split at the commas outside
+    bracket and generic groups, it is not ``final``, not a receiver
+    (``C this``, ``C Outer.this``) and of a reference type."""
     tokens, pairs, angles = unit.tokens, unit.pairs, unit.angles
-    params: list[tuple[str, str]] = []
-    name_indices: list[int] = []
-    final: list[bool] = []
+    nullable: list[int] = []
     lo = idx = popen + 1
     while idx <= pclose:
         if idx < pclose and tokens[idx].text != ",":
@@ -469,13 +447,12 @@ def _parse_params(
             continue
         kept, is_final = _strip_param_modifiers(unit, lo, idx)
         names = [k for k in kept if tokens[k].kind is TokenKind.IDENTIFIER]
-        if names:
-            type_indices = [k for k in kept if k != names[-1]]
-            params.append((tokens[names[-1]].text, _render_type(tokens, type_indices)))
-            name_indices.append(names[-1])
-            final.append(is_final)
+        if names and not is_final and tokens[kept[-1]].text != "this":
+            name = names[-1]
+            if _is_reference(tokens, [k for k in kept if k != name]):
+                nullable.append(name)
         lo = idx = idx + 1
-    return tuple(params), tuple(name_indices), tuple(final)
+    return tuple(nullable)
 
 
 def _strip_param_modifiers(unit: SourceUnit, lo: int, hi: int) -> tuple[list[int], bool]:

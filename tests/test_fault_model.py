@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -389,6 +390,75 @@ def test_niv_skips_final_params(params, nulled):
     src = "class T {\n    void f(" + params + ") {\n        g();\n    }\n}\n"
     _, mutants = mutants_of(src, NULL_TYPE)
     assert [m.original for m in mutants if m.operator_id == "NIV"] == nulled
+
+
+@pytest.mark.parametrize("src, nulled", [
+    ("class A { void f(A this, String s) { } }", ["s"]),
+    ("class A { class B { B(A A.this) { } } }", []),
+])
+def test_niv_skips_a_receiver_parameter(src, nulled):
+    # a receiver (JLS 8.4) is no formal parameter and cannot be assigned
+    _, mutants = mutants_of(src, NULL_TYPE)
+    assert [m.original for m in mutants if m.operator_id == "NIV"] == nulled
+
+
+# header shapes, '{}' standing for the parameter's name, and whether NIV
+# (for a parameter) or NRV (for a return type) applies to them
+_PARAM_SHAPES = [
+    ("String {}", True), ("int[] {}", True), ("int {}[]", True), ("int... {}", True),
+    ("a.b.C {}", True), ("java.util.List<int[]> {}", True),
+    ("Map<String, ? extends T> {}", True), ("@A(v = 1) String {}", True),
+    ("String @A [] {}", True),
+    ("int {}", False), ("final String {}", False), ("@a.b.A final String {}", False),
+    ("final @A String {}", False),
+]
+_RETURN_SHAPES = [
+    ("String", True), ("int[]", True), ("<T> T", True), ("Class<?>", True),
+    ("<K, V extends Comparable<? super V>> java.util.Map<K, V>", True),
+    ("void", False), ("int", False), ("<T> int", False),
+]
+
+
+def _gen_headers(rng: random.Random, methods: int) -> tuple[str, list[tuple[int, str, str]]]:
+    """A class of ``methods`` one-line methods and generic constructors with
+    random header shapes, and its NIV and NRV mutants by construction, as
+    (line, operator id, original text)."""
+    lines = ["class C {"]
+    expected: list[tuple[int, str, str]] = []
+    for i in range(methods):
+        line = len(lines) + 1
+        names = [f"p{i}_{j}" for j in range(rng.randint(0, 3))]
+        shapes = [rng.choice(_PARAM_SHAPES) for _ in names]
+        params = [shape.format(name) for (shape, _), name in zip(shapes, names)]
+        expected += [(line, "NIV", name) for (_, nullable), name in zip(shapes, names) if nullable]
+        if rng.random() < 0.1:
+            params.insert(0, f"T t{i}")
+            expected.append((line, "NIV", f"t{i}"))
+            head, body = "<T> C", "return;"
+        else:
+            if rng.random() < 0.2:
+                params.insert(0, "C this")
+            ret, reference = rng.choice(_RETURN_SHAPES)
+            head = f"{ret} m{i}"
+            if ret == "void":
+                body = "return;"
+            elif not reference:
+                body = "return 1;"
+            elif rng.random() < 0.3:
+                body = "return null;"
+            else:
+                body = f"return v{i};"
+                expected.append((line, "NRV", body))
+        lines.append(f"    {head}({', '.join(params)}) {{ {body} }}")
+    lines.append("}")
+    return "\n".join(lines) + "\n", expected
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_headers_give_niv_and_nrv_by_construction(seed):
+    src, expected = _gen_headers(random.Random(seed), 100)
+    _, mutants = mutants_of(src, OperatorSet.default(enabled_ids={"NIV", "NRV"}))
+    assert sorted((m.line, m.operator_id, m.original) for m in mutants) == sorted(expected)
 
 
 @pytest.mark.parametrize(

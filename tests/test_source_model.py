@@ -31,14 +31,20 @@ def spans_of(src):
     return locate_bodies(make_unit(src))
 
 
+def nullable_names(src):
+    """Per span, the names of the parameters it marks as nullable."""
+    unit = make_unit(src)
+    return [[unit.tokens[k].text for k in s.nullable_params] for s in locate_bodies(unit)]
+
+
 def test_single_method():
     spans = spans_of("class A { int f(int x) { return x; } }")
     assert len(spans) == 1
     span = spans[0]
     assert span.kind is SpanKind.METHOD
     assert span.name == "f"
-    assert span.return_type_text == "int"
-    assert span.param_types == (("x", "int"),)
+    assert span.returns_reference is False
+    assert span.nullable_params == ()
 
 
 def test_field_initializer_is_not_a_body():
@@ -51,8 +57,8 @@ def test_constructor_and_method():
         (SpanKind.CONSTRUCTOR, "A"),
         (SpanKind.METHOD, "g"),
     ]
-    assert spans[0].return_type_text is None
-    assert spans[1].return_type_text == "void"
+    assert spans[0].returns_reference is False
+    assert spans[1].returns_reference is False
 
 
 def test_nested_local_and_anonymous_bodies():
@@ -155,7 +161,7 @@ class A {
 """
     spans = spans_of(src)
     assert [s.name for s in spans] == ["g"]
-    assert spans[0].return_type_text == "Class<?>"
+    assert spans[0].returns_reference is True
 
 
 def test_throws_clause_and_qualified_generic_return():
@@ -168,25 +174,22 @@ class A {
 """
     spans = spans_of(src)
     assert len(spans) == 1
-    assert spans[0].return_type_text == "java.util.List<String>"
-    assert spans[0].param_types == (("n", "int"),)
+    assert spans[0].returns_reference is True
+    assert spans[0].nullable_params == ()
 
 
 def test_generic_method_drops_type_parameter_group():
-    spans = spans_of("class A { <T> T pick(java.util.List<T> xs) { return null; } }")
-    assert spans[0].return_type_text == "T"
-    assert spans[0].param_types == (("xs", "java.util.List<T>"),)
+    src = "class A { <T> T pick(java.util.List<T> xs) { return null; } }"
+    assert spans_of(src)[0].returns_reference is True
+    assert nullable_names(src) == [["xs"]]
+    # the dropped group leaves a lone primitive
+    assert spans_of("class A { <T> int f() { return 0; } }")[0].returns_reference is False
 
 
 def test_array_return_and_modifier_stripping():
     src = "class A { int[] f(final String s, @NotNull int k, String... parts) { return null; } }"
-    spans = spans_of(src)
-    assert spans[0].return_type_text == "int[]"
-    assert spans[0].param_types == (
-        ("s", "String"),
-        ("k", "int"),
-        ("parts", "String..."),
-    )
+    assert spans_of(src)[0].returns_reference is True
+    assert nullable_names(src) == [["parts"]]
 
 
 def test_annotation_call_before_method_is_skipped():

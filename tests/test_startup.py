@@ -47,3 +47,28 @@ def test_command_imports_no_dataclasses_and_no_pool(command, tmp_path):
     loaded = imported(["-m", "mutdense", *command], tmp_path) - baseline
     assert "mutdense.cli" in loaded
     assert [name for name in _UNWANTED if name in loaded] == []
+
+
+_COUNT_EVALS = """\
+import builtins
+evals = []
+compile_ = builtins.compile
+def counting(source, filename, mode, *args, **kwargs):
+    if mode == "eval":
+        evals.append(source)
+    return compile_(source, filename, mode, *args, **kwargs)
+builtins.compile = counting
+import mutdense, mutdense.cli, mutdense.reporting
+print(evals)
+"""
+
+
+def test_import_compiles_no_annotation():
+    # an annotation kept as a string (``from __future__ import
+    # annotations``) makes each NamedTuple field a ForwardRef, which
+    # compiles it in "eval" mode at import
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", _COUNT_EVALS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
