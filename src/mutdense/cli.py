@@ -531,26 +531,42 @@ def usable_cpus() -> int:
 
 
 _UNSAFE_PATH_CHARS = re.compile(r"[/\\:]")
+# the longest file name, in bytes, that common file systems accept
+_NAME_MAX = 255
 
 
-def heatmap_filename(display_path: str) -> str:
-    return _UNSAFE_PATH_CHARS.sub("_", display_path) + ".html"
+def heatmap_filename(display_path: str, k: int = 1) -> str:
+    """``display_path`` with each '/', '\\' and ':' made '_', then ``.<k>``
+    when k > 1, then ``.html``.  A name longer than ``_NAME_MAX`` bytes
+    keeps what fits of the path, then '~' and a hash of the whole path."""
+    stem = _UNSAFE_PATH_CHARS.sub("_", display_path)
+    suffix = f".{k}.html" if k > 1 else ".html"
+    if len(os.fsencode(stem + suffix)) <= _NAME_MAX:
+        return stem + suffix
+    import hashlib  # only a path this long pays for the import
+
+    digest = hashlib.sha256(os.fsencode(display_path)).hexdigest()[:16]
+    room = _NAME_MAX - len(f"~{digest}{suffix}")
+    cut = stem[:room]  # a character takes at least one byte
+    while len(os.fsencode(cut)) > room:
+        cut = cut[:-1]
+    return f"{cut}~{digest}{suffix}"
 
 
 def heatmap_filenames(display_paths: Sequence[str]) -> list[str]:
     """Distinct heatmap file names for ``display_paths``, in order.
 
     A path keeps ``heatmap_filename``'s name unless an earlier path already
-    took it; it then takes the first free ``<name>.<k>.html``, k = 2, 3, ...
+    took it; it then takes the first free ``heatmap_filename(path, k)``,
+    k = 2, 3, ...
     """
     used: set[str] = set()
     names: list[str] = []
     for path in display_paths:
         name = heatmap_filename(path)
-        stem = name[: -len(".html")]
         k = 2
         while name in used:
-            name = f"{stem}.{k}.html"
+            name = heatmap_filename(path, k)
             k += 1
         used.add(name)
         names.append(name)

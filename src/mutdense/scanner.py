@@ -11,6 +11,7 @@ that rule, and every line fact (token lines, ``split_lines``) comes from it.
 """
 
 import re
+from bisect import bisect_right
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -96,16 +97,19 @@ def split_lines(text: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
-def scan(text: str) -> list[Token]:
+def scan(text: str, start: int = 0) -> list[Token]:
+    """The tokens of ``text`` from offset ``start`` on, which must lie
+    between two tokens; each keeps its line, column and offsets in the
+    whole text."""
     n = len(text)
-    i = 0
+    i = start
     # offsets where a line starts after the first; tokens come in offset
     # order, so the walk below only moves forward through them
     starts = list(map(re.Match.end, LINE_END.finditer(text)))
     starts.append(n + 1)  # sentinel: no token starts there
-    next_start = starts[0]
-    line = 1
-    line_start = 0  # offset of the first character of the current line
+    line = bisect_right(starts, start) + 1  # the line that holds ``start``
+    next_start = starts[line - 1]
+    line_start = starts[line - 2] if line > 1 else 0  # offset of the current line's start
     out: list[Token] = []
     append = out.append
     _new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__

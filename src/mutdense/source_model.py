@@ -5,6 +5,8 @@ type resolution.  Constructs outside the subset (annotations, generics,
 lambdas, text blocks) are tokenized and skipped gracefully.
 """
 
+import functools
+import re
 from bisect import bisect_left
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -13,14 +15,42 @@ from mutdense import errors, scanner
 from mutdense.scanner import Token, TokenKind, split_lines
 
 
-def tokenize(text: str) -> list[Token]:
-    """Scan ``text`` into tokens.
+def tokenize(text: str, start: int = 0) -> list[Token]:
+    """Scan ``text`` into tokens, from offset ``start`` on.
 
     Comments and whitespace emit nothing; literals keep their delimiters.
     Raises UnterminatedLiteral / UnterminatedComment with the position of
     the offending construct.
     """
-    return scanner.scan(text)
+    return scanner.scan(text, start)
+
+
+# A name made of ASCII characters that is none of the words at which
+# ``locate_bodies`` opens a block; any other name ends the preamble.
+_NAME = r"(?!(?:new|class|interface|enum)(?![\w$]))[A-Za-z_$][A-Za-z0-9_$]*"
+_WS = r"[ \t\n\r\f\x0b]*"
+
+
+@functools.cache  # compiled on first use: a process that reads no unit skips it
+def _preamble() -> re.Pattern:
+    """A unit's preamble: a run of whitespace, complete comments and
+    complete ``package`` and ``import [static]`` statements made of names,
+    '.', '*' and whitespace.  No layer reads a token in it: it holds no
+    bracket, no '<' and no word that opens a block, and every body lies
+    after it.  Each text matches in one way only, so a failed piece
+    backtracks in linear time, and a line comment counts only with its
+    line end, so the window below never cuts one."""
+    return re.compile(
+        r"(?:[ \t\n\r\f\x0b]+(?![ \t\n\r\f\x0b])|//[^\r\n]*(?=[\r\n])"
+        r"|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
+        rf"|(?:package|import(?![\w$])(?:{_WS}static)?)(?![\w$])"
+        rf"{_WS}{_NAME}(?:{_WS}\.{_WS}(?:{_NAME}|\*))*{_WS};)*"
+    )
+
+
+# The regex engine's memory grows with each repetition it matches, so the
+# preamble is sought in the first 64 KiB only; stopping early is safe.
+_PREAMBLE_WINDOW = 1 << 16
 
 
 class memoized:
@@ -58,15 +88,19 @@ class SourceUnit(_SourceFields):
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceUnit":
-        return cls(path, text, split_lines(text), tuple(tokenize(text)))
+        """The unit of ``text``, whose tokens start after its package and
+        import preamble: every layer gives the same results as it does on
+        all of the text's tokens."""
+        start = _preamble().match(text, 0, _PREAMBLE_WINDOW).end()
+        return cls(path, text, split_lines(text), tuple(tokenize(text, start)))
 
     @memoized
     def pairs(self) -> dict[int, int]:
-        return match_braces(self.tokens)
+        return match_braces(self.tokens, self.positions)
 
     @memoized
     def angles(self) -> "GenericAngles":
-        return mark_generic_angles(self.tokens)
+        return mark_generic_angles(self.tokens, self.positions)
 
     @memoized
     def positions(self) -> dict[str, list[int]]:
@@ -151,18 +185,18 @@ class GenericAngles(NamedTuple):
     close_open: dict[int, int]  # final closer index -> outermost '<' index
 
 
-def mark_generic_angles(tokens: Sequence[Token]) -> GenericAngles:
+def mark_generic_angles(tokens: Sequence[Token], positions: dict[str, list[int]]) -> GenericAngles:
     """Mark each '<' that a later closer matches, with the '<'s and closers
     between them, unless an earlier match encloses it.  One walk over a run
-    of type-argument tokens settles every '<' in the run."""
+    of type-argument tokens settles every '<' in the run, so a walk starts
+    only at a '<' of ``positions`` that no earlier run covered."""
     marked: set[int] = set()
     open_close: dict[int, int] = {}
     close_open: dict[int, int] = {}
     n = len(tokens)
-    i = 0
-    while i < n:
-        if tokens[i].text != "<":
-            i += 1
+    covered = -1  # the index of the token that ended the last run
+    for i in positions.get("<", ()):
+        if i <= covered:
             continue
         angle_indices: list[int] = []  # each '<' and closer of the run
         unsettled: list[tuple[int, int]] = []  # ('<' index, depth before it)
@@ -200,7 +234,7 @@ def mark_generic_angles(tokens: Sequence[Token]) -> GenericAngles:
                 open_close[k] = enclosing_end
                 close_open[enclosing_end] = k
                 marked.add(k)
-        i = j + 1
+        covered = j
     return GenericAngles(frozenset(marked), open_close, close_open)
 
 
@@ -276,32 +310,30 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     return spans
 
 
-def match_braces(tokens: Sequence[Token]) -> dict[int, int]:
+def match_braces(tokens: Sequence[Token], positions: dict[str, list[int]]) -> dict[int, int]:
     """Map each '(', '[' and '{' token index to the index of its closer.
 
-    Each kind pairs on its own stack, in one pass.  Curly braces must
-    balance; an unmatched '(' or '[' is left out and a stray ')' or ']' is
-    passed over.
+    Each kind pairs on its own stack, walking only that kind's indices in
+    ``positions``.  Curly braces must balance; an unmatched '(' or '[' is
+    left out and a stray ')' or ']' is passed over.
     """
     pairs: dict[int, int] = {}
-    paren: list[int] = []
-    bracket: list[int] = []
-    brace: list[int] = []
-    stacks = {"(": paren, ")": paren, "[": bracket, "]": bracket, "{": brace, "}": brace}
-    for idx, tok in enumerate(tokens):
-        tx = tok.text
-        stack = stacks.get(tx)
-        if stack is None:
-            continue
-        if tx in "([{":
-            stack.append(idx)
-        elif stack:
-            pairs[stack.pop()] = idx
-        elif tx == "}":
-            raise errors.UnbalancedBraces("unmatched '}'", tok.line, tok.column)
-    if brace:
-        tok = tokens[brace[-1]]
-        raise errors.UnbalancedBraces("unclosed '{'", tok.line, tok.column)
+    for opener, closer in (("(", ")"), ("[", "]"), ("{", "}")):
+        opens = positions.get(opener, ())
+        stack: list[int] = []
+        k = 0  # opens[:k] are on the stack or already closed
+        for close in positions.get(closer, ()):
+            j = bisect_left(opens, close, k)
+            stack += opens[k:j]
+            k = j
+            if stack:
+                pairs[stack.pop()] = close
+            elif opener == "{":
+                tok = tokens[close]
+                raise errors.UnbalancedBraces("unmatched '}'", tok.line, tok.column)
+        if opener == "{" and (stack or k < len(opens)):
+            tok = tokens[opens[-1] if k < len(opens) else stack[-1]]  # the last left open
+            raise errors.UnbalancedBraces("unclosed '{'", tok.line, tok.column)
     return pairs
 
 

@@ -7,8 +7,11 @@ oracles, not as recordings of engine output.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,8 +95,9 @@ class Shape {
 SHAPE_HOT_LINE = 3
 SHAPE_HOT_COUNT = 5
 
-# twenty local declarations built from nested generics; every '<'/'>' in
-# the bodies is a type bracket, so ROR and SOR must match nothing
+# twenty-three local declarations built from nested generics, primitive
+# arrays and type-use annotations; every '<'/'>' in the bodies is a type
+# bracket, so ROR and SOR must match nothing
 GENERICS_ZOO_SRC = """\
 class GenericsZoo {
     <T extends Comparable<T> & Cloneable> T pick(List<T> xs) {
@@ -120,10 +124,13 @@ class GenericsZoo {
         List<Map<String, Set<Long>>> d18 = null;
         Func<In, Out> d19 = null;
         Table<Name, List<Cell>> d20 = null;
+        List<int[]> d21 = null;
+        Map<String, byte[][]> d22 = null;
+        List<@NonNull String> d23 = null;
     }
 }
 """
-GENERICS_DECL_COUNT = 20
+GENERICS_DECL_COUNT = 23
 
 
 def make_unit(src: str, path: str = "Unit.java") -> SourceUnit:
@@ -254,6 +261,24 @@ def seeded_soups(alphabet: str, seed: int = 2718, count: int = 300):
     rng = random.Random(seed)
     for _ in range(count):
         yield "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
+
+
+_CORPUS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_plan(name: str, seed: int):
+    """The plan of the benchmark's ``name`` tree (``dense`` or ``sparse``)
+    at ``seed``, as ``perfbench/corpus.py`` builds it; its ``files`` map
+    each display path to the file's bytes."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", _CORPUS_PY)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(corpus)
+        return corpus.CORPORA[name](seed, "tree")
+    finally:
+        del sys.modules[spec.name]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

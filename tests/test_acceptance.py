@@ -193,6 +193,7 @@ def test_criterion_4_oracle_equivalence():
 
 _WORD = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _DECL = re.compile(r"^\s*(?P<type>.+?)\s+d\d{2}\s*=\s*null;\s*$")
+_PRIMITIVES = ("boolean", "byte", "char", "short", "int", "long", "float", "double")
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -209,17 +210,28 @@ def _take_word(text: str, i: int) -> int:
 
 
 def _take_type(text: str, i: int) -> int:
-    """Consume Name(.Name)* ('<' args '>')? ('[' ']')* and return the
-    index just past it; raises when the text is not a pure type."""
-    i = _take_word(text, _skip_ws(text, i))
-    while i < len(text) and text[i] == ".":
-        i = _take_word(text, i + 1)
+    """Consume ('@' Name)* (Name(.Name)* ('<' args '>')? ('[' ']')* |
+    primitive ('[' ']')+) and return the index just past it; raises when
+    the text is not a pure type."""
     i = _skip_ws(text, i)
-    if i < len(text) and text[i] == "<":
-        i = _take_type_args(text, i + 1)
+    while text.startswith("@", i):  # type-use annotations
+        i = _skip_ws(text, _take_word(text, i + 1))
+    start = i
+    i = _take_word(text, i)
+    primitive = text[start:i] in _PRIMITIVES
+    if not primitive:
+        while i < len(text) and text[i] == ".":
+            i = _take_word(text, i + 1)
+        i = _skip_ws(text, i)
+        if i < len(text) and text[i] == "<":
+            i = _take_type_args(text, i + 1)
     i = _skip_ws(text, i)
+    dims = 0
     while text.startswith("[]", i):
         i = _skip_ws(text, i + 2)
+        dims += 1
+    if primitive and not dims:
+        raise ValueError(f"a primitive type argument needs '[]' at {i} in {text!r}")
     return i
 
 
@@ -243,7 +255,7 @@ def _take_type_args(text: str, i: int) -> int:
         raise ValueError(f"expected ',' or '>' at {i} in {text!r}")
 
 
-@criterion(5, "20 nested-generic declarations yield zero ROR; a type-grammar "
+@criterion(5, "23 nested-generic declarations yield zero ROR; a type-grammar "
               "oracle confirms every angle bracket is a type bracket")
 def test_criterion_5_generic_bracket_safety():
     decls = [
@@ -251,7 +263,7 @@ def test_criterion_5_generic_bracket_safety():
         for m in map(_DECL.match, GENERICS_ZOO_SRC.splitlines())
         if m is not None
     ]
-    assert len(decls) == GENERICS_DECL_COUNT == 20
+    assert len(decls) == GENERICS_DECL_COUNT == 23
 
     # independent route: each declared type parses under a grammar that
     # only produces type brackets, so the correct ROR yield is zero

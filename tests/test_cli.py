@@ -528,6 +528,32 @@ def test_heatmap_filenames_stay_distinct():
     ]
 
 
+def test_long_heatmap_names_are_capped_and_stay_distinct():
+    prefix = "é" * 120  # 240 bytes in UTF-8: a cut falls inside a character
+    paths = [prefix + "/First.java", prefix + "/Second.java", prefix + "_First.java",
+             "short/A.java"]
+    names = heatmap_filenames(paths)
+    assert len(set(names)) == 4
+    assert all(len(name.encode("utf-8")) <= 255 for name in names)
+    assert names[3] == "short_A.java.html"
+    # the first and third share their stem, but not the hash of their path
+    assert names[0].startswith("é" * 116 + "~") and names[0][:117] == names[2][:117]
+    assert heatmap_filenames(paths) == names
+    second = heatmap_filename(paths[0], 2)
+    assert second.endswith(".2.html") and len(second.encode("utf-8")) <= 255
+
+
+def test_deep_tree_writes_its_heatmap(write_tree, tmp_path):
+    """A display path longer than one file name allows still gets a page."""
+    deep = "/".join(f"{k}" * 37 for k in range(9)) + "/A.java"
+    root = write_tree({deep: ALPHA_SRC})
+    out = tmp_path / "out"
+    assert main(["analyze", str(root), "--format", "html", "--out", str(out)]) == 0
+    (page,) = out.iterdir()
+    assert len(page.name.encode("utf-8")) <= 255
+    assert f"<title>{deep}</title>" in page.read_text(encoding="utf-8")
+
+
 def test_colliding_heatmap_names_write_one_file_per_unit(write_tree, tmp_path):
     root = write_tree({"a/B.java": ALPHA_SRC, "a_B.java": BETA_SRC})
     out = tmp_path / "out"

@@ -9,7 +9,6 @@ built once per unit.
 from __future__ import annotations
 
 import functools
-import importlib.util
 import json
 import pickle
 import random
@@ -39,6 +38,7 @@ from conftest import (
     GENERICS_ZOO_SRC,
     SHAPE_SRC,
     SOUP_ALPHABET,
+    corpus_plan,
     gen_mixed_unit,
     seeded_soups,
 )
@@ -184,9 +184,6 @@ def test_renaming_identifiers_changes_nothing(seed):
 # metamorphic layout: a mutant counts by its tokens, never by its line
 # ---------------------------------------------------------------------------
 
-_CORPUS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-
-
 def _relaid(unit: source_model.SourceUnit, gap) -> str:
     """The unit's text with each stretch between tokens, and the ones before
     the first and after the last, replaced by ``gap(stretch)``; the tokens
@@ -229,22 +226,15 @@ _RECORD_PATH = "com/example/model/Point0.java"  # a dense unit holding a record
 def _seed1_corpus_units() -> dict[str, str]:
     """A seeded sample of the benchmark's seed-1 trees, 20 dense units and
     100 sparse ones, and one record unit, by display path."""
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", _CORPUS_PY)
-    corpus = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = corpus  # dataclasses looks its module up
-    try:
-        spec.loader.exec_module(corpus)
-        rng = random.Random(1)
-        units = {}
-        for name, count in (("dense", 20), ("sparse", 100)):
-            plan = corpus.CORPORA[name](1, "tree")
-            for path in rng.sample(sorted(plan.units), count):
-                units[f"{name}/{path}"] = plan.files[path].decode("utf-8")
-            if name == "dense":
-                units[f"dense/{_RECORD_PATH}"] = plan.files[_RECORD_PATH].decode("utf-8")
-        return units
-    finally:
-        del sys.modules[spec.name]
+    rng = random.Random(1)
+    units = {}
+    for name, count in (("dense", 20), ("sparse", 100)):
+        plan = corpus_plan(name, 1)
+        for path in rng.sample(sorted(plan.units), count):
+            units[f"{name}/{path}"] = plan.files[path].decode("utf-8")
+        if name == "dense":
+            units[f"dense/{_RECORD_PATH}"] = plan.files[_RECORD_PATH].decode("utf-8")
+    return units
 
 
 def _mutant_texts(unit: source_model.SourceUnit) -> Counter:
@@ -390,13 +380,18 @@ def test_nesting_depth_is_not_bounded_by_the_interpreter_stack(tmp_path):
 
 
 class CountingTokens(tuple):
-    """A token tuple that counts its indexed reads."""
+    """A token tuple that counts its indexed reads and the walks over it."""
 
     reads = 0
+    walks = 0
 
     def __getitem__(self, key):
         self.reads += 1
         return super().__getitem__(key)
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
 
 
 # Each builds a unit nested ``depth`` deep and gives its mutant count.
@@ -462,14 +457,38 @@ def test_block_frames_read_no_token_without_a_body_opener():
     assert reads[1] - reads[0] <= 2, reads
 
 
+def test_bracket_and_angle_tables_read_only_brackets_and_angle_runs():
+    """Building ``pairs`` and ``angles`` walks no token list: it reads the
+    tokens of each '<' run, and no more when a body's bracket-free
+    statements double."""
+    reads = []
+    for count in (200, 400):
+        src = ("class C {\nint f(List<int[]> a) {\n" + "a = a + 1;\n" * count
+               + "return a < b ? g(a) : c[a];\n}\n}\n")
+        tokens = CountingTokens(source_model.tokenize(src))
+        unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
+        unit.positions  # the one walk, before the count starts
+        tokens.reads = tokens.walks = 0
+        assert len(unit.pairs) == 6 and len(unit.angles.indices) == 2
+        assert tokens.walks == 0
+        reads.append(tokens.reads)
+    assert reads[0] == reads[1] <= 20, reads
+
+
+def test_a_longer_import_block_adds_no_token():
+    imports = "package p.q;\n// imports\nimport java.util.List;\nimport static java.lang.Math.*;\n"
+    units = [source_model.SourceUnit.from_text("A.java", imports * k + ALPHA_SRC) for k in (1, 2)]
+    assert len(units[0].tokens) == len(units[1].tokens) == len(source_model.tokenize(ALPHA_SRC))
+
+
 def test_braces_and_angles_are_built_once_per_unit(monkeypatch):
     calls = {"match_braces": 0, "mark_generic_angles": 0, "text_positions": 0}
     for name in calls:
         original = getattr(source_model, name)
 
-        def counted(tokens, _original=original, _name=name):
+        def counted(*args, _original=original, _name=name):
             calls[_name] += 1
-            return _original(tokens)
+            return _original(*args)
 
         monkeypatch.setattr(source_model, name, counted)
     report = analyze_unit("Outer.java", _NESTED_SRC, ALL_OPS)

@@ -14,6 +14,7 @@ from mutdense.source_model import (
     match_braces,
     relevant_lines,
     split_lines,
+    text_positions,
     tokenize,
 )
 from conftest import (
@@ -212,7 +213,7 @@ class A {
 
 def angle_texts(src):
     toks = tokenize(src)
-    marked = mark_generic_angles(toks).indices
+    marked = mark_generic_angles(toks, text_positions(toks)).indices
     return [toks[i].text for i in sorted(marked)]
 
 
@@ -317,7 +318,7 @@ def test_pair_table_matches_a_walk_per_kind():
         expected_error = brace_error(texts, walked)
         if expected_error is not None:
             with pytest.raises(errors.UnbalancedBraces) as exc_info:
-                match_braces(tokens)
+                match_braces(tokens, text_positions(tokens))
             message, at = expected_error
             line, column = tokens[at].line, tokens[at].column
             assert str(exc_info.value) == f"{message} at line {line}, column {column}"
@@ -326,7 +327,7 @@ def test_pair_table_matches_a_walk_per_kind():
             continue
         # every '(', '[' and '{' maps to the walk's closer, and exactly the
         # unmatched '(' and '[' are absent
-        assert match_braces(tokens) == walked, src
+        assert match_braces(tokens, text_positions(tokens)) == walked, src
         seen["table"] += 1
         seen["unmatched"] += any(tx in "([" and i not in walked for i, tx in enumerate(texts))
     assert min(seen.values()) >= 20, seen
