@@ -91,9 +91,10 @@ class OperatorSet(NamedTuple):
 class Mutant(NamedTuple):
     """One applicable mutation at one site.
 
-    ``start``/``end`` are half-open offsets of the replaced text;
-    ``insert_after`` is set only for parameter-nulling mutants and points
-    just past the opening brace where the nulling statement goes.
+    ``start``/``end`` are half-open offsets of the replaced text, and
+    ``original`` is that text as ``site_text`` bounds it; ``insert_after``
+    is set only for parameter-nulling mutants and points just past the
+    opening brace where the nulling statement goes.
     """
 
     operator_id: str
@@ -105,6 +106,19 @@ class Mutant(NamedTuple):
     original: str
     replacement: str
     insert_after: int | None = None
+
+
+# ``Mutant.original`` keeps at most this many characters of its site, which
+# may be as long as the unit: a 'return' of nested anonymous classes holds
+# the rest of the nest.
+ORIGINAL_MAX = 200
+
+
+def site_text(text: str, start: int, end: int) -> str:
+    """``text[start:end]``, cut after ``ORIGINAL_MAX`` characters with '…'."""
+    if end - start <= ORIGINAL_MAX:
+        return text[start:end]
+    return text[start:start + ORIGINAL_MAX] + "\u2026"
 
 
 # Each token-rewriting operator's fixed replacement for each token text it
@@ -231,7 +245,8 @@ def find_mutation_sites(
     def emit(op_id: str, tok_line: int, tok_col: int, start: int, end: int,
              replacement: str, insert_after: int | None = None) -> None:
         out.append(_new(Mutant, (op_id, _OPERATORS_BY_ID[op_id].family, tok_line, tok_col,
-                                 start, end, text[start:end], replacement, insert_after)))
+                                 start, end, site_text(text, start, end), replacement,
+                                 insert_after)))
 
     # ascending, so each body opens before the tokens it holds and each
     # 'case' comes before its label's '->'
@@ -327,16 +342,16 @@ def _nullable_return_range(unit: SourceUnit, idx: int, span: BodySpan) -> int | 
 
 def apply_mutant(unit: SourceUnit, mutant: Mutant) -> str:
     """Materialize one mutant as full source text (verification aid)."""
-    actual = unit.text[mutant.start : mutant.end]
+    text = unit.text
+    actual = site_text(text, mutant.start, mutant.end)
     if actual != mutant.original:
         raise errors.SiteMismatch(
             f"stale mutant at {unit.path}:{mutant.line}: "
             f"expected {mutant.original!r}, found {actual!r}"
         )
-    text = unit.text
     if mutant.insert_after is not None:
         pos = mutant.insert_after
-        return f"{text[:pos]} {mutant.original} = null;{text[pos:]}"
+        return f"{text[:pos]} {text[mutant.start:mutant.end]} = null;{text[pos:]}"
     # where the replacement meets its neighbours: the text back to the start
     # of the last token before the site, and on through the first after it
     tokens = unit.tokens

@@ -242,14 +242,17 @@ def mark_generic_angles(tokens: Sequence[Token], positions: dict[str, list[int]]
 # body location
 # ---------------------------------------------------------------------------
 
-_TYPE_KEYWORDS = frozenset({"class", "interface", "enum"})
-_BLOCK_OPENERS = ("new", *sorted(_TYPE_KEYWORDS))
+# Where each frame of ``locate_bodies`` stops: a block at the words that may
+# open a type body, a type body also where an initializer or a callable may.
+_BLOCK_STOPS = ("new", "class", "enum", "interface")
+_TYPE_BODY_STOPS = (*_BLOCK_STOPS, "{", "(")
 _FORBIDDEN_BEFORE_NAME = frozenset(
     {"new", "if", "for", "while", "switch", "catch", "synchronized"}
 )
 PRIMITIVE_TYPES = frozenset(
     {"boolean", "byte", "char", "short", "int", "long", "float", "double"}
 )
+_TYPE_WORDS = PRIMITIVE_TYPES | {"void"}  # the keywords a return type may be
 
 
 def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
@@ -257,30 +260,38 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     local, and anonymous types.
 
     One loop over an explicit stack of frames ``(next token, end token,
-    enclosing type name or None inside a block)``, so nesting depth is
-    bounded by memory rather than by the interpreter stack.  In any frame a
-    type declaration or an anonymous class body opens a type-body frame;
-    in a type body, an initializer ``{`` or a callable body also opens a
-    block frame.  A block frame reads no other token: it jumps from one
-    ``new`` or type keyword to the next through ``unit.positions``.
+    enclosing type name or None inside a block, stop list)``, so nesting
+    depth is bounded by memory rather than by the interpreter stack.  Every
+    frame jumps through its ascending stop indices from ``unit.positions``:
+    a block stops at ``new`` and the type keywords, where a type body may
+    open; a type body stops there too, at each ``{``, which opens an
+    initializer block, and at each ``(``, where a callable's parameters
+    open when a name precedes it.
     """
     pairs = unit.pairs  # unbalanced braces fail here, even in a unit with no bodies
     tokens = unit.tokens
-    openers = unit.positions_of(_BLOCK_OPENERS)
+    block_stops = unit.positions_of(_BLOCK_STOPS)
+    body_stops = unit.positions_of(_TYPE_BODY_STOPS)
     spans: list[BodySpan] = []
-    frames: list[tuple[int, int, str | None]] = [(0, len(tokens), None)]
+    frames: list[tuple[int, int, str | None, list[int]]] = [(0, len(tokens), None, block_stops)]
     while frames:
-        i, hi, type_name = frames.pop()
-        while i < hi:
-            if type_name is None:
-                k = bisect_left(openers, i)
-                if k == len(openers) or openers[k] >= hi:
-                    break
-                i = openers[k]
-            tok = tokens[i]
+        i, hi, type_name, stops = frames.pop()
+        for k in range(bisect_left(stops, i), bisect_left(stops, hi)):
+            i = stops[k]
+            tx = tokens[i].text
             body_open = None
             child_name = None
-            if _is_type_decl_keyword(tokens, i):
+            if tx == "new":
+                site = match_creation(unit, i, hi)
+                if site is not None and site[1] + 1 < hi and tokens[site[1] + 1].text == "{":
+                    child_name, body_open = site[0], site[1] + 1
+            elif tx == "{":
+                body_open = i  # initializer block or array initializer
+            elif tx == "(":
+                # a type body starts after its '{', so tokens[i - 1] is in it
+                if tokens[i - 1].kind is TokenKind.IDENTIFIER:
+                    body_open = _try_callable(unit, spans, i - 1, hi, type_name)
+            elif i == 0 or tokens[i - 1].text != ".":  # 'String.class' is a class literal
                 j = i + 1
                 while j < hi and tokens[j].kind is not TokenKind.IDENTIFIER:
                     j += 1
@@ -290,22 +301,12 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                         j += 1
                     if j < hi:
                         body_open = j
-            elif tok.kind is TokenKind.KEYWORD and tok.text == "new":
-                site = match_creation(unit, i, hi)
-                if site is not None and site[1] + 1 < hi and tokens[site[1] + 1].text == "{":
-                    child_name, body_open = site[0], site[1] + 1
-            elif type_name is not None:
-                if tok.text == "{":
-                    body_open = i  # initializer block or array initializer
-                elif tok.kind is TokenKind.IDENTIFIER and i + 1 < hi and tokens[i + 1].text == "(":
-                    body_open = _try_callable(unit, spans, i, hi, type_name)
-            if body_open is None:
-                i += 1
-                continue
-            close = pairs[body_open]
-            frames.append((close + 1, hi, type_name))
-            frames.append((body_open + 1, close, child_name))
-            break
+            if body_open is not None:
+                close = pairs[body_open]
+                frames.append((close + 1, hi, type_name, stops))
+                frames.append((body_open + 1, close, child_name,
+                               block_stops if child_name is None else body_stops))
+                break
     spans.sort(key=lambda s: s.body_token_range[0])
     return spans
 
@@ -361,14 +362,6 @@ def match_creation(unit: SourceUnit, i: int, hi: int) -> tuple[str, int] | None:
     return (name, pclose) if pclose < hi else None
 
 
-def _is_type_decl_keyword(tokens: Sequence[Token], i: int) -> bool:
-    tok = tokens[i]
-    if tok.kind is not TokenKind.KEYWORD or tok.text not in _TYPE_KEYWORDS:
-        return False
-    # 'String.class' is a class literal, not a declaration
-    return i == 0 or tokens[i - 1].text != "."
-
-
 def _try_callable(
     unit: SourceUnit, spans: list[BodySpan], i: int, hi: int, type_name: str
 ) -> int | None:
@@ -378,8 +371,8 @@ def _try_callable(
     the tokens do not form a callable header.
     """
     tokens = unit.tokens
-    prev = tokens[i - 1] if i > 0 else None
-    if prev is not None and prev.kind is TokenKind.KEYWORD and prev.text in _FORBIDDEN_BEFORE_NAME:
+    prev = tokens[i - 1]  # the name lies in a type body, after its '{'
+    if prev.kind is TokenKind.KEYWORD and prev.text in _FORBIDDEN_BEFORE_NAME:
         return None
     popen = i + 1
     pclose = unit.pairs.get(popen, hi)
@@ -424,26 +417,18 @@ def _return_type(tokens: Sequence[Token], angles: GenericAngles, name_idx: int) 
     while k >= 0:
         tok = tokens[k]
         tx = tok.text
-        if tok.kind is TokenKind.IDENTIFIER:
-            if k > 0 and tokens[k - 1].text == "@":
-                break  # annotation, not part of the type
-            collected.append(k)
-            k -= 1
-            continue
-        if tok.kind is TokenKind.KEYWORD and (tx in PRIMITIVE_TYPES or tx == "void"):
-            collected.append(k)
-            k -= 1
-            continue
-        if tx in (".", "[", "]"):
-            collected.append(k)
-            k -= 1
-            continue
         if tx in _CLOSER_DEPTH and k in angles.close_open:
             opener = angles.close_open[k]
             collected.extend(range(k, opener - 1, -1))
             k = opener - 1
             continue
-        break
+        if tok.kind is TokenKind.IDENTIFIER:
+            if k > 0 and tokens[k - 1].text == "@":
+                break  # annotation, not part of the type
+        elif tx not in _TYPE_WORDS and tx not in (".", "[", "]"):
+            break
+        collected.append(k)
+        k -= 1
     collected.reverse()
     # drop a leading type-parameter group:  <T> T f(...)
     if collected and tokens[collected[0]].text == "<":
@@ -456,10 +441,7 @@ def _return_type(tokens: Sequence[Token], angles: GenericAngles, name_idx: int) 
 def _is_reference(tokens: Sequence[Token], indices: Sequence[int]) -> bool:
     """Whether the type made of the tokens at ``indices`` is any type but a
     lone primitive keyword or ``void``."""
-    if len(indices) != 1:
-        return True
-    tx = tokens[indices[0]].text
-    return tx not in PRIMITIVE_TYPES and tx != "void"
+    return len(indices) != 1 or tokens[indices[0]].text not in _TYPE_WORDS
 
 
 def _nullable_params(unit: SourceUnit, popen: int, pclose: int) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from mutdense import errors
 from mutdense.fault_model import (
     ALL_OPERATOR_IDS,
     CATALOG,
+    ORIGINAL_MAX,
     Family,
     OperatorSet,
     apply_mutant,
@@ -554,6 +555,25 @@ def test_apply_mutant_examples_and_stale_site():
     edited = SourceUnit.from_text(unit.path, unit.text.replace("a + b", "a * b"))
     with pytest.raises(errors.SiteMismatch):
         apply_mutant(edited, mutants[0])
+
+
+def test_a_long_site_keeps_a_bounded_original():
+    call = "g(" + ", ".join(f"a{k}" for k in range(60)) + ")"
+    name = "p" * 250
+    src = ("class T {\n    Object m(String " + name + ") {\n        return " + call
+           + ";\n    }\n}\n")
+    unit, mutants = mutants_of(src, NULL_TYPE)
+    nrv, niv = (next(m for m in mutants if m.operator_id == op) for op in ("NRV", "NIV"))
+    for m in (nrv, niv):
+        site = unit.text[m.start:m.end]
+        assert len(site) > ORIGINAL_MAX
+        assert m.original == site[:ORIGINAL_MAX] + "\u2026"
+    assert call not in apply_mutant(unit, nrv) and "return null;" in apply_mutant(unit, nrv)
+    assert f"{{ {name} = null;" in apply_mutant(unit, niv)
+    # the stale-site check reads the same bounded text
+    edited = SourceUnit.from_text(unit.path, unit.text.replace("g(a0,", "h(a0,"))
+    with pytest.raises(errors.SiteMismatch):
+        apply_mutant(edited, nrv)
 
 
 # ---------------------------------------------------------------------------

@@ -238,10 +238,12 @@ def _seed1_corpus_units() -> dict[str, str]:
 
 
 def _mutant_texts(unit: source_model.SourceUnit) -> Counter:
-    """Each mutant as its operator, its original's token texts and its
-    replacement, so that an NRV's original spanning lines compares whole."""
+    """Each mutant as its operator, its site's token texts and its
+    replacement, so that an NRV's site spanning lines compares whole; the
+    site is read from the unit, since ``original`` keeps only its start."""
     return Counter(
-        (m.operator_id, tuple(t.text for t in source_model.tokenize(m.original)), m.replacement)
+        (m.operator_id, tuple(t.text for t in source_model.tokenize(unit.text[m.start:m.end])),
+         m.replacement)
         for m in analyze_source(unit, ALL_OPS).mutants
     )
 
@@ -423,20 +425,34 @@ def _comparison_chain(depth: int) -> tuple[str, int]:
     return "class C {\nObject f() {\nreturn " + "a < " * depth + "a;\n}\n}\n", depth + 1
 
 
+def _nested_anonymous_returns(depth: int) -> tuple[str, int]:
+    # one NOI per 'new' and one NRV per 'return'; each of the nest's
+    # returns holds the rest of the nest
+    opening = "return new A() {\nObject g() {\n" * depth
+    src = "class C {\nObject f() {\n" + opening + "return x;\n" + "}\n};\n" * depth + "}\n}\n"
+    return src, 2 * depth + 1
+
+
 @pytest.mark.parametrize(
     "nested",
-    [_nested_creations, _nested_lambda_returns, _nested_switch_rules, _comparison_chain])
+    [_nested_creations, _nested_lambda_returns, _nested_switch_rules, _comparison_chain,
+     _nested_anonymous_returns])
 def test_nesting_cost_grows_linearly(nested):
-    """Token reads of the whole chain double, no more, when the depth of
-    nested brackets doubles: each closer is looked up, never walked to."""
-    reads = []
+    """Token reads of the whole chain, and the text the mutants store,
+    double, no more, when the depth of nested brackets doubles: each closer
+    is looked up, never walked to, and a mutant keeps a bounded ``original``
+    however much of the nest its site holds."""
+    reads, stored = [], []
     for depth in (300, 600):
-        src, mutants = nested(depth)
+        src, count = nested(depth)
         tokens = CountingTokens(source_model.tokenize(src))
         unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
-        assert len(analyze_source(unit, ALL_OPS).mutants) == mutants
+        mutants = analyze_source(unit, ALL_OPS).mutants
+        assert len(mutants) == count
         reads.append(tokens.reads)
+        stored.append(sum(len(m.original) for m in mutants))
     assert reads[1] <= 2.2 * reads[0], reads
+    assert stored[1] <= 2.2 * stored[0], stored
 
 
 def _statements(count: int) -> str:
@@ -448,6 +464,26 @@ def test_block_frames_read_no_token_without_a_body_opener():
     reads = []
     for count in (200, 400):
         src = _statements(count)
+        tokens = CountingTokens(source_model.tokenize(src))
+        unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
+        unit.pairs, unit.angles, unit.positions  # built before the count starts
+        tokens.reads = 0
+        assert len(source_model.locate_bodies(unit)) == 1
+        reads.append(tokens.reads)
+    assert reads[1] - reads[0] <= 2, reads
+
+
+def _fields(count: int) -> str:
+    return ("class C {\n" + "private int a = 1 * 2;\nString s, t;\nList<String> l;\n" * count
+            + "int f() {\nreturn a;\n}\n}\n")
+
+
+def test_type_bodies_read_no_token_without_a_stop():
+    """In a type body, locate_bodies reads only its stops, 'new', type
+    keywords, '{' and '(', and the tokens their tests look at."""
+    reads = []
+    for count in (200, 400):
+        src = _fields(count)
         tokens = CountingTokens(source_model.tokenize(src))
         unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
         unit.pairs, unit.angles, unit.positions  # built before the count starts
