@@ -459,17 +459,20 @@ def _statements(count: int) -> str:
     return "class C {\nint f(int a) {\n" + "a = a + 1;\nb.g(a, c[a]);\n" * count + "return a;\n}\n}\n"
 
 
+def _locate_reads(src: str) -> int:
+    """The token reads of ``locate_bodies`` on ``src``, which has one body,
+    with the unit's tables built before the count starts."""
+    tokens = CountingTokens(source_model.tokenize(src))
+    unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
+    unit.pairs, unit.angles, unit.positions
+    tokens.reads = 0
+    assert len(source_model.locate_bodies(unit)) == 1
+    return tokens.reads
+
+
 def test_block_frames_read_no_token_without_a_body_opener():
     """Inside a body, locate_bodies reads only 'new' and type keywords."""
-    reads = []
-    for count in (200, 400):
-        src = _statements(count)
-        tokens = CountingTokens(source_model.tokenize(src))
-        unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
-        unit.pairs, unit.angles, unit.positions  # built before the count starts
-        tokens.reads = 0
-        assert len(source_model.locate_bodies(unit)) == 1
-        reads.append(tokens.reads)
+    reads = [_locate_reads(_statements(count)) for count in (200, 400)]
     assert reads[1] - reads[0] <= 2, reads
 
 
@@ -481,15 +484,7 @@ def _fields(count: int) -> str:
 def test_type_bodies_read_no_token_without_a_stop():
     """In a type body, locate_bodies reads only its stops, 'new', type
     keywords, '{' and '(', and the tokens their tests look at."""
-    reads = []
-    for count in (200, 400):
-        src = _fields(count)
-        tokens = CountingTokens(source_model.tokenize(src))
-        unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
-        unit.pairs, unit.angles, unit.positions  # built before the count starts
-        tokens.reads = 0
-        assert len(source_model.locate_bodies(unit)) == 1
-        reads.append(tokens.reads)
+    reads = [_locate_reads(_fields(count)) for count in (200, 400)]
     assert reads[1] - reads[0] <= 2, reads
 
 
