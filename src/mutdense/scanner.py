@@ -85,6 +85,13 @@ _LENGTHS = {
     c: tuple(sorted({len(t) for t in _MULTI if t[0] == c}, reverse=True))
     for c in {t[0] for t in _MULTI}
 }
+# closing delimiter -> the literal's kind, the message when it is missing,
+# and the characters it may not hold: only a text block crosses a line end
+_LITERALS = {
+    '"""': (_STRING, "unterminated text block", ()),
+    '"': (_STRING, "unterminated string literal", ("\n", "\r")),
+    "'": (_CHAR, "unterminated character literal", ("\n", "\r")),
+}
 
 
 def split_lines(text: str) -> tuple[str, ...]:
@@ -143,44 +150,24 @@ def scan(text: str, start: int = 0) -> list[Token]:
                 continue
             # otherwise "/" or "/=", an operator
 
-        if c == '"' and text[i + 1 : i + 3] == '""':
-            # text block: """ ... """, backslash escapes apply
-            i += 3
-            closed = False
-            while i < n:
-                ch = text[i]
-                if ch == "\\":
-                    i += 2
-                    continue
-                if ch == '"' and text[i + 1 : i + 3] == '""':
-                    i += 3
-                    closed = True
-                    break
-                i += 1
-            if not closed:
-                raise errors.UnterminatedLiteral("unterminated text block", line, col)
-            append(_new(Token, (_STRING, text[start:i], line, col, start, i)))
-            continue
-
         if c == '"' or c == "'":
-            # a string or character literal, closed by its own quote
-            if c == '"':
-                kind, what = _STRING, "unterminated string literal"
-            else:
-                kind, what = _CHAR, "unterminated character literal"
-            i += 1
+            # a literal runs to its closing delimiter; a backslash escapes the next character
+            close = '"""' if text.startswith('"""', i) else c
+            kind, what, breaks = _LITERALS[close]
+            i += len(close)
             while True:
-                if i >= n or text[i] == "\n" or text[i] == "\r":
+                if i >= n:
                     raise errors.UnterminatedLiteral(what, line, col)
                 ch = text[i]
                 if ch == "\\":
-                    if i + 1 < n and text[i + 1] != "\n" and text[i + 1] != "\r":
-                        i += 2
-                        continue
+                    i += 1
+                    ch = text[i : i + 1]
+                elif ch == c and text.startswith(close, i):
+                    break
+                if ch in breaks:
                     raise errors.UnterminatedLiteral(what, line, col)
                 i += 1
-                if ch == c:
-                    break
+            i += len(close)
             append(_new(Token, (kind, text[start:i], line, col, start, i)))
             continue
 
@@ -198,22 +185,15 @@ def scan(text: str, start: int = 0) -> list[Token]:
             continue
 
         if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            is_hex = c == "0" and i + 1 < n and (text[i + 1] == "x" or text[i + 1] == "X")
+            # an exponent sign follows e/E, or p/P in a hex literal: 1e+5, 0x1.8p-3
+            exp = "pP" if text.startswith(("0x", "0X"), i) else "eE"
             i += 1
             while i < n:
                 ch = text[i]
-                if ch.isalnum() or ch == "_" or ch == ".":
+                if ch.isalnum() or ch == "_" or ch == "." or (ch in "+-" and text[i - 1] in exp):
                     i += 1
-                    continue
-                # exponent sign: 1e+5 / 0x1.8p-3
-                if (ch == "+" or ch == "-") and i > start:
-                    prev = text[i - 1]
-                    if (not is_hex and (prev == "e" or prev == "E")) or (
-                        is_hex and (prev == "p" or prev == "P")
-                    ):
-                        i += 1
-                        continue
-                break
+                else:
+                    break
             append(_new(Token, (_NUMBER, text[start:i], line, col, start, i)))
             continue
 

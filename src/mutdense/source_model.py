@@ -365,7 +365,7 @@ def match_creation(unit: SourceUnit, i: int, hi: int) -> tuple[str, int] | None:
 def _try_callable(
     unit: SourceUnit, spans: list[BodySpan], i: int, hi: int, type_name: str
 ) -> int | None:
-    """Match Identifier '(' params ')' [throws names] '{' at index ``i``.
+    """Match Identifier '(' params ')' ['[' ']']* [throws names] '{' at index ``i``.
 
     Records the span and returns the index of the body's '{', or None when
     the tokens do not form a callable header.
@@ -379,6 +379,9 @@ def _try_callable(
     if pclose >= hi:
         return None
     j = pclose + 1
+    while j < hi and tokens[j].text == "[":  # legacy array return: int f()[] { ... }
+        j = unit.pairs.get(j, hi) + 1
+    array_return = j > pclose + 1  # brackets after ')' make the return type an array
     if j < hi and tokens[j].kind is TokenKind.KEYWORD and tokens[j].text == "throws":
         j += 1
         while j < hi and (
@@ -401,7 +404,9 @@ def _try_callable(
             name=name_tok.text,
             decl_line=name_tok.line,
             body_token_range=(body_open, body_close + 1),
-            returns_reference=bool(return_type) and _is_reference(tokens, return_type),
+            returns_reference=(
+                bool(return_type) and (array_return or _is_reference(tokens, return_type))
+            ),
             nullable_params=_nullable_params(unit, popen, pclose),
         )
     )

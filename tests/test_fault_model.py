@@ -133,6 +133,15 @@ def test_reference_return_yields_nrv_and_niv():
     assert (niv.line, niv.original) == (2, "name")
 
 
+def test_legacy_array_return_form_gets_nrv_and_aor_b():
+    src = "class T {\n    int f(int a)[] {\n        return new int[] {a + 1};\n    }\n}\n"
+    _, mutants = mutants_of(src)
+    assert sorted((m.operator_id, m.line, m.original) for m in mutants) == [
+        ("AOR-B", 3, "+"),
+        ("NRV", 3, "return new int[] {a + 1};"),
+    ]
+
+
 def test_null_check_line_hosts_three_mutants_across_families():
     _, mutants = mutants_of(in_method("if (x == null) y = a + b;"), BOTH)
     assert Counter(m.operator_id for m in mutants) == Counter(

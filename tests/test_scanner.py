@@ -143,6 +143,11 @@ def test_keywords_vs_identifiers():
         (".5+x", [".5", "+", "x"]),
         ("0b1010", ["0b1010"]),
         ("10L", ["10L"]),
+        ("1e+e+5", ["1e+e+5"]),  # a sign follows each exponent marker
+        ("0X1P+2", ["0X1P+2"]),
+        ("1.e-3", ["1.e-3"]),
+        (".\u00b2", [".\u00b2"]),  # superscript two is a digit to str.isdigit
+        ("\u0663\u0664+1", ["\u0663\u0664", "+", "1"]),  # Arabic-Indic digits
     ],
 )
 def test_number_shapes(src, expected):
@@ -150,11 +155,16 @@ def test_number_shapes(src, expected):
 
 
 def test_char_and_string_escapes():
-    toks = tokenize("'\\n' '\\'' \"a\\\"b\"")
-    assert [t.text for t in toks] == ["'\\n'", "'\\''", '"a\\"b"']
+    toks = tokenize("'\\n' '\\'' \"a\\\"b\" '\"' \"'\" \"\\\\\"")
+    assert [t.text for t in toks] == [
+        "'\\n'", "'\\''", '"a\\"b"', "'\"'", '"\'"', '"\\\\"',
+    ]
     assert [t.kind for t in toks] == [
         TokenKind.CHAR_LITERAL,
         TokenKind.CHAR_LITERAL,
+        TokenKind.STRING_LITERAL,
+        TokenKind.CHAR_LITERAL,
+        TokenKind.STRING_LITERAL,
         TokenKind.STRING_LITERAL,
     ]
 
@@ -190,6 +200,10 @@ def test_unknown_character_is_single_punctuation():
         ("a\r\nch = 'a\r'", errors.UnterminatedLiteral, 2, 6),
         ('s = "x\\\r\n"', errors.UnterminatedLiteral, 1, 5),
         ("a\r/* open\rnever closed", errors.UnterminatedComment, 2, 1),
+        # the first three of four quotes close the block, the fourth opens a string
+        ('s = """\nx""""', errors.UnterminatedLiteral, 2, 5),
+        ('s = """\nx\\', errors.UnterminatedLiteral, 1, 5),
+        ("c = '\\\r\n'", errors.UnterminatedLiteral, 1, 5),
     ],
 )
 def test_unterminated_constructs_report_position(src, err, line, col):

@@ -193,6 +193,14 @@ def test_array_return_and_modifier_stripping():
     assert nullable_names(src) == [["parts"]]
 
 
+@pytest.mark.parametrize("header", ["int f(int a)[]", "String f()[][] throws E"])
+def test_legacy_array_return_form_has_a_span(header):
+    src = f"class A {{\n    {header} {{\n        return null;\n    }}\n}}\n"
+    spans = spans_of(src)
+    assert [(s.kind, s.name, s.decl_line) for s in spans] == [(SpanKind.METHOD, "f", 2)]
+    assert spans[0].returns_reference is True
+
+
 def test_annotation_call_before_method_is_skipped():
     src = """\
 class A {
