@@ -8,6 +8,7 @@ reading can be recomputed downstream.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from mutdense import errors
@@ -20,7 +21,7 @@ from mutdense.fault_model import (
     OperatorSet,
     find_mutation_sites,
 )
-from mutdense.source_model import LineSet, SourceUnit, locate_bodies, memoized, relevant_lines
+from mutdense.source_model import LineSet, SourceUnit, locate_bodies, relevant_lines
 
 _FAMILIES = tuple(Family)
 _FAMILY_INDEX = {fam: k for k, fam in enumerate(_FAMILIES)}
@@ -42,7 +43,7 @@ class _UnitAverages:
     def empty(self) -> bool:
         return self.relevant_line_count == 0
 
-    @memoized
+    @cached_property
     def avg_density_by_family(self) -> dict[Family, Fraction]:
         if self.empty:
             return dict.fromkeys(_FAMILIES, Fraction(0))
@@ -90,7 +91,7 @@ class UnitReport(_ReportFields, _UnitAverages):
     def relevant_line_count(self) -> int:
         return len(self.relevant_lines)
 
-    @memoized
+    @cached_property
     def line_counts(self) -> dict[int, tuple[int, ...]]:
         """Mutants per family, in ``Family`` order (traditional, null-type),
         of each line that hosts one."""
@@ -99,7 +100,7 @@ class UnitReport(_ReportFields, _UnitAverages):
             counts.setdefault(m.line, [0] * len(_FAMILIES))[_FAMILY_INDEX[m.family]] += 1
         return {ln: tuple(per_family) for ln, per_family in counts.items()}
 
-    @memoized
+    @cached_property
     def mutant_count_by_family(self) -> dict[Family, int]:
         counts = dict.fromkeys(_FAMILIES, 0)
         for m in self.mutants:

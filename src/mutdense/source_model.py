@@ -53,24 +53,6 @@ def _preamble() -> re.Pattern:
 _PREAMBLE_WINDOW = 1 << 16
 
 
-class memoized:
-    """A view computed on its first read and kept in the instance's
-    ``__dict__``, where later reads find it before this descriptor.  It is
-    ``functools.cached_property`` without the lock that Python 3.10 and
-    3.11 take on every first read."""
-
-    def __init__(self, compute) -> None:
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
-
-
 class _SourceFields(NamedTuple):
     path: str
     text: str
@@ -94,15 +76,15 @@ class SourceUnit(_SourceFields):
         start = _preamble().match(text, 0, _PREAMBLE_WINDOW).end()
         return cls(path, text, split_lines(text), tuple(tokenize(text, start)))
 
-    @memoized
+    @functools.cached_property
     def pairs(self) -> dict[int, int]:
         return match_braces(self.tokens, self.positions)
 
-    @memoized
+    @functools.cached_property
     def angles(self) -> "GenericAngles":
         return mark_generic_angles(self.tokens, self.positions)
 
-    @memoized
+    @functools.cached_property
     def positions(self) -> dict[str, list[int]]:
         return text_positions(self.tokens)
 
@@ -365,7 +347,7 @@ def match_creation(unit: SourceUnit, i: int, hi: int) -> tuple[str, int] | None:
 def _try_callable(
     unit: SourceUnit, spans: list[BodySpan], i: int, hi: int, type_name: str
 ) -> int | None:
-    """Match Identifier '(' params ')' ['[' ']']* [throws names] '{' at index ``i``.
+    """Match Identifier '(' params ')' ['[' ']']* [throws types] '{' at index ``i``.
 
     Records the span and returns the index of the body's '{', or None when
     the tokens do not form a callable header.
@@ -385,16 +367,18 @@ def _try_callable(
     if j < hi and tokens[j].kind is TokenKind.KEYWORD and tokens[j].text == "throws":
         j += 1
         while j < hi and (
-            tokens[j].kind is TokenKind.IDENTIFIER or tokens[j].text in (".", ",")
+            tokens[j].kind is TokenKind.IDENTIFIER or tokens[j].text in (".", ",", "@")
         ):
             j += 1
+            if j < hi and tokens[j].text == "(":  # a type annotation's arguments
+                j = unit.pairs.get(j, hi) + 1
     if j >= hi or tokens[j].text != "{":
         return None
     body_open = j
     body_close = unit.pairs[body_open]
     name_tok = tokens[i]
-    return_type = _return_type(tokens, unit.angles, i)
-    if not return_type and name_tok.text == type_name:
+    return_type = _type_before(tokens, unit.angles, i)
+    if return_type is None and name_tok.text == type_name:
         kind = SpanKind.CONSTRUCTOR
     else:
         kind = SpanKind.METHOD
@@ -404,56 +388,46 @@ def _try_callable(
             name=name_tok.text,
             decl_line=name_tok.line,
             body_token_range=(body_open, body_close + 1),
-            returns_reference=(
-                bool(return_type) and (array_return or _is_reference(tokens, return_type))
-            ),
+            returns_reference=return_type is not None and (array_return or return_type),
             nullable_params=_nullable_params(unit, popen, pclose),
         )
     )
     return body_open
 
 
-def _return_type(tokens: Sequence[Token], angles: GenericAngles, name_idx: int) -> list[int]:
-    """The ascending indices of the type tokens preceding a callable's name,
-    collected walking backward over qualified names, array brackets, and
-    generic groups; empty when no type precedes it."""
-    collected: list[int] = []
+def _type_before(tokens: Sequence[Token], angles: GenericAngles, name_idx: int) -> bool | None:
+    """The type declared just before the name at ``name_idx``: None when no
+    type precedes it, False for a primitive keyword or ``void`` and True
+    for any other type.  An array or a varargs type ends in ']' or '...';
+    a generic type steps back over its '<...>' group, and a group that no
+    type name precedes declares type parameters (``<T> C(``).  A type name
+    is ``Name(.Name)*``, unless an '@' starts it: ``@a.b.C`` is an
+    annotation, not a type."""
     k = name_idx - 1
-    while k >= 0:
-        tok = tokens[k]
-        tx = tok.text
-        if tx in _CLOSER_DEPTH and k in angles.close_open:
-            opener = angles.close_open[k]
-            collected.extend(range(k, opener - 1, -1))
-            k = opener - 1
-            continue
-        if tok.kind is TokenKind.IDENTIFIER:
-            if k > 0 and tokens[k - 1].text == "@":
-                break  # annotation, not part of the type
-        elif tx not in _TYPE_WORDS and tx not in (".", "[", "]"):
-            break
-        collected.append(k)
-        k -= 1
-    collected.reverse()
-    # drop a leading type-parameter group:  <T> T f(...)
-    if collected and tokens[collected[0]].text == "<":
-        group_close = angles.open_close.get(collected[0])
-        if group_close is not None:
-            collected = [x for x in collected if x > group_close]
-    return collected
-
-
-def _is_reference(tokens: Sequence[Token], indices: Sequence[int]) -> bool:
-    """Whether the type made of the tokens at ``indices`` is any type but a
-    lone primitive keyword or ``void``."""
-    return len(indices) != 1 or tokens[indices[0]].text not in _TYPE_WORDS
+    tx = tokens[k].text if k >= 0 else ""
+    if tx in _TYPE_WORDS:
+        return False
+    if tx in ("]", "..."):
+        return True
+    if k in angles.close_open:
+        k = angles.close_open[k] - 1
+    if k < 0 or tokens[k].kind is not TokenKind.IDENTIFIER:
+        return None
+    while k >= 2 and tokens[k - 1].text == "." and tokens[k - 2].kind is TokenKind.IDENTIFIER:
+        k -= 2
+    return None if k >= 1 and tokens[k - 1].text == "@" else True
 
 
 def _nullable_params(unit: SourceUnit, popen: int, pclose: int) -> tuple[int, ...]:
     """The name token index of each parameter between ``popen`` and
-    ``pclose`` that may be assigned ``null``: split at the commas outside
-    bracket and generic groups, it is not ``final``, not a receiver
-    (``C this``, ``C Outer.this``) and of a reference type."""
+    ``pclose`` that may be assigned ``null``.  Split at the commas outside
+    bracket and generic groups, a parameter's name is its last identifier,
+    before any '[' ']' pairs (``String args[]``).  It is nullable when a
+    type precedes it (so it is not the parameter's first token), brackets
+    follow it or that type is a reference, no ``final`` precedes it and it
+    is no receiver (``C this``, ``C Outer.this``: ``this`` is no
+    identifier).  An annotated dimension after the name (``int x @A []``)
+    hides it: the name read is then ``A``, which no type precedes."""
     tokens, pairs, angles = unit.tokens, unit.pairs, unit.angles
     nullable: list[int] = []
     lo = idx = popen + 1
@@ -464,43 +438,16 @@ def _nullable_params(unit: SourceUnit, popen: int, pclose: int) -> tuple[int, ..
             group_end = pairs.get(idx) or angles.open_close.get(idx, idx)
             idx = min(group_end, pclose - 1) + 1
             continue
-        kept, is_final = _strip_param_modifiers(unit, lo, idx)
-        names = [k for k in kept if tokens[k].kind is TokenKind.IDENTIFIER]
-        if names and not is_final and tokens[kept[-1]].text != "this":
-            name = names[-1]
-            if _is_reference(tokens, [k for k in kept if k != name]):
+        name = idx - 1
+        while name - 1 > lo and tokens[name].text == "]" and tokens[name - 1].text == "[":
+            name -= 2
+        if tokens[name].kind is TokenKind.IDENTIFIER:
+            declared = _type_before(tokens, angles, name)
+            if (declared is not None and (name < idx - 1 or declared)
+                    and not any(tokens[k].text == "final" for k in range(lo, name))):
                 nullable.append(name)
         lo = idx = idx + 1
     return tuple(nullable)
-
-
-def _strip_param_modifiers(unit: SourceUnit, lo: int, hi: int) -> tuple[list[int], bool]:
-    """Indices of the parameter tokens in ``[lo, hi)`` but 'final' and
-    annotations, and whether 'final' was among them."""
-    tokens = unit.tokens
-    kept: list[int] = []
-    is_final = False
-    k = lo
-    while k < hi:
-        tok = tokens[k]
-        if tok.kind is TokenKind.KEYWORD and tok.text == "final":
-            is_final = True
-            k += 1
-            continue
-        if tok.text == "@":
-            k += 1
-            while k < hi and tokens[k].kind is TokenKind.IDENTIFIER:
-                k += 1
-                if k + 1 < hi and tokens[k].text == ".":
-                    k += 1
-                else:
-                    break
-            if k < hi and tokens[k].text == "(":
-                k = min(unit.pairs.get(k, hi) + 1, hi)  # past the arguments
-            continue
-        kept.append(k)
-        k += 1
-    return kept, is_final
 
 
 # ---------------------------------------------------------------------------

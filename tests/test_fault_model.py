@@ -412,27 +412,39 @@ def test_niv_skips_a_receiver_parameter(src, nulled):
     assert [m.original for m in mutants if m.operator_id == "NIV"] == nulled
 
 
+@pytest.mark.parametrize("src", [
+    "enum E { A(B) { int f() { return 1; } }, B; }",
+    "class C { void f(@A x) { } }",
+])
+def test_niv_needs_a_typed_parameter(src):
+    # an enum constant's arguments, read as a method's, and a lone name
+    # declare no typed parameter
+    _, mutants = mutants_of(src, NULL_TYPE)
+    assert [m.original for m in mutants if m.operator_id == "NIV"] == []
+
+
 # header shapes, '{}' standing for the parameter's name, and whether NIV
 # (for a parameter) or NRV (for a return type) applies to them
 _PARAM_SHAPES = [
     ("String {}", True), ("int[] {}", True), ("int {}[]", True), ("int... {}", True),
     ("a.b.C {}", True), ("java.util.List<int[]> {}", True),
     ("Map<String, ? extends T> {}", True), ("@A(v = 1) String {}", True),
-    ("String @A [] {}", True),
+    ("String @A [] {}", True), ("@A String... {}", True), ("T {}[][]", True),
     ("int {}", False), ("final String {}", False), ("@a.b.A final String {}", False),
     ("final @A String {}", False),
 ]
 _RETURN_SHAPES = [
     ("String", True), ("int[]", True), ("<T> T", True), ("Class<?>", True),
     ("<K, V extends Comparable<? super V>> java.util.Map<K, V>", True),
-    ("void", False), ("int", False), ("<T> int", False),
+    ("@a.b.A String", True),
+    ("void", False), ("int", False), ("<T> int", False), ("@a.b.A int", False),
 ]
 
 
 def _gen_headers(rng: random.Random, methods: int) -> tuple[str, list[tuple[int, str, str]]]:
-    """A class of ``methods`` one-line methods and generic constructors with
-    random header shapes, and its NIV and NRV mutants by construction, as
-    (line, operator id, original text)."""
+    """A class of ``methods`` one-line methods and generic or annotated
+    constructors with random header shapes, and its NIV and NRV mutants by
+    construction, as (line, operator id, original text)."""
     lines = ["class C {"]
     expected: list[tuple[int, str, str]] = []
     for i in range(methods):
@@ -444,10 +456,10 @@ def _gen_headers(rng: random.Random, methods: int) -> tuple[str, list[tuple[int,
         if rng.random() < 0.1:
             params.insert(0, f"T t{i}")
             expected.append((line, "NIV", f"t{i}"))
-            head, body = "<T> C", "return;"
+            head, body = rng.choice(["<T> C", "@a.b.A C"]), "return;"
         else:
             if rng.random() < 0.2:
-                params.insert(0, "C this")
+                params.insert(0, rng.choice(["C this", "C Outer.this"]))
             ret, reference = rng.choice(_RETURN_SHAPES)
             head = f"{ret} m{i}"
             if ret == "void":

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from mutdense import errors
+from mutdense.fault_model import OperatorSet
+from mutdense.metrics import analyze_unit
 from mutdense.source_model import (
     SpanKind,
     locate_bodies,
@@ -177,6 +179,20 @@ class A {
     assert len(spans) == 1
     assert spans[0].returns_reference is True
     assert spans[0].nullable_params == ()
+
+
+@pytest.mark.parametrize(
+    "throws", ["@A IOException", "java.io.@A IOException", "@a.b.A(v = {1}) E, @B F"]
+)
+def test_type_annotations_in_a_throws_clause(throws):
+    def sites(throws):
+        src = f"class A {{\n    void f(int a) throws {throws} {{\n        a = a + 1;\n    }}\n}}\n"
+        report = analyze_unit("A.java", src, OperatorSet.default())
+        return spans_of(src), [(m.operator_id, m.line, m.column) for m in report.mutants]
+
+    spans, mutants = sites(throws)
+    assert [(s.kind, s.name, s.decl_line) for s in spans] == [(SpanKind.METHOD, "f", 2)]
+    assert mutants and mutants == sites("E")[1]
 
 
 def test_generic_method_drops_type_parameter_group():
