@@ -30,6 +30,7 @@ from mutdense.metrics import (
 from mutdense.reporting import (
     HeatmapStyle,
     emit_json,
+    emit_unit_json,
     render_barchart,
     render_heatmap,
     render_text,
@@ -66,6 +67,7 @@ __all__ = [
     "top_lines",
     "HeatmapStyle",
     "emit_json",
+    "emit_unit_json",
     "render_barchart",
     "render_heatmap",
     "render_text",

@@ -27,7 +27,7 @@ from mutdense.metrics import (
     ProjectReport,
     UnitSummary,
     aggregate_project,
-    analyze_source,
+    analyze_unit,
 )
 from mutdense.reporting import (
     DEFAULT_STYLE,
@@ -39,7 +39,6 @@ from mutdense.reporting import (
     render_heatmap,
     render_text,
 )
-from mutdense.source_model import SourceUnit
 
 _SIZE_LIMIT = 10 * 1024 * 1024
 _FORMATS = ("json", "html", "svg", "text")
@@ -107,7 +106,7 @@ def _analyze_parser(prog: str = "mutdense analyze") -> _Parser:
     return p
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config(path: str) -> dict:
     """The raw key-value pairs of a JSON config file; an unknown key is an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -254,7 +253,7 @@ def _int_or_text(text: str):
         return text
 
 
-def load_config(cli_args: Sequence[str], config_file: str | None = None) -> Config:
+def load_config(cli_args: Sequence[str]) -> Config:
     """Merge flags over config-file values over defaults.
 
     Each value present goes through its setting's parser; a bad one raises
@@ -262,14 +261,13 @@ def load_config(cli_args: Sequence[str], config_file: str | None = None) -> Conf
     """
     parser = _analyze_parser()
     flags = vars(parser.parse_args(list(cli_args)))
-    flag_config = flags.pop("config", None)
-    file_path = config_file or flag_config
+    file_path = flags.pop("config", None)
 
     # (Config field, value, its source, error class); a later value wins
     sources = []
     if file_path:
         sources += [(_CONFIG_KEYS[key][0], value, f"{key} in {file_path}", errors.BadConfigKey)
-                    for key, value in _read_config_file(file_path).items()]
+                    for key, value in _read_config(file_path).items()]
     flag_names = parser.flag_names()
     sources += [(field, value, flag_names[field], errors.BadFlag)
                 for field, value in flags.items()]
@@ -467,8 +465,7 @@ def analyze_path(display: str, fs_path: str, settings: UnitSettings) -> UnitResu
     except OSError as exc:
         return UnitResult(display, f"unreadable: {exc}")
     try:
-        unit = SourceUnit.from_text(display, text)
-        report = analyze_source(unit, settings.operator_set)
+        report = analyze_unit(display, text, settings.operator_set)
     except errors.MutdenseError as exc:
         return UnitResult(display, str(exc))
     formats = settings.formats
@@ -476,7 +473,7 @@ def analyze_path(display: str, fs_path: str, settings: UnitSettings) -> UnitResu
         display,
         None,
         json=emit_unit_json(report) if "json" in formats else None,
-        html=(render_heatmap(unit, report, settings.style).encode("utf-8")
+        html=(render_heatmap(report, text, settings.style).encode("utf-8")
               if "html" in formats else None),
         summary=UnitSummary.from_report(report, settings.top_lines if "text" in formats else 0),
     )

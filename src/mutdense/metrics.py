@@ -12,15 +12,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from mutdense import errors
-from mutdense._version import VERSION
-from mutdense.fault_model import (
-    CATALOG,
-    Family,
-    Mutant,
-    MutationOperator,
-    OperatorSet,
-    find_mutation_sites,
-)
+from mutdense.fault_model import Family, Mutant, OperatorSet, find_mutation_sites
 from mutdense.source_model import LineSet, SourceUnit, locate_bodies, relevant_lines
 
 _FAMILIES = tuple(Family)
@@ -119,7 +111,8 @@ class UnitReport(_ReportFields, _UnitAverages):
 class _SummaryFields(NamedTuple):
     path: str
     relevant_line_count: int
-    mutant_count_by_family: dict[Family, int]
+    traditional: int
+    null_type: int
     top_n: int = 0
     top_rows: tuple[tuple[int, int], ...] = ()
 
@@ -128,25 +121,25 @@ class UnitSummary(_SummaryFields, _UnitAverages):
     """The part of a unit that the text table, the bar chart and the
     threshold gate read, with the report's top ``top_n`` combined-density
     lines.  ``mutdense analyze`` keeps this of each unit in place of the
-    UnitReport, which stays in the worker that built it.
+    UnitReport, which stays in the worker that built it.  Its fields are
+    plain values, so it crosses a process pipe with no ``Family`` member.
     """
 
     @classmethod
     def from_report(cls, report: UnitReport, top_n: int = 0) -> "UnitSummary":
+        counts = report.mutant_count_by_family
         return cls(
             path=report.path,
             relevant_line_count=report.relevant_line_count,
-            mutant_count_by_family=report.mutant_count_by_family,
+            traditional=counts[Family.TRADITIONAL],
+            null_type=counts[Family.NULL_TYPE],
             top_n=top_n,
             top_rows=tuple(report.top_lines(top_n)),
         )
 
-    def __reduce__(self):
-        # plain counts cross a process pipe: no Family member, no view
-        counts = self.mutant_count_by_family
-        return _summary, (self.path, self.relevant_line_count,
-                          counts[Family.TRADITIONAL], counts[Family.NULL_TYPE],
-                          self.top_n, self.top_rows)
+    @property
+    def mutant_count_by_family(self) -> dict[Family, int]:
+        return {Family.TRADITIONAL: self.traditional, Family.NULL_TYPE: self.null_type}
 
     def top_lines(self, n: int) -> list[tuple[int, int]]:
         """``UnitReport.top_lines`` for n up to ``top_n``."""
@@ -157,13 +150,6 @@ class UnitSummary(_SummaryFields, _UnitAverages):
         return list(self.top_rows[:n])
 
 
-def _summary(path: str, relevant_line_count: int, traditional: int, null_type: int,
-             top_n: int, top_rows: tuple[tuple[int, int], ...]) -> UnitSummary:
-    """A ``UnitSummary`` from the plain fields ``__reduce__`` gives."""
-    counts = {Family.TRADITIONAL: traditional, Family.NULL_TYPE: null_type}
-    return UnitSummary(path, relevant_line_count, counts, top_n, top_rows)
-
-
 class Diagnostic(NamedTuple):
     path: str
     error: str
@@ -172,8 +158,6 @@ class Diagnostic(NamedTuple):
 class ProjectReport(NamedTuple):
     units: tuple[UnitReport | UnitSummary, ...]
     diagnostics: tuple[Diagnostic, ...]
-    tool_version: str = VERSION
-    operator_catalog: tuple[MutationOperator, ...] = CATALOG
 
 
 def build_unit_report(
@@ -193,12 +177,7 @@ def analyze_unit(path: str, text: str, operator_set: OperatorSet) -> UnitReport:
 
     Raises a MutdenseError subclass when the text cannot be analyzed.
     """
-    return analyze_source(SourceUnit.from_text(path, text), operator_set)
-
-
-def analyze_source(unit: SourceUnit, operator_set: OperatorSet) -> UnitReport:
-    """``analyze_unit`` on a unit already scanned, for callers that also
-    render its lines."""
+    unit = SourceUnit.from_text(path, text)
     spans = locate_bodies(unit)
     relevant = relevant_lines(unit, spans)
     mutants = find_mutation_sites(unit, spans, operator_set)
@@ -208,7 +187,7 @@ def analyze_source(unit: SourceUnit, operator_set: OperatorSet) -> UnitReport:
 def aggregate_project(
     unit_reports: Sequence[UnitReport | UnitSummary], diagnostics: Sequence[Diagnostic] = ()
 ) -> ProjectReport:
-    """Sort units by path and attach the catalog and tool version."""
+    """Sort units by path; a path that appears twice raises DuplicatePath."""
     ordered = tuple(sorted(unit_reports, key=lambda u: u.path))
     seen: set[str] = set()
     for u in ordered:

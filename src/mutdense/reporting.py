@@ -15,10 +15,10 @@ from json.encoder import encode_basestring
 from typing import Iterator, NamedTuple, Sequence
 
 from mutdense import errors
-from mutdense.fault_model import Family
+from mutdense._version import VERSION
+from mutdense.fault_model import CATALOG, Family
 from mutdense.metrics import ProjectReport, UnitReport, UnitSummary, rank_units, top_lines
 from mutdense.scanner import split_lines
-from mutdense.source_model import SourceUnit
 
 
 def _half_even(numerator: int, denominator: int) -> int:
@@ -70,20 +70,14 @@ def _dumps(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
-def emit_json(report: ProjectReport, unit_fragments: Sequence[bytes] | None = None) -> bytes:
+def emit_json(report: ProjectReport, unit_fragments: Sequence[bytes]) -> bytes:
     """The project document: ``unit_fragments`` (one ``emit_unit_json`` per
-    unit of ``report``, in its order) joined between the head and the tail.
-
-    Without fragments, every unit must be a UnitReport; each is serialized
-    here by ``emit_unit_json``.
-    """
-    if unit_fragments is None:
-        unit_fragments = [emit_unit_json(u) for u in report.units]
+    unit of ``report``, in its order) joined between the head and the tail."""
     head = _dumps({
-        "toolVersion": report.tool_version,
+        "toolVersion": VERSION,
         "operators": [
             {"id": op.id, "family": op.family.value, "description": op.description}
-            for op in report.operator_catalog
+            for op in CATALOG
         ],
     })
     tail = _dumps([{"path": d.path, "error": d.error} for d in report.diagnostics])
@@ -203,11 +197,12 @@ h1 { font-size: 1.1em; }
 
 
 def render_heatmap(
-    unit: SourceUnit, unit_report: UnitReport, style: HeatmapStyle = DEFAULT_STYLE
+    unit_report: UnitReport, text: str, style: HeatmapStyle = DEFAULT_STYLE
 ) -> str:
-    """Self-contained HTML: one row per physical line, shaded by density."""
+    """Self-contained HTML of the unit whose source is ``text``: one row per
+    physical line, shaded by density."""
     # escaping adds and removes no line end, so this is each line escaped
-    sources = split_lines(html.escape(unit.text))
+    sources = split_lines(html.escape(text))
     # each distinct rewrite's title is escaped once
     titles: dict[tuple[str, str, str], str] = {}
     details: dict[int, list[str]] = {}
@@ -234,7 +229,7 @@ def render_heatmap(
             f"<td>{source}</td></tr>"
         )
 
-    title = html.escape(unit.path)
+    title = html.escape(unit_report.path)
     traditional, null_type, combined = _unit_densities(unit_report)
     summary = html.escape(
         f"relevant lines: {unit_report.relevant_line_count} | "

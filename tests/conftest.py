@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from mutdense.metrics import ProjectReport
+from mutdense.reporting import emit_json, emit_unit_json
 from mutdense.source_model import SourceUnit
 
 # Worked example: the loop header on line 4 must carry exactly two
@@ -135,6 +137,12 @@ GENERICS_DECL_COUNT = 23
 
 def make_unit(src: str, path: str = "Unit.java") -> SourceUnit:
     return SourceUnit.from_text(path, src)
+
+
+def project_json(project: ProjectReport) -> bytes:
+    """``project.json`` of a project of UnitReports, built as a library
+    caller builds it."""
+    return emit_json(project, [emit_unit_json(u) for u in project.units])
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from mutdense.cli import (
 )
 from mutdense.fault_model import Family, OperatorSet
 from mutdense.metrics import Diagnostic, aggregate_project, analyze_unit
-from mutdense.reporting import emit_json
+from mutdense.reporting import emit_json, emit_unit_json
 from conftest import (
     ALPHA_SRC,
     BETA_SRC,
@@ -715,7 +715,9 @@ def test_every_artifact_is_the_same_at_one_and_two_jobs(write_tree, tmp_path):
                for path in ("Alpha.java", "a/B.java", "a_B.java")]
     diagnostics = [Diagnostic("Broken.java", str(broken.value)),
                    Diagnostic("Latin1.java", "not valid UTF-8")]
-    assert emit_json(aggregate_project(reports, diagnostics)) == runs[1]["project.json"]
+    project = aggregate_project(reports, diagnostics)
+    fragments = [emit_unit_json(u) for u in project.units]
+    assert emit_json(project, fragments) == runs[1]["project.json"]
 
 
 def test_threshold_gate_is_strictly_greater(write_tree, tmp_path, capsys):

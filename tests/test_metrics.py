@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mutdense import errors
 from mutdense.fault_model import Family, Mutant, OperatorSet, find_mutation_sites
 from mutdense.metrics import (
     Diagnostic,
+    ProjectReport,
     UnitReport,
     UnitSummary,
     aggregate_project,
@@ -33,6 +35,7 @@ from conftest import (
     SHAPE_SRC,
     gen_mixed_unit,
     make_unit,
+    project_json,
 )
 
 BOTH = OperatorSet.default()
@@ -178,7 +181,8 @@ def test_hand_computed_fixture_averages():
 def test_aggregate_empty():
     report = aggregate_project([])
     assert report.units == () and report.diagnostics == ()
-    assert len(report.operator_catalog) == 12
+    assert report == ProjectReport((), ())
+    assert len(json.loads(project_json(report))["operators"]) == 12
 
 
 def test_aggregate_sorts_and_rejects_duplicates():
@@ -300,6 +304,19 @@ def test_summary_reads_as_its_report():
     # a summary keeps only the top rows it was built with
     with pytest.raises(ValueError):
         top_lines(by_summary, 5)
+
+
+def test_summary_pickles_as_plain_values():
+    """A summary crosses a process pipe as its plain fields: the pickle
+    names no ``Family`` member and loads back as an equal summary."""
+    summary = UnitSummary.from_report(report_for(BETA_SRC, "Beta.java"), 3)
+    assert summary.traditional and summary.null_type and summary.top_rows
+    data = pickle.dumps(summary)
+    assert b"Family" not in data and b"fault_model" not in data
+    clone = pickle.loads(data)
+    assert type(clone) is UnitSummary and clone == summary
+    assert clone.mutant_count_by_family == summary.mutant_count_by_family
+    assert clone.avg_density_by_family == summary.avg_density_by_family
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,10 @@ from mutdense.metrics import (
     UnitReport,
     UnitSummary,
     aggregate_project,
-    analyze_source,
     analyze_unit,
     build_unit_report,
 )
-from mutdense.reporting import DEFAULT_STYLE, emit_json, emit_unit_json, render_heatmap
+from mutdense.reporting import DEFAULT_STYLE, emit_unit_json, render_heatmap
 from conftest import (
     ALPHA_SRC,
     BETA_SRC,
@@ -40,6 +39,7 @@ from conftest import (
     SOUP_ALPHABET,
     corpus_plan,
     gen_mixed_unit,
+    project_json,
     seeded_soups,
 )
 
@@ -244,7 +244,7 @@ def _mutant_texts(unit: source_model.SourceUnit) -> Counter:
     return Counter(
         (m.operator_id, tuple(t.text for t in source_model.tokenize(unit.text[m.start:m.end])),
          m.replacement)
-        for m in analyze_source(unit, ALL_OPS).mutants
+        for m in analyze_unit(unit.path, unit.text, ALL_OPS).mutants
     )
 
 
@@ -282,7 +282,7 @@ def test_relayout_keeps_every_mutant(layout):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 6: a record header inside a class body reads as a method")
+                   reason="ROADMAP item 3: a record header inside a class body reads as a method")
 def test_wrapping_a_record_keeps_every_mutant():
     unit, texts = _layout_inputs()[f"dense/{_RECORD_PATH}"]
     assert _relaid_mutant_texts(unit, "wrapped") == texts
@@ -447,7 +447,9 @@ def test_nesting_cost_grows_linearly(nested):
         src, count = nested(depth)
         tokens = CountingTokens(source_model.tokenize(src))
         unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
-        mutants = analyze_source(unit, ALL_OPS).mutants
+        spans = source_model.locate_bodies(unit)
+        mutants = build_unit_report(unit, source_model.relevant_lines(unit, spans),
+                                    find_mutation_sites(unit, spans, ALL_OPS)).mutants
         assert len(mutants) == count
         reads.append(tokens.reads)
         stored.append(sum(len(m.original) for m in mutants))
@@ -547,6 +549,20 @@ def test_readme_library_snippets_run():
         exec(compile(block, "README.md", "exec"), {"source_text": FACTORIAL_SRC})
 
 
+def test_public_names_resolve():
+    """Every name in ``mutdense.__all__`` is bound in the package, and a
+    star import binds exactly those names."""
+    import mutdense
+
+    assert len(set(mutdense.__all__)) == len(mutdense.__all__)
+    for name in mutdense.__all__:
+        assert hasattr(mutdense, name), name
+    namespace: dict = {}
+    exec("from mutdense import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(mutdense.__all__)
+
+
 _FOUND = ["path", "physical_line_count", "relevant_lines", "mutants"]
 
 
@@ -562,13 +578,12 @@ def test_worker_result_holds_only_what_analysis_found(tmp_path):
     assert result.error is None and report.mutants
     # the worker sends finished bytes and a summary, never the report
     assert result.json == emit_unit_json(report)
-    unit = source_model.SourceUnit.from_text("Outer.java", _NESTED_SRC)
-    assert result.html == render_heatmap(unit, report).encode("utf-8")
+    assert result.html == render_heatmap(report, _NESTED_SRC).encode("utf-8")
     assert result.summary == UnitSummary.from_report(report, 10)
     assert pickle.loads(pickle.dumps(result)) == result
     clone = pickle.loads(pickle.dumps(report))
     assert clone == report
-    assert emit_json(aggregate_project([clone])) == emit_json(aggregate_project([report]))
+    assert project_json(aggregate_project([clone])) == project_json(aggregate_project([report]))
     # each derived view is built once, on first read
     assert report.line_counts is report.line_counts
     assert report.avg_density_by_family is report.avg_density_by_family

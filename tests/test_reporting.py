@@ -12,13 +12,14 @@ from fractions import Fraction
 import pytest
 
 from mutdense import errors
+from mutdense._version import VERSION
 from mutdense.fault_model import Family, Mutant, OperatorSet, find_mutation_sites
 from mutdense.metrics import (
     Diagnostic,
     UnitReport,
     UnitSummary,
     aggregate_project,
-    analyze_source,
+    analyze_unit,
     build_unit_report,
     rank_units,
 )
@@ -35,6 +36,7 @@ from mutdense.reporting import (
     render_heatmap,
     render_text,
 )
+from mutdense.scanner import split_lines
 from mutdense.source_model import locate_bodies, relevant_lines
 from conftest import (
     ALPHA_SRC,
@@ -47,6 +49,7 @@ from conftest import (
     SOUP_ALPHABET,
     gen_mixed_unit,
     make_unit,
+    project_json,
     seeded_soups,
 )
 
@@ -166,8 +169,7 @@ def test_text_densities_equal_the_averages_formatted():
     each unit's counts directly; they must read as its averages would."""
     rng = random.Random(11)
     units = [UnitSummary(f"U{k}.java", rng.choice((0, rng.randint(1, 400))),
-                         {Family.TRADITIONAL: rng.randint(0, 900),
-                          Family.NULL_TYPE: rng.randint(0, 300)})
+                         rng.randint(0, 900), rng.randint(0, 300))
              for k in range(2000)]
     rows = render_text(aggregate_project(units), 0).splitlines()[2:]
     for unit, row in zip(sorted(units, key=lambda u: u.path), rows):
@@ -185,7 +187,7 @@ def test_text_densities_equal_the_averages_formatted():
 
 
 def test_empty_report_json_shape():
-    raw = emit_json(aggregate_project([]))
+    raw = project_json(aggregate_project([]))
     assert raw.endswith(b'"units":[],"diagnostics":[]}')
     doc = json.loads(raw)
     assert list(doc) == ["toolVersion", "operators", "units", "diagnostics"]
@@ -194,7 +196,7 @@ def test_empty_report_json_shape():
 
 
 def test_unit_json_key_order_and_loop_line():
-    raw = emit_json(project_of(("Factorial.java", FACTORIAL_SRC)))
+    raw = project_json(project_of(("Factorial.java", FACTORIAL_SRC)))
     unit = json.loads(raw)["units"][0]
     assert list(unit) == [
         "path",
@@ -214,14 +216,14 @@ def test_unit_json_key_order_and_loop_line():
 
 
 def test_json_is_byte_identical_across_runs():
-    a = emit_json(project_of(("Beta.java", BETA_SRC), ("Alpha.java", ALPHA_SRC)))
-    b = emit_json(project_of(("Beta.java", BETA_SRC), ("Alpha.java", ALPHA_SRC)))
+    a = project_json(project_of(("Beta.java", BETA_SRC), ("Alpha.java", ALPHA_SRC)))
+    b = project_json(project_of(("Beta.java", BETA_SRC), ("Alpha.java", ALPHA_SRC)))
     assert a == b
     assert b"timestamp" not in a.lower()
 
 
 def test_json_handles_non_ascii_paths():
-    raw = emit_json(project_of(("src/Grön.java", ALPHA_SRC)))
+    raw = project_json(project_of(("src/Grön.java", ALPHA_SRC)))
     assert json.loads(raw)["units"][0]["path"] == "src/Grön.java"
 
 
@@ -233,16 +235,16 @@ def test_joined_fragments_equal_one_document():
     )
     whole = json.dumps(
         {
-            "toolVersion": project.tool_version,
-            "operators": json.loads(emit_json(aggregate_project([])))["operators"],
+            "toolVersion": VERSION,
+            "operators": json.loads(project_json(aggregate_project([])))["operators"],
             "units": [json.loads(emit_unit_json(u)) for u in project.units],
             "diagnostics": [{"path": d.path, "error": d.error} for d in project.diagnostics],
         },
         separators=(",", ":"),
         ensure_ascii=False,
     ).encode("utf-8")
-    assert emit_json(project) == whole
     fragments = [emit_unit_json(u) for u in project.units]
+    assert emit_json(project, fragments) == whole
     summaries = aggregate_project(
         [UnitSummary.from_report(u, 10) for u in project.units], project.diagnostics
     )
@@ -280,7 +282,7 @@ def rows_of(doc):
 
 def test_heatmap_gray_white_and_ramp():
     unit, report = unit_and_report(IMPORT_SRC)
-    doc = render_heatmap(unit, report)
+    doc = render_heatmap(report, unit.text)
     rows = rows_of(doc)
     assert len(rows) == len(unit.lines)
     assert DEFAULT_STYLE.gray_color in rows[0]          # import line
@@ -291,13 +293,13 @@ def test_heatmap_gray_white_and_ramp():
 
 def test_heatmap_hot_line_uses_strongest_stop():
     unit, report = unit_and_report(SHAPE_SRC)
-    doc = render_heatmap(unit, report)
+    doc = render_heatmap(report, unit.text)
     assert DEFAULT_STYLE.color_stops[-1][1] in rows_of(doc)[SHAPE_HOT_LINE - 1]
 
 
 def test_heatmap_lists_mutants_on_hover():
     unit, report = unit_and_report(FACTORIAL_SRC)
-    doc = render_heatmap(unit, report)
+    doc = render_heatmap(report, unit.text)
     loop_row = rows_of(doc)[FACTORIAL_LOOP_LINE - 1]
     assert "ROR: &lt; -&gt; &gt;=" in loop_row
     assert "AOR-S: ++ -&gt; --" in loop_row
@@ -312,7 +314,7 @@ def test_heatmap_escapes_hostile_source():
         "}\n"
     )
     unit, report = unit_and_report(src)
-    doc = render_heatmap(unit, report)
+    doc = render_heatmap(report, unit.text)
     assert "<script>" not in doc
     assert "&lt;script&gt;" in doc
     # a title attribute embedding quotes must not terminate early
@@ -321,7 +323,7 @@ def test_heatmap_escapes_hostile_source():
 
 def test_heatmap_is_self_contained():
     unit, report = unit_and_report(ALPHA_SRC)
-    doc = render_heatmap(unit, report)
+    doc = render_heatmap(report, unit.text)
     assert doc.startswith("<!DOCTYPE html>")
     assert "<style>" in doc
     for marker in ("http://", "https://", "src=", "href="):
@@ -386,7 +388,7 @@ def test_barchart_order_matches_ranking():
 def test_barchart_labels_match_json_rounding():
     project = project_of(("Beta.java", BETA_SRC))
     svg = render_barchart(project)
-    doc = json.loads(emit_json(project))
+    doc = json.loads(project_json(project))
     avg = doc["units"][0]["avg"]
     labels = re.findall(r">([0-9]+\.[0-9]{2})<", svg)
     for key in ("traditional", "nullType"):
@@ -407,7 +409,7 @@ def test_text_empty_report():
 def test_text_matches_json_after_rounding():
     project = project_of(("Beta.java", BETA_SRC), ("Gamma.java", GAMMA_SRC))
     out = render_text(project, 10)
-    doc = json.loads(emit_json(project))
+    doc = json.loads(project_json(project))
     for unit in doc["units"]:
         row = next(line for line in out.splitlines() if line.startswith(unit["path"]))
         cells = row.split()
@@ -472,14 +474,15 @@ def reference_unit_json(report):
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
-def reference_heatmap(unit, report, style=DEFAULT_STYLE):
+def reference_heatmap(report, text, style=DEFAULT_STYLE):
     """The heatmap with each line, badge and mutant title escaped on its own."""
+    lines = split_lines(text)
     rows = []
     for ln in range(1, report.physical_line_count + 1):
         traditional, null_type = report.line_counts.get(ln, (0, 0))
         relevant = ln in report.relevant_lines
         total = traditional + null_type
-        source = unit.lines[ln - 1] if ln - 1 < len(unit.lines) else ""
+        source = lines[ln - 1] if ln - 1 < len(lines) else ""
         badge = f"{total} (T {traditional}, N {null_type})" if relevant else ""
         detail = "&#10;".join(
             html.escape(f"{m.operator_id}: {m.original} -> {m.replacement}", quote=True)
@@ -492,7 +495,7 @@ def reference_heatmap(unit, report, style=DEFAULT_STYLE):
             f'<td class="badge">{html.escape(badge)}</td>'
             f"<td>{html.escape(source)}</td></tr>"
         )
-    title = html.escape(unit.path)
+    title = html.escape(report.path)
     avg = report.avg_density_by_family
     summary = html.escape(
         f"relevant lines: {report.relevant_line_count} | "
@@ -529,7 +532,7 @@ class Awk {{
 
 
 def _reference_units():
-    """(unit, report) for every seeded soup that analyzes, generated
+    """(text, report) for every seeded soup that analyzes, generated
     units and the hand-written ones."""
     sources = [("Soup.java", soup) for alphabet in (SOUP_ALPHABET, SOUP_ALPHABET + "\r")
                for soup in seeded_soups(alphabet)]
@@ -543,19 +546,18 @@ def _reference_units():
     ]
     for path, src in sources:
         try:
-            unit = make_unit(src, path)
-            report = analyze_source(unit, BOTH)
+            report = analyze_unit(path, src, BOTH)
         except errors.MutdenseError:
             continue
-        yield unit, report
+        yield src, report
 
 
 def test_unit_json_and_heatmap_equal_their_reference_forms():
     checked = 0
     kinds = set()
-    for unit, report in _reference_units():
-        assert emit_unit_json(report) == reference_unit_json(report), unit.path
-        assert render_heatmap(unit, report) == reference_heatmap(unit, report), unit.path
+    for text, report in _reference_units():
+        assert emit_unit_json(report) == reference_unit_json(report), report.path
+        assert render_heatmap(report, text) == reference_heatmap(report, text), report.path
         checked += 1
         kinds.update(m.operator_id for m in report.mutants)
     assert checked > 100
@@ -563,9 +565,9 @@ def test_unit_json_and_heatmap_equal_their_reference_forms():
 
 
 def test_awkward_characters_reach_the_mutant_texts():
-    unit = make_unit(_AWKWARD_SRC, f"src/{_AWKWARD}.java")
-    report = analyze_source(unit, BOTH)
+    path = f"src/{_AWKWARD}.java"
+    report = analyze_unit(path, _AWKWARD_SRC, BOTH)
     texts = [m.original for m in report.mutants if m.operator_id in ("NRV", "NOI")]
     assert len(texts) == 3
     assert all(_AWKWARD_LITERAL in text for text in texts)
-    assert json.loads(emit_unit_json(report))["path"] == unit.path
+    assert json.loads(emit_unit_json(report))["path"] == path

@@ -129,6 +129,34 @@ enum Color {
     ]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: an enum constant with arguments and a body "
+                          "reads as a method named after the constant")
+def test_enum_constant_body_holds_its_methods():
+    src = """\
+enum E {
+    A(1) {
+        String f(String s) {
+            return s + 1;
+        }
+    };
+    E(int x) {
+    }
+}
+"""
+    unit = make_unit(src, "E.java")
+    spans = locate_bodies(unit)
+    assert [(s.kind, s.name) for s in spans] == [
+        (SpanKind.METHOD, "f"),
+        (SpanKind.CONSTRUCTOR, "E"),
+    ]
+    assert spans[0].returns_reference
+    assert [unit.tokens[k].text for k in spans[0].nullable_params] == ["s"]
+    report = analyze_unit("E.java", src, OperatorSet.default())
+    assert sorted(m.operator_id for m in report.mutants) == ["AOR-B", "NIV", "NRV"]
+    assert 2 not in report.relevant_lines  # the constant's own line
+
+
 def test_control_keywords_do_not_open_spans():
     src = """\
 class A {
