@@ -48,26 +48,13 @@ class Config(NamedTuple):
     roots: tuple[str, ...]
     include_globs: tuple[str, ...] = ("**/*.java",)
     exclude_globs: tuple[str, ...] = ()
-    families: frozenset[Family] = frozenset(Family)
-    enabled_operator_ids: frozenset[str] | None = None
+    operator_set: OperatorSet = OperatorSet.default()
     output_dir: str = "mutdense-out"
     formats: tuple[str, ...] = ("json", "text")
     threshold: Fraction | None = None
     top_lines: int = 10
     jobs: int = 1
-    color_stops: tuple[tuple[int, str], ...] | None = None
-    gray_color: str | None = None
-
-    def operator_set(self) -> OperatorSet:
-        return OperatorSet.default(self.families, self.enabled_operator_ids)
-
-    def heatmap_style(self) -> HeatmapStyle:
-        if self.color_stops is None and self.gray_color is None:
-            return DEFAULT_STYLE
-        return HeatmapStyle(
-            color_stops=self.color_stops or DEFAULT_STYLE.color_stops,
-            gray_color=self.gray_color or DEFAULT_STYLE.gray_color,
-        )
+    style: HeatmapStyle = DEFAULT_STYLE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,9 +71,9 @@ def _operator_families(name: str) -> list[str]:
     return [f.value for f in Family] if name == "all" else [name]
 
 
-def _analyze_parser(prog: str = "mutdense analyze") -> _Parser:
-    # every dest but --config's is a Config field; an absent flag sets nothing
-    p = _Parser(prog=prog, description="compute mutant density over a source tree",
+def _analyze_parser() -> _Parser:
+    # every dest but --config's is a _CONFIG_KEYS setting; an absent flag sets nothing
+    p = _Parser(prog="mutdense analyze", description="compute mutant density over a source tree",
                 argument_default=argparse.SUPPRESS)
     p.add_argument("roots", nargs="*", help="files or directories to analyze")
     p.add_argument("--operators", dest="families", type=_operator_families,
@@ -136,11 +123,6 @@ def _is_int(value) -> bool:
 
 def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _str_value(value) -> str:
-    _expect(isinstance(value, str), "a string", value)
-    return value
 
 
 def _nonempty_str(value) -> str:
@@ -224,11 +206,11 @@ def _color_stops(value) -> tuple[tuple[int, str], ...]:
         "[[threshold, color], ...]", value,
     )
     stops = tuple((t, c) for t, c in value)
-    HeatmapStyle(color_stops=stops)  # raises ValueError unless strictly increasing
+    HeatmapStyle(color_stops=stops)  # raises ValueError unless a valid ramp
     return stops
 
 
-# config-file key -> (Config field, the one parser of that setting)
+# config-file key -> (Config field or what load_config builds one from, its parser)
 _CONFIG_KEYS = {
     "roots": ("roots", _str_tuple),
     "includeGlobs": ("include_globs", _str_tuple),
@@ -241,7 +223,7 @@ _CONFIG_KEYS = {
     "topLines": ("top_lines", lambda v: _integer(v, 0)),
     "jobs": ("jobs", lambda v: _integer(v, 1)),
     "colorStops": ("color_stops", _color_stops),
-    "grayColor": ("gray_color", _str_value),
+    "grayColor": ("gray_color", lambda v: HeatmapStyle((), v).gray_color),
 }
 _FIELD_PARSERS = dict(_CONFIG_KEYS.values())
 
@@ -258,12 +240,13 @@ def load_config(cli_args: Sequence[str]) -> Config:
 
     Each value present goes through its setting's parser; a bad one raises
     BadConfigKey naming the key, or BadFlag naming the flag or MUTDENSE_JOBS.
+    A selection that enables no operator raises MutdenseError.
     """
     parser = _analyze_parser()
     flags = vars(parser.parse_args(list(cli_args)))
     file_path = flags.pop("config", None)
 
-    # (Config field, value, its source, error class); a later value wins
+    # (setting, value, its source, error class); a later value wins
     sources = []
     if file_path:
         sources += [(_CONFIG_KEYS[key][0], value, f"{key} in {file_path}", errors.BadConfigKey)
@@ -283,6 +266,14 @@ def load_config(cli_args: Sequence[str]) -> Config:
             raise error(f"{origin}: {exc}") from exc
     if not merged.get("roots"):
         raise errors.BadFlag("at least one root path is required")
+    try:
+        merged["operator_set"] = OperatorSet.default(
+            merged.pop("families", None), merged.pop("enabled_operator_ids", None))
+    except ValueError as exc:  # no operator is enabled
+        raise errors.MutdenseError(str(exc)) from exc
+    # an explicit value is used as given: [] stops shade no line
+    merged["style"] = HeatmapStyle(merged.pop("color_stops", DEFAULT_STYLE.color_stops),
+                                   merged.pop("gray_color", DEFAULT_STYLE.gray_color))
     return Config(**merged)
 
 
@@ -422,28 +413,17 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
 # ---------------------------------------------------------------------------
 
 
-class UnitSettings(NamedTuple):
-    """What a worker needs of the run's settings to analyze a unit."""
-
-    operator_set: OperatorSet
-    formats: tuple[str, ...]
-    style: HeatmapStyle
-    top_lines: int
-
-
 class UnitResult(NamedTuple):
-    """One file's outcome: an error, or the unit's finished pieces.
+    """What a worker sends back for one file it analyzed.
 
-    ``json`` is the unit's ``project.json`` entry when json is requested and
-    ``html`` its heatmap page when html is; ``summary`` is what the text
-    table, the bar chart and the threshold gate read.
+    ``summary`` is what the text table, the bar chart and the threshold
+    gate read; ``json`` is the unit's ``project.json`` entry when json is
+    requested and ``html`` its heatmap page when html is.
     """
 
-    path: str
-    error: str | None
-    json: bytes | None = None
-    html: bytes | None = None
-    summary: UnitSummary | None = None
+    summary: UnitSummary
+    json: bytes | None
+    html: bytes | None
 
 
 def read_text(fs_path: str) -> str:
@@ -455,34 +435,32 @@ def read_text(fs_path: str) -> str:
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def analyze_path(display: str, fs_path: str, settings: UnitSettings) -> UnitResult:
-    """Run the full per-unit pipeline and build the unit's pieces for the
-    requested formats; failures come back as a message."""
+def analyze_path(display: str, fs_path: str, config: Config) -> UnitResult | Diagnostic:
+    """Run the full per-unit pipeline and build the unit's parts of the
+    requested formats; a failure comes back as a ``Diagnostic``."""
     try:
         text = read_text(fs_path)
     except UnicodeDecodeError:
-        return UnitResult(display, "not valid UTF-8")
+        return Diagnostic(display, "not valid UTF-8")
     except OSError as exc:
-        return UnitResult(display, f"unreadable: {exc}")
+        return Diagnostic(display, f"unreadable: {exc}")
     try:
-        report = analyze_unit(display, text, settings.operator_set)
+        report = analyze_unit(display, text, config.operator_set)
     except errors.MutdenseError as exc:
-        return UnitResult(display, str(exc))
-    formats = settings.formats
+        return Diagnostic(display, str(exc))
+    formats = config.formats
     return UnitResult(
-        display,
-        None,
+        UnitSummary.from_report(report, config.top_lines if "text" in formats else 0),
         json=emit_unit_json(report) if "json" in formats else None,
-        html=(render_heatmap(report, text, settings.style).encode("utf-8")
+        html=(render_heatmap(report, text, config.style).encode("utf-8")
               if "html" in formats else None),
-        summary=UnitSummary.from_report(report, settings.top_lines if "text" in formats else 0),
     )
 
 
-def analyze_chunk(task: tuple[Sequence[tuple[str, str]], UnitSettings]) -> list[UnitResult]:
+def analyze_chunk(task: tuple[Sequence[tuple[str, str]], Config]) -> list[UnitResult | Diagnostic]:
     """``analyze_path`` over one chunk of (display path, fs path) pairs."""
-    files, settings = task
-    return [analyze_path(display, fs_path, settings) for display, fs_path in files]
+    files, config = task
+    return [analyze_path(display, fs_path, config) for display, fs_path in files]
 
 
 # each chunk takes 1 / (workers * _CHUNK_DIVISOR) of the files not yet sent:
@@ -577,13 +555,6 @@ def heatmap_filenames(display_paths: Sequence[str]) -> list[str]:
 
 def run(config: Config) -> int:
     try:
-        operator_set = config.operator_set()
-        style = config.heatmap_style()
-    except ValueError as exc:
-        print(f"mutdense: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         files, diagnostics = discover(config)
     except errors.MutdenseError as exc:
         print(f"mutdense: {exc}", file=sys.stderr)
@@ -592,33 +563,28 @@ def run(config: Config) -> int:
         print("mutdense: no input files matched", file=sys.stderr)
         return 1
 
-    settings = UnitSettings(operator_set, config.formats, style, config.top_lines)
     workers = worker_count(config.jobs, len(files), usable_cpus())
-    tasks = [(chunk, settings) for chunk in chunked(files, workers)]
+    tasks = [(chunk, config) for chunk in chunked(files, workers)]
     if workers > 1:
         with process_pool(workers) as pool:
             chunks = list(pool.map(analyze_chunk, tasks))
     else:
         chunks = [analyze_chunk(task) for task in tasks]
 
-    summaries: list[UnitSummary] = []
-    pieces: dict[str, UnitResult] = {}
-    for chunk in chunks:
-        for result in chunk:
-            if result.error is not None:
-                diagnostics.append(Diagnostic(result.path, result.error))
-            else:
-                summaries.append(result.summary)
-                pieces[result.path] = result
+    # files are sorted by display path, and chunked and map keep their
+    # order, so the results come in the order aggregate_project gives
+    results = [result for chunk in chunks for result in chunk]
+    diagnostics += [r for r in results if isinstance(r, Diagnostic)]
+    analyzed = [r for r in results if not isinstance(r, Diagnostic)]
 
     try:
-        project = aggregate_project(summaries, diagnostics)
+        project = aggregate_project([r.summary for r in analyzed], diagnostics)
     except errors.DuplicatePath as exc:
         print(f"mutdense: {exc}", file=sys.stderr)
         return 1
 
     try:
-        _write_artifacts(project, pieces, config)
+        _write_artifacts(project, analyzed, config)
     except OSError as exc:
         print(f"mutdense: cannot write output: {exc}", file=sys.stderr)
         return 1
@@ -645,14 +611,14 @@ def run(config: Config) -> int:
 
 
 def _write_artifacts(
-    project: ProjectReport, pieces: dict[str, UnitResult], config: Config
+    project: ProjectReport, analyzed: Sequence[UnitResult], config: Config
 ) -> None:
-    """Write the run's artifacts; ``pieces`` holds each unit's worker result."""
+    """Write the run's artifacts; ``analyzed`` is in ``project.units``' order."""
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     if "json" in config.formats:
         with open(os.path.join(out, "project.json"), "wb") as fh:
-            fh.write(emit_json(project, [pieces[u.path].json for u in project.units]))
+            fh.write(emit_json(project, [result.json for result in analyzed]))
     if "text" in config.formats:
         with open(os.path.join(out, "project.txt"), "w", encoding="utf-8") as fh:
             fh.write(render_text(project, config.top_lines))
@@ -661,9 +627,9 @@ def _write_artifacts(
             fh.write(render_barchart(project))
     if "html" in config.formats:
         names = heatmap_filenames([unit.path for unit in project.units])
-        for unit, name in zip(project.units, names):
+        for result, name in zip(analyzed, names):
             with open(os.path.join(out, name), "wb") as fh:
-                fh.write(pieces[unit.path].html)
+                fh.write(result.html)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ use a fixed key order, so identical input yields identical bytes.
 
 import html
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Iterator, NamedTuple, Sequence
@@ -157,6 +158,11 @@ class _StyleFields(NamedTuple):
     gray_color: str = "#d4d4d4"
 
 
+# a color goes into a style attribute as it is, so it may only be '#' and
+# 3, 4, 6 or 8 hex digits, or a name of ASCII letters
+_COLOR = re.compile(r"#(?:[0-9a-fA-F]{3,4}|[0-9a-fA-F]{6}|[0-9a-fA-F]{8})|[A-Za-z]+")
+
+
 class HeatmapStyle(_StyleFields):
     """Shading ramp for relevant lines; density 0 stays white."""
 
@@ -167,6 +173,9 @@ class HeatmapStyle(_StyleFields):
         thresholds = [t for t, _ in self.color_stops]
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("color stop thresholds must be strictly increasing")
+        for color in [c for _, c in self.color_stops] + [self.gray_color]:
+            if not (isinstance(color, str) and _COLOR.fullmatch(color)):
+                raise ValueError(f"not a color: {color!r}")
         return self
 
     # _replace builds its copy through _make, which would skip __new__

@@ -29,7 +29,7 @@ from mutdense.cli import (
 )
 from mutdense.fault_model import Family, OperatorSet
 from mutdense.metrics import Diagnostic, aggregate_project, analyze_unit
-from mutdense.reporting import emit_json, emit_unit_json
+from mutdense.reporting import DEFAULT_STYLE, emit_json, emit_unit_json, render_heatmap
 from conftest import (
     ALPHA_SRC,
     BETA_SRC,
@@ -53,7 +53,8 @@ def test_defaults():
     cfg = load_config(["src"])
     assert cfg.roots == ("src",)
     assert cfg.include_globs == ("**/*.java",)
-    assert cfg.families == frozenset(Family)
+    assert cfg.operator_set.families == frozenset(Family)
+    assert cfg.style == DEFAULT_STYLE
     assert cfg.formats == ("json", "text")
     assert cfg.top_lines == 10
     assert cfg.threshold is None
@@ -61,13 +62,12 @@ def test_defaults():
 
 
 def test_operators_flag_narrows_families():
-    assert load_config(["src", "--operators", "null-type"]).families == frozenset(
-        {Family.NULL_TYPE}
-    )
-    assert load_config(["src", "--operators", "traditional"]).families == frozenset(
-        {Family.TRADITIONAL}
-    )
-    assert load_config(["src", "--operators", "all"]).families == frozenset(Family)
+    def families(name):
+        return load_config(["src", "--operators", name]).operator_set.families
+
+    assert families("null-type") == frozenset({Family.NULL_TYPE})
+    assert families("traditional") == frozenset({Family.TRADITIONAL})
+    assert families("all") == frozenset(Family)
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -101,13 +101,13 @@ def test_config_file_settings_apply(tmp_path):
     assert cfg.roots == ("lib",)
     assert cfg.include_globs == ("**/*.jav",)
     assert cfg.exclude_globs == ("**/gen/**",)
-    assert cfg.families == frozenset({Family.NULL_TYPE})
-    assert cfg.enabled_operator_ids == frozenset({"NNC", "NRV"})
+    assert cfg.operator_set.families == frozenset({Family.NULL_TYPE})
+    assert cfg.operator_set.enabled_ids == frozenset({"NNC", "NRV"})
     assert cfg.output_dir == "reports"
     assert cfg.formats == ("json", "svg")
     assert cfg.jobs == 2
-    assert cfg.heatmap_style().color_stops == ((1, "#aaa"), (4, "#bbb"))
-    assert cfg.heatmap_style().gray_color == "#ccc"
+    assert cfg.style.color_stops == ((1, "#aaa"), (4, "#bbb"))
+    assert cfg.style.gray_color == "#ccc"
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -173,9 +173,13 @@ def test_bad_jobs_env_is_named_in_the_error(monkeypatch, capsys, value):
         load_config(["src", "--jobs", "0"])
 
 
-# (flag arguments, config key, the same value in a config file, valid?); each
-# setting that has both a flag and a key, with a bad value where a flag can
-# carry one
+_NO_OPERATOR = ("no operator is enabled: the operator ids [] select none of the families"
+                " ['null-type', 'traditional']")
+
+# (flag arguments, config key, the same value in a config file, outcome): True
+# when both load alike, False when each is rejected naming its source, else
+# the message both fail with; each setting that has both a flag and a key,
+# with a bad value where a flag can carry one
 _FLAG_KEY_VALUES = [
     (["--include", "**/*.jav", "--include", "x"], "includeGlobs", ["**/*.jav", "x"], True),
     (["--exclude", "gen/**"], "excludeGlobs", ["gen/**"], True),
@@ -183,7 +187,7 @@ _FLAG_KEY_VALUES = [
     (["--operators", "all"], "families", ["traditional", "null-type"], True),
     (["--operators", "both"], "families", ["both"], False),
     (["--enable", "ROR, NNC"], "enabledOperatorIds", "ROR, NNC", True),
-    (["--enable="], "enabledOperatorIds", "", True),
+    (["--enable="], "enabledOperatorIds", "", _NO_OPERATOR),
     (["--enable", "ROR,BOGUS"], "enabledOperatorIds", "ROR,BOGUS", False),
     (["--out", "reports"], "outputDir", "reports", True),
     (["--out="], "outputDir", "", False),
@@ -206,18 +210,23 @@ _FLAG_KEY_VALUES = [
 
 
 @pytest.mark.parametrize(
-    "flag_args,key,file_value,valid",
+    "flag_args,key,file_value,outcome",
     _FLAG_KEY_VALUES,
     ids=[" ".join(args) for args, _, _, _ in _FLAG_KEY_VALUES],
 )
-def test_flag_and_config_key_parse_alike(tmp_path, flag_args, key, file_value, valid):
+def test_flag_and_config_key_parse_alike(tmp_path, flag_args, key, file_value, outcome):
     cfg_file = tmp_path / "md.json"
     cfg_file.write_text(json.dumps({key: file_value}))
     flag_argv = ["src", *flag_args]
     file_argv = ["src", "--config", str(cfg_file)]
-    if valid:
-        field = cli._CONFIG_KEYS[key][0]
-        assert getattr(load_config(flag_argv), field) == getattr(load_config(file_argv), field)
+    if outcome is True:
+        assert load_config(flag_argv) == load_config(file_argv)
+        return
+    if outcome is not False:
+        for argv in (flag_argv, file_argv):
+            with pytest.raises(errors.MutdenseError) as failure:
+                load_config(argv)
+            assert str(failure.value) == outcome
         return
     flag = flag_args[0].split("=")[0]
     with pytest.raises(errors.BadFlag, match="^" + re.escape(flag)):
@@ -289,6 +298,10 @@ _BAD_CONFIG_VALUES = [
     ("colorStops", [[3, "#aaa"], [1, "#bbb"]]),
     ("colorStops", 7),
     ("grayColor", 7),
+    ("colorStops", [[1, '#fff" onmouseover="alert(2)']]),
+    ("colorStops", [[1, "#12345"]]),
+    ("grayColor", ""),
+    ("grayColor", "gray;x"),
 ]
 
 
@@ -718,6 +731,12 @@ def test_every_artifact_is_the_same_at_one_and_two_jobs(write_tree, tmp_path):
     project = aggregate_project(reports, diagnostics)
     fragments = [emit_unit_json(u) for u in project.units]
     assert emit_json(project, fragments) == runs[1]["project.json"]
+    # each page is its own unit's: a/B.java sorts before a_B.java and takes
+    # the plain name, though discovery walks a_B.java first
+    names = heatmap_filenames([u.path for u in project.units])
+    assert names == ["Alpha.java.html", "a_B.java.html", "a_B.java.2.html"]
+    for unit, name in zip(project.units, names):
+        assert runs[1][name] == render_heatmap(unit, sources[unit.path]).encode("utf-8")
 
 
 def test_threshold_gate_is_strictly_greater(write_tree, tmp_path, capsys):
@@ -753,6 +772,19 @@ def test_empty_operator_set_is_fatal(write_tree, tmp_path, capsys, args, config,
     err = capsys.readouterr().err
     assert "no operator is enabled" in err and cause in err
     assert not out.exists()
+
+
+def test_explicit_style_values_are_used_as_given(write_tree, tmp_path):
+    # "grayColor": "" is no default either: it is a _BAD_CONFIG_VALUES case
+    root = write_tree({"Gamma.java": GAMMA_SRC})
+    cfg_file = tmp_path / "md.json"
+    cfg_file.write_text(json.dumps({"colorStops": []}))
+    out = tmp_path / "out"
+    argv = ["analyze", str(root), "--config", str(cfg_file), "--format", "html", "--out", str(out)]
+    assert main(argv) == 0
+    colors = re.findall(r'<tr style="background:([^"]*)"', (out / "Gamma.java.html").read_text())
+    # no stop shades a line, even one that hosts mutants; the gray stays
+    assert set(colors) == {"#ffffff", DEFAULT_STYLE.gray_color}
 
 
 def test_missing_root_is_fatal(tmp_path, capsys):

@@ -569,13 +569,14 @@ _FOUND = ["path", "physical_line_count", "relevant_lines", "mutants"]
 def test_worker_result_holds_only_what_analysis_found(tmp_path):
     source = tmp_path / "Outer.java"
     source.write_text(_NESTED_SRC, encoding="utf-8")
-    settings = cli.UnitSettings(ALL_OPS, ("json", "html", "text"), DEFAULT_STYLE, 10)
-    result = cli.analyze_path("Outer.java", str(source), settings)
+    config = cli.Config(("Outer.java",), operator_set=ALL_OPS, formats=("json", "html", "text"),
+                        top_lines=10, style=DEFAULT_STYLE)
+    result = cli.analyze_path("Outer.java", str(source), config)
     report = analyze_unit("Outer.java", _NESTED_SRC, ALL_OPS)
     assert list(UnitReport._fields) == _FOUND
     # no derived view was built by analysis
     assert vars(report) == {}
-    assert result.error is None and report.mutants
+    assert isinstance(result, cli.UnitResult) and report.mutants
     # the worker sends finished bytes and a summary, never the report
     assert result.json == emit_unit_json(report)
     assert result.html == render_heatmap(report, _NESTED_SRC).encode("utf-8")

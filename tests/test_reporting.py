@@ -340,6 +340,15 @@ def test_style_requires_increasing_thresholds():
     assert custom.shade(True, 0) == "#ffffff"
     assert custom.shade(True, 1) == "#ffffff"
     assert custom.shade(True, 2) == "#123456"
+    # a color is '#' and 3, 4, 6 or 8 hex digits, or a name of ASCII letters
+    for color in ("#fff", "#ffff", "#123456", "#12345678", "teal", "RebeccaPurple"):
+        assert HeatmapStyle(((1, color),), color).shade(True, 1) == color
+    for color in ("", "#", "#12", "#12345", "#1234567", "#ggg", "red;", "#fff\" x=\"",
+                  "caf\u00e9", None):
+        with pytest.raises(ValueError):
+            HeatmapStyle(((1, color),))
+        with pytest.raises(ValueError):
+            custom._replace(gray_color=color)
 
 
 # ---------------------------------------------------------------------------
