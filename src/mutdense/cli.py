@@ -71,6 +71,15 @@ def _operator_families(name: str) -> list[str]:
     return [f.value for f in Family] if name == "all" else [name]
 
 
+def _int_or_text(text: str):
+    """A flag's or MUTDENSE_JOBS's text as an int where it reads as one, so
+    its setting's parser judges it as it would the config file's value."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _analyze_parser() -> _Parser:
     # every dest but --config's is a _CONFIG_KEYS setting; an absent flag sets nothing
     p = _Parser(prog="mutdense analyze", description="compute mutant density over a source tree",
@@ -85,11 +94,11 @@ def _analyze_parser() -> _Parser:
     p.add_argument("--out", dest="output_dir", metavar="DIR")
     p.add_argument("--threshold", metavar="X",
                    help="fail (exit 2) when a unit's combined average exceeds X")
-    p.add_argument("--top-lines", dest="top_lines", type=int, metavar="N")
+    p.add_argument("--top-lines", dest="top_lines", type=_int_or_text, metavar="N")
     p.add_argument("--include", dest="include_globs", action="append", metavar="GLOB")
     p.add_argument("--exclude", dest="exclude_globs", action="append", metavar="GLOB")
     p.add_argument("--config", metavar="FILE", help="JSON config file")
-    p.add_argument("--jobs", type=int, metavar="N")
+    p.add_argument("--jobs", type=_int_or_text, metavar="N")
     return p
 
 
@@ -226,13 +235,6 @@ _CONFIG_KEYS = {
     "grayColor": ("gray_color", lambda v: HeatmapStyle((), v).gray_color),
 }
 _FIELD_PARSERS = dict(_CONFIG_KEYS.values())
-
-
-def _int_or_text(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return text
 
 
 def load_config(cli_args: Sequence[str]) -> Config:
@@ -646,18 +648,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         command, rest = args[0], args[1:]
         if command == "analyze":
             return run(load_config(rest))
+        if command not in ("operators", "version"):
+            raise errors.BadFlag(f"unknown command {command!r}")
+        if rest:
+            raise errors.BadFlag(f"{command} takes no arguments")
         if command == "operators":
-            if rest:
-                raise errors.BadFlag("operators takes no arguments")
             for op in CATALOG:
                 print(f"{op.id:<6} {op.family.value:<12} {op.description}")
-            return 0
-        if command == "version":
-            if rest:
-                raise errors.BadFlag("version takes no arguments")
+        else:
             print(f"mutdense {VERSION}")
-            return 0
-        raise errors.BadFlag(f"unknown command {command!r}")
+        return 0
     except errors.MutdenseError as exc:
         print(f"mutdense: {exc}", file=sys.stderr)
         return 1

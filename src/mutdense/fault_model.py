@@ -57,9 +57,8 @@ ALL_OPERATOR_IDS = frozenset(_OPERATORS_BY_ID)
 
 
 class OperatorSet(NamedTuple):
-    """The enabled slice of the catalog: families plus optional id filter."""
+    """The enabled slice of the catalog: the ids of its enabled operators."""
 
-    families: frozenset[Family]
     enabled_ids: frozenset[str]
 
     @classmethod
@@ -71,21 +70,19 @@ class OperatorSet(NamedTuple):
         fams = frozenset(families) if families is not None else frozenset(Family)
         if not fams:
             raise ValueError("at least one operator family is required")
-        family_ids = frozenset(op.id for op in CATALOG if op.family in fams)
-        if enabled_ids is None:
-            ids = family_ids
-        else:
+        ids = frozenset(op.id for op in CATALOG if op.family in fams)
+        if enabled_ids is not None:
             requested = frozenset(enabled_ids)
             unknown = requested - ALL_OPERATOR_IDS
             if unknown:
                 raise ValueError(f"unknown operator ids: {sorted(unknown)}")
-            ids = requested & family_ids
+            ids &= requested
             if not ids:
                 raise ValueError(
                     f"no operator is enabled: the operator ids {sorted(requested)}"
                     f" select none of the families {sorted(f.value for f in fams)}"
                 )
-        return cls(families=fams, enabled_ids=ids)
+        return cls(ids)
 
 
 class Mutant(NamedTuple):
@@ -199,13 +196,11 @@ _SITES: dict[str, Callable[[Sequence[Token], int, GenericAngles], bool]] = {
 @lru_cache(maxsize=8)
 def _rule_table(
     operator_set: OperatorSet,
-) -> tuple[frozenset[str], dict[str, list[tuple[str, str, Callable | None]]], tuple[str, ...]]:
-    """The enabled operator ids, the rewrite rules by token text, and every
-    token text ``find_mutation_sites`` acts on; built once per operator set
-    and shared, so callers must not change them."""
-    # an id outside the set's families stays off, however the set was built
-    enabled = frozenset(op_id for op_id in operator_set.enabled_ids
-                        if _OPERATORS_BY_ID[op_id].family in operator_set.families)
+) -> tuple[dict[str, list[tuple[str, str, Callable | None]]], tuple[str, ...]]:
+    """The rewrite rules by token text, and every token text
+    ``find_mutation_sites`` acts on; built once per operator set and shared,
+    so callers must not change them."""
+    enabled = operator_set.enabled_ids
     # token text -> [(operator id, replacement, site predicate or None)]
     rules: dict[str, list[tuple[str, str, Callable | None]]] = {}
     for op_id in sorted(enabled & REWRITES.keys()):
@@ -216,7 +211,7 @@ def _rule_table(
         visited.append("new")
     if "NRV" in enabled:
         visited += ["return", "case", "default", "->"]
-    return enabled, rules, tuple(visited)
+    return rules, tuple(visited)
 
 
 def find_mutation_sites(
@@ -230,7 +225,7 @@ def find_mutation_sites(
     """
     tokens = unit.tokens
     angles = unit.angles
-    enabled, rules, visited = _rule_table(operator_set)
+    rules, visited = _rule_table(operator_set)
     out: list[Mutant] = []
     # the bodies entered so far, innermost last, as the index of each one's
     # '}' and its span (None for a block lambda body); once those closed
@@ -286,7 +281,7 @@ def find_mutation_sites(
             if arrow is not None:
                 rule_arrows.add(arrow)
 
-    if "NIV" in enabled:
+    if "NIV" in operator_set.enabled_ids:
         for span in spans:
             insert_at = tokens[span.body_token_range[0]].end
             for name_idx in span.nullable_params:
@@ -304,40 +299,38 @@ def _null_adjacent(tokens: Sequence[Token], idx: int) -> bool:
     return idx + 1 < len(tokens) and tokens[idx + 1].text == "null"
 
 
-_LABEL_STOPS = frozenset({":", ";", "{", "}"})
+_LABEL_ENDS = frozenset({"->", ":", ";", "{", "}"})
+_STATEMENT_END = frozenset({";"})
+
+
+def _first_outside_groups(unit: SourceUnit, k: int, end: int, texts: frozenset[str]) -> int | None:
+    """The index of the first token from ``k`` up to ``end`` whose text is
+    one of ``texts``, jumping over each bracket group; None if there is none."""
+    tokens, pairs = unit.tokens, unit.pairs
+    while k < end:
+        if tokens[k].text in texts:
+            return k
+        k = pairs.get(k, k) + 1
+    return None
 
 
 def _rule_arrow(unit: SourceUnit, idx: int) -> int | None:
     """For the 'case' or 'default' at ``idx``, the '->' that ends its switch
-    label, reached by jumping over bracket groups; None for a ':' label or
-    a 'default' modifier."""
-    tokens, pairs = unit.tokens, unit.pairs
-    k = idx + 1
-    while k < len(tokens):
-        tx = tokens[k].text
-        if tx == "->":
-            return k
-        if tx in _LABEL_STOPS:
-            return None
-        k = pairs.get(k, k) + 1
-    return None
+    label; None for a ':' label or a 'default' modifier."""
+    k = _first_outside_groups(unit, idx + 1, len(unit.tokens), _LABEL_ENDS)
+    return k if k is not None and unit.tokens[k].text == "->" else None
 
 
 def _nullable_return_range(unit: SourceUnit, idx: int, span: BodySpan) -> int | None:
     """For 'return expr;' in a method returning a reference type, the end
-    offset of the terminating ';', reached by jumping over bracket groups;
-    'return null;' yields nothing.  A constructor has no return type."""
+    offset of the terminating ';'; 'return null;' yields nothing.  A
+    constructor has no return type."""
     if not span.returns_reference:
         return None
-    tokens, pairs = unit.tokens, unit.pairs
-    k = idx + 1
-    while k < span.body_token_range[1]:
-        if tokens[k].text == ";":
-            if k == idx + 2 and tokens[idx + 1].text == "null":
-                return None
-            return tokens[k].end
-        k = pairs.get(k, k) + 1
-    return None
+    k = _first_outside_groups(unit, idx + 1, span.body_token_range[1], _STATEMENT_END)
+    if k is None or (k == idx + 2 and unit.tokens[idx + 1].text == "null"):
+        return None
+    return unit.tokens[k].end
 
 
 def apply_mutant(unit: SourceUnit, mutant: Mutant) -> str:

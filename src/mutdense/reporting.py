@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from mutdense import errors
 from mutdense._version import VERSION
@@ -139,15 +139,6 @@ def _json_line_rows(unit: UnitReport) -> list[str]:
     return rows
 
 
-def _line_rows(unit: UnitReport) -> Iterator[tuple[int, bool, int, int]]:
-    """(line, relevant, traditional count, null-type count) per physical line."""
-    counts = unit.line_counts
-    relevant = unit.relevant_lines
-    for ln in range(1, unit.physical_line_count + 1):
-        traditional, null_type = counts.get(ln, (0, 0))
-        yield ln, ln in relevant, traditional, null_type
-
-
 # ---------------------------------------------------------------------------
 # HTML heatmap
 # ---------------------------------------------------------------------------
@@ -222,8 +213,11 @@ def render_heatmap(
             title = titles[key] = html.escape(f"{key[0]}: {key[1]} -> {key[2]}", quote=True)
         details.setdefault(m.line, []).append(title)
 
+    counts, relevant_lines = unit_report.line_counts, unit_report.relevant_lines
     rows: list[str] = []
-    for ln, relevant, traditional, null_type in _line_rows(unit_report):
+    for ln in range(1, unit_report.physical_line_count + 1):
+        relevant = ln in relevant_lines
+        traditional, null_type = counts.get(ln, (0, 0))
         total = traditional + null_type
         source = sources[ln - 1] if ln - 1 < len(sources) else ""
         color = style.shade(relevant, total)

@@ -25,9 +25,6 @@ def tokenize(text: str, start: int = 0) -> list[Token]:
     return scanner.scan(text, start)
 
 
-# A name made of ASCII characters that is none of the words at which
-# ``locate_bodies`` opens a block; any other name ends the preamble.
-_NAME = r"(?!(?:new|class|interface|enum)(?![\w$]))[A-Za-z_$][A-Za-z0-9_$]*"
 _WS = r"[ \t\n\r\f\x0b]*"
 
 
@@ -40,11 +37,14 @@ def _preamble() -> re.Pattern:
     after it.  Each text matches in one way only, so a failed piece
     backtracks in linear time, and a line comment counts only with its
     line end, so the window below never cuts one."""
+    # a name of ASCII characters that is none of the words at which
+    # ``locate_bodies`` opens a block; any other name ends the preamble
+    name = rf"(?!(?:{'|'.join(_BLOCK_STOPS)})(?![\w$]))[A-Za-z_$][A-Za-z0-9_$]*"
     return re.compile(
         r"(?:[ \t\n\r\f\x0b]+(?![ \t\n\r\f\x0b])|//[^\r\n]*(?=[\r\n])"
         r"|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
         rf"|(?:package|import(?![\w$])(?:{_WS}static)?)(?![\w$])"
-        rf"{_WS}{_NAME}(?:{_WS}\.{_WS}(?:{_NAME}|\*))*{_WS};)*"
+        rf"{_WS}{name}(?:{_WS}\.{_WS}(?:{name}|\*))*{_WS};)*"
     )
 
 
@@ -56,16 +56,15 @@ _PREAMBLE_WINDOW = 1 << 16
 class _SourceFields(NamedTuple):
     path: str
     text: str
-    lines: tuple[str, ...]
     tokens: tuple[Token, ...]
 
 
 class SourceUnit(_SourceFields):
-    """One source file: raw text, physical lines, and its token stream.
+    """One source file: raw text and its token stream.
 
-    ``pairs`` (bracket pairs), ``angles`` and ``positions`` are derived from
-    the tokens on first use and kept, so every layer that reads them shares
-    one computation.
+    ``lines`` (the physical lines of the text), ``pairs`` (bracket pairs),
+    ``angles`` and ``positions`` are derived on first use and kept, so every
+    layer that reads them shares one computation.
     """
 
     @classmethod
@@ -74,7 +73,11 @@ class SourceUnit(_SourceFields):
         import preamble: every layer gives the same results as it does on
         all of the text's tokens."""
         start = _preamble().match(text, 0, _PREAMBLE_WINDOW).end()
-        return cls(path, text, split_lines(text), tuple(tokenize(text, start)))
+        return cls(path, text, tuple(tokenize(text, start)))
+
+    @functools.cached_property
+    def lines(self) -> tuple[str, ...]:
+        return split_lines(self.text)
 
     @functools.cached_property
     def pairs(self) -> dict[int, int]:

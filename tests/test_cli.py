@@ -27,7 +27,7 @@ from mutdense.cli import (
     run,
     worker_count,
 )
-from mutdense.fault_model import Family, OperatorSet
+from mutdense.fault_model import ALL_OPERATOR_IDS, CATALOG, Family, OperatorSet
 from mutdense.metrics import Diagnostic, aggregate_project, analyze_unit
 from mutdense.reporting import DEFAULT_STYLE, emit_json, emit_unit_json, render_heatmap
 from conftest import (
@@ -49,11 +49,15 @@ def clean_jobs_env(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _family_ids(family):
+    return frozenset(op.id for op in CATALOG if op.family is family)
+
+
 def test_defaults():
     cfg = load_config(["src"])
     assert cfg.roots == ("src",)
     assert cfg.include_globs == ("**/*.java",)
-    assert cfg.operator_set.families == frozenset(Family)
+    assert cfg.operator_set.enabled_ids == ALL_OPERATOR_IDS
     assert cfg.style == DEFAULT_STYLE
     assert cfg.formats == ("json", "text")
     assert cfg.top_lines == 10
@@ -62,12 +66,12 @@ def test_defaults():
 
 
 def test_operators_flag_narrows_families():
-    def families(name):
-        return load_config(["src", "--operators", name]).operator_set.families
+    def enabled(name):
+        return load_config(["src", "--operators", name]).operator_set.enabled_ids
 
-    assert families("null-type") == frozenset({Family.NULL_TYPE})
-    assert families("traditional") == frozenset({Family.TRADITIONAL})
-    assert families("all") == frozenset(Family)
+    assert enabled("null-type") == _family_ids(Family.NULL_TYPE)
+    assert enabled("traditional") == _family_ids(Family.TRADITIONAL)
+    assert enabled("all") == ALL_OPERATOR_IDS
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -101,7 +105,6 @@ def test_config_file_settings_apply(tmp_path):
     assert cfg.roots == ("lib",)
     assert cfg.include_globs == ("**/*.jav",)
     assert cfg.exclude_globs == ("**/gen/**",)
-    assert cfg.operator_set.families == frozenset({Family.NULL_TYPE})
     assert cfg.operator_set.enabled_ids == frozenset({"NNC", "NRV"})
     assert cfg.output_dir == "reports"
     assert cfg.formats == ("json", "svg")
@@ -140,11 +143,14 @@ def test_unreadable_config(tmp_path, content):
         ["src", "--top-lines", "-2"],
         ["src", "--format="],  # an empty value is checked like the file's ""
         ["src", "--out="],
+        ["src", "--bogus"],  # argparse's own errors, which must exit 1: 2 is the gate's code
+        ["src", "--jobs"],
     ],
 )
 def test_bad_flags(argv):
     with pytest.raises(errors.BadFlag):
         load_config(argv)
+    assert main(["analyze", *argv]) == 1
 
 
 def test_jobs_env_sits_below_file_and_flags(tmp_path, monkeypatch):
@@ -206,6 +212,8 @@ _FLAG_KEY_VALUES = [
     (["--top-lines", "-2"], "topLines", -2, False),
     (["--jobs", "3"], "jobs", 3, True),
     (["--jobs", "0"], "jobs", 0, False),
+    (["--jobs", "two"], "jobs", "two", False),
+    (["--top-lines", "x"], "topLines", "x", False),
 ]
 
 
@@ -302,6 +310,7 @@ _BAD_CONFIG_VALUES = [
     ("colorStops", [[1, "#12345"]]),
     ("grayColor", ""),
     ("grayColor", "gray;x"),
+    ("families", []),
 ]
 
 
@@ -901,6 +910,10 @@ def test_operators_and_version_subcommands(capsys):
 def test_unknown_command_and_empty_argv(capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
+    capsys.readouterr()
+    for command in ("operators", "version"):
+        assert main([command, "x"]) == 1
+        assert capsys.readouterr() == ("", f"mutdense: {command} takes no arguments\n")
 
 
 def test_run_accepts_programmatic_config(write_tree, tmp_path, capsys):

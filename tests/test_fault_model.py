@@ -85,13 +85,12 @@ def test_each_operator_alone_yields_only_its_own_mutants(op_id):
     assert alone == [m for m in everything if m.operator_id == op_id]
 
 
-def test_family_filter_applies_to_a_hand_built_operator_set():
-    hand_built = OperatorSet(
-        families=frozenset({Family.TRADITIONAL}), enabled_ids=ALL_OPERATOR_IDS
-    )
-    _, mutants = mutants_of(ALL_SITES_SRC, hand_built)
-    assert mutants and {m.family for m in mutants} == {Family.TRADITIONAL}
-    assert mutants == mutants_of(ALL_SITES_SRC, TRADITIONAL)[1]
+def test_hand_built_operator_set_enables_exactly_its_ids():
+    ids = frozenset({"ROR", "NNC", "NOI"})
+    _, everything = mutants_of(ALL_SITES_SRC)
+    _, mutants = mutants_of(ALL_SITES_SRC, OperatorSet(ids))
+    assert {m.operator_id for m in mutants} == ids
+    assert mutants == [m for m in everything if m.operator_id in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +152,15 @@ def test_null_check_line_hosts_three_mutants_across_families():
     assert nnc.family is Family.NULL_TYPE
     assert (ror.start, ror.end) == (nnc.start, nnc.end)
     assert ror.replacement == nnc.replacement == "!="
+
+
+def test_null_on_the_left_of_a_check_is_negated_too():
+    src = "class T {\n    boolean m(String s) {\n        return null == s || null != s;\n    }\n}\n"
+    _, mutants = mutants_of(src)
+    assert sorted((m.operator_id, m.original, m.replacement) for m in mutants
+                  if m.operator_id in ("NNC", "ROR")) == [
+        ("NNC", "!=", "=="), ("NNC", "==", "!="), ("ROR", "!=", "=="), ("ROR", "==", "!="),
+    ]
 
 
 # ---------------------------------------------------------------------------

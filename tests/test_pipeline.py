@@ -446,7 +446,7 @@ def test_nesting_cost_grows_linearly(nested):
     for depth in (300, 600):
         src, count = nested(depth)
         tokens = CountingTokens(source_model.tokenize(src))
-        unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
+        unit = source_model.SourceUnit("N.java", src, tokens)
         spans = source_model.locate_bodies(unit)
         mutants = build_unit_report(unit, source_model.relevant_lines(unit, spans),
                                     find_mutation_sites(unit, spans, ALL_OPS)).mutants
@@ -465,7 +465,7 @@ def _locate_reads(src: str) -> int:
     """The token reads of ``locate_bodies`` on ``src``, which has one body,
     with the unit's tables built before the count starts."""
     tokens = CountingTokens(source_model.tokenize(src))
-    unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
+    unit = source_model.SourceUnit("N.java", src, tokens)
     unit.pairs, unit.angles, unit.positions
     tokens.reads = 0
     assert len(source_model.locate_bodies(unit)) == 1
@@ -499,7 +499,7 @@ def test_bracket_and_angle_tables_read_only_brackets_and_angle_runs():
         src = ("class C {\nint f(List<int[]> a) {\n" + "a = a + 1;\n" * count
                + "return a < b ? g(a) : c[a];\n}\n}\n")
         tokens = CountingTokens(source_model.tokenize(src))
-        unit = source_model.SourceUnit("N.java", src, source_model.split_lines(src), tokens)
+        unit = source_model.SourceUnit("N.java", src, tokens)
         unit.positions  # the one walk, before the count starts
         tokens.reads = tokens.walks = 0
         assert len(unit.pairs) == 6 and len(unit.angles.indices) == 2

@@ -14,7 +14,7 @@ import pytest
 
 from mutdense import errors
 from mutdense.fault_model import OperatorSet, find_mutation_sites
-from mutdense.scanner import scan, split_lines
+from mutdense.scanner import scan
 from mutdense.source_model import SourceUnit, locate_bodies, relevant_lines
 from conftest import (
     ALPHA_SRC,
@@ -33,7 +33,7 @@ ALL_OPS = OperatorSet.default()
 
 def full_unit(path: str, text: str) -> SourceUnit:
     """The unit built from every token of ``text``."""
-    return SourceUnit(path, text, split_lines(text), tuple(scan(text)))
+    return SourceUnit(path, text, tuple(scan(text)))
 
 
 def outcome(build, path: str, text: str):
