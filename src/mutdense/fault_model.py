@@ -8,7 +8,7 @@ site yields one mutant per operator.  The enabled set is configurable, which
 keeps the density metric parametric in the fault model.
 """
 
-import bisect
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -22,6 +22,7 @@ from mutdense.source_model import (
     SourceUnit,
     Token,
     TokenKind,
+    first_outside_groups,
     match_creation,
 )
 
@@ -209,16 +210,14 @@ def _rule_table(
     visited = [*rules]
     if "NOI" in enabled:
         visited.append("new")
-    if "NRV" in enabled:
-        visited += ["return", "case", "default", "->"]
     return rules, tuple(visited)
 
 
 def find_mutation_sites(
     unit: SourceUnit, spans: Sequence[BodySpan], operator_set: OperatorSet
 ) -> list[Mutant]:
-    """Enumerate every enabled-operator match inside a body, between a
-    span's '{' and its '}', and each NIV, whose site is the parameter.
+    """Enumerate every enabled-operator match on a token that a span owns,
+    each NRV on a return it owns, and each NIV, whose site is the parameter.
 
     Returned sorted by (line, column, operator id); identical inputs always
     produce the identical list.
@@ -226,14 +225,8 @@ def find_mutation_sites(
     tokens = unit.tokens
     angles = unit.angles
     rules, visited = _rule_table(operator_set)
+    enabled = operator_set.enabled_ids
     out: list[Mutant] = []
-    # the bodies entered so far, innermost last, as the index of each one's
-    # '}' and its span (None for a block lambda body); once those closed
-    # before the current token are popped from the top, the top holds it
-    open_bodies: list[tuple[int, BodySpan | None]] = []
-    starts = [span.body_token_range[0] for span in spans]  # ascending
-    pushed = 0
-    rule_arrows: set[int] = set()  # each '->' that ends a switch label
     text = unit.text
     _new = tuple.__new__  # builds a Mutant without NamedTuple's Python-level __new__
 
@@ -243,46 +236,28 @@ def find_mutation_sites(
                                  start, end, site_text(text, start, end), replacement,
                                  insert_after)))
 
-    # ascending, so each body opens before the tokens it holds and each
-    # 'case' comes before its label's '->'
-    for idx in unit.positions_of(visited):
-        while pushed < len(starts) and starts[pushed] < idx:
-            span = spans[pushed]
-            open_bodies.append((span.body_token_range[1] - 1, span))
-            pushed += 1
-        while open_bodies and open_bodies[-1][0] < idx:
-            open_bodies.pop()
-        if not open_bodies:
-            continue  # outside every body
-        tok = tokens[idx]
-        tx = tok.text
-        matches = rules.get(tx)
-        if matches is not None:
-            for op_id, replacement, site in matches:
-                if site is None or site(tokens, idx, angles):
-                    emit(op_id, tok.line, tok.column, tok.start, tok.end, replacement)
-        elif tx == "new":
-            site_range = match_creation(unit, idx, len(tokens))
-            if site_range is not None:
-                emit("NOI", tok.line, tok.column, tok.start, tokens[site_range[1]].end, "null")
-        elif tx == "return":
-            # a return that leaves a block lambda, whose type is unknown
-            # here, gets no NRV
-            owner = open_bodies[-1][1]
-            end = None if owner is None else _nullable_return_range(unit, idx, owner)
-            if end is not None:
-                emit("NRV", tok.line, tok.column, tok.start, end, "return null;")
-        elif tx == "->":
-            body = idx + 1
-            if idx not in rule_arrows and body < len(tokens) and tokens[body].text == "{":
-                open_bodies.append((unit.pairs[body], None))
-        else:  # 'case' or 'default'
-            arrow = _rule_arrow(unit, idx)
-            if arrow is not None:
-                rule_arrows.add(arrow)
-
-    if "NIV" in operator_set.enabled_ids:
-        for span in spans:
+    found = unit.positions_of(visited)
+    for span in spans:
+        for lo, hi in span.owned:
+            for idx in found[bisect_left(found, lo):bisect_left(found, hi)]:
+                tok = tokens[idx]
+                matches = rules.get(tok.text)
+                if matches is not None:
+                    for op_id, replacement, site in matches:
+                        if site is None or site(tokens, idx, angles):
+                            emit(op_id, tok.line, tok.column, tok.start, tok.end, replacement)
+                else:  # 'new'
+                    site_range = match_creation(unit, idx, len(tokens))
+                    if site_range is not None:
+                        emit("NOI", tok.line, tok.column, tok.start, tokens[site_range[1]].end,
+                             "null")
+        if span.returns_reference and "NRV" in enabled:
+            for idx in span.returns:
+                end = _nullable_return_range(unit, idx, span)
+                if end is not None:
+                    tok = tokens[idx]
+                    emit("NRV", tok.line, tok.column, tok.start, end, "return null;")
+        if "NIV" in enabled:
             insert_at = tokens[span.body_token_range[0]].end
             for name_idx in span.nullable_params:
                 name_tok = tokens[name_idx]
@@ -299,35 +274,13 @@ def _null_adjacent(tokens: Sequence[Token], idx: int) -> bool:
     return idx + 1 < len(tokens) and tokens[idx + 1].text == "null"
 
 
-_LABEL_ENDS = frozenset({"->", ":", ";", "{", "}"})
 _STATEMENT_END = frozenset({";"})
 
 
-def _first_outside_groups(unit: SourceUnit, k: int, end: int, texts: frozenset[str]) -> int | None:
-    """The index of the first token from ``k`` up to ``end`` whose text is
-    one of ``texts``, jumping over each bracket group; None if there is none."""
-    tokens, pairs = unit.tokens, unit.pairs
-    while k < end:
-        if tokens[k].text in texts:
-            return k
-        k = pairs.get(k, k) + 1
-    return None
-
-
-def _rule_arrow(unit: SourceUnit, idx: int) -> int | None:
-    """For the 'case' or 'default' at ``idx``, the '->' that ends its switch
-    label; None for a ':' label or a 'default' modifier."""
-    k = _first_outside_groups(unit, idx + 1, len(unit.tokens), _LABEL_ENDS)
-    return k if k is not None and unit.tokens[k].text == "->" else None
-
-
 def _nullable_return_range(unit: SourceUnit, idx: int, span: BodySpan) -> int | None:
-    """For 'return expr;' in a method returning a reference type, the end
-    offset of the terminating ';'; 'return null;' yields nothing.  A
-    constructor has no return type."""
-    if not span.returns_reference:
-        return None
-    k = _first_outside_groups(unit, idx + 1, span.body_token_range[1], _STATEMENT_END)
+    """For 'return expr;' in ``span``, the end offset of the terminating
+    ';'; 'return null;' yields nothing."""
+    k = first_outside_groups(unit, idx + 1, span.body_token_range[1], _STATEMENT_END)
     if k is None or (k == idx + 2 and unit.tokens[idx + 1].text == "null"):
         return None
     return unit.tokens[k].end
@@ -348,8 +301,8 @@ def apply_mutant(unit: SourceUnit, mutant: Mutant) -> str:
     # where the replacement meets its neighbours: the text back to the start
     # of the last token before the site, and on through the first after it
     tokens = unit.tokens
-    k = bisect.bisect_right(tokens, mutant.start, key=lambda t: t.end)
-    m = bisect.bisect_left(tokens, mutant.end, key=lambda t: t.start)
+    k = bisect_right(tokens, mutant.start, key=lambda t: t.end)
+    m = bisect_left(tokens, mutant.end, key=lambda t: t.start)
     left = text[tokens[k - 1].start if k else 0 : mutant.start]
     right = text[mutant.end : tokens[m].end if m < len(tokens) else len(text)]
     replacement = mutant.replacement

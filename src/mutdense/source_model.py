@@ -38,8 +38,8 @@ def _preamble() -> re.Pattern:
     backtracks in linear time, and a line comment counts only with its
     line end, so the window below never cuts one."""
     # a name of ASCII characters that is none of the words at which
-    # ``locate_bodies`` opens a block; any other name ends the preamble
-    name = rf"(?!(?:{'|'.join(_BLOCK_STOPS)})(?![\w$]))[A-Za-z_$][A-Za-z0-9_$]*"
+    # ``locate_bodies`` opens a type body; any other name ends the preamble
+    name = rf"(?!(?:{'|'.join(_TYPE_OPENERS)})(?![\w$]))[A-Za-z_$][A-Za-z0-9_$]*"
     return re.compile(
         r"(?:[ \t\n\r\f\x0b]+(?![ \t\n\r\f\x0b])|//[^\r\n]*(?=[\r\n])"
         r"|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
@@ -133,7 +133,10 @@ class BodySpan(NamedTuple):
     ``returns_reference`` tells whether a method's return type is a
     reference type (never for a constructor); ``nullable_params`` holds the
     name-token index of each parameter that is not ``final``, not a
-    receiver and of a reference type.
+    receiver and of a reference type.  ``owned`` holds the ascending
+    half-open token intervals of the body that lie outside every type body
+    nested in it, and ``returns`` the index of each ``return`` in them
+    that leaves no block lambda.
     """
 
     kind: SpanKind
@@ -142,6 +145,8 @@ class BodySpan(NamedTuple):
     body_token_range: tuple[int, int]
     returns_reference: bool
     nullable_params: tuple[int, ...]
+    owned: list[tuple[int, int]]
+    returns: list[int]
 
 
 class LineSet(NamedTuple):
@@ -227,10 +232,13 @@ def mark_generic_angles(tokens: Sequence[Token], positions: dict[str, list[int]]
 # body location
 # ---------------------------------------------------------------------------
 
-# Where each frame of ``locate_bodies`` stops: a block at the words that may
-# open a type body, a type body also where an initializer or a callable may.
-_BLOCK_STOPS = ("new", "class", "enum", "interface")
-_TYPE_BODY_STOPS = (*_BLOCK_STOPS, "{", "(")
+# Where each frame of ``locate_bodies`` stops: every frame at the words that
+# may open a type body; a block also at each return and where a block lambda
+# may open, a type body where an initializer or a callable may.
+_TYPE_OPENERS = ("new", "class", "enum", "interface")
+_BLOCK_STOPS = (*_TYPE_OPENERS, "return", "->", "case", "default")
+_TYPE_BODY_STOPS = (*_TYPE_OPENERS, "{", "(")
+_LABEL_ENDS = frozenset({"->", ":", ";", "{", "}"})
 _FORBIDDEN_BEFORE_NAME = frozenset(
     {"new", "if", "for", "while", "switch", "catch", "synchronized"}
 )
@@ -242,56 +250,79 @@ _TYPE_WORDS = PRIMITIVE_TYPES | {"void"}  # the keywords a return type may be
 
 def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     """Find every method/constructor body span, including those of nested,
-    local, and anonymous types.
+    local, and anonymous types, with the tokens and returns each one owns.
 
     One loop over an explicit stack of frames ``(next token, end token,
-    enclosing type name or None inside a block, stop list)``, so nesting
-    depth is bounded by memory rather than by the interpreter stack.  Every
-    frame jumps through its ascending stop indices from ``unit.positions``:
-    a block stops at ``new`` and the type keywords, where a type body may
-    open; a type body stops there too, at each ``{``, which opens an
-    initializer block, and at each ``(``, where a callable's parameters
-    open when a name precedes it.
+    enclosing type name or None inside a block, stop list, the owned
+    intervals and the returns that the frame adds to, each None when it
+    adds to none)``, so nesting depth is bounded by memory rather than by
+    the interpreter stack.  Every frame jumps through its ascending stop
+    indices from ``unit.positions``: a block stops at ``new`` and the type
+    keywords, where a type body may open, at each ``return``, and at each
+    ``->``, ``case`` and ``default``, which tell whether a ``{`` after a
+    ``->`` opens a block lambda; a type body stops at ``new`` and the type
+    keywords too, at each ``{``, which opens an initializer block, and at
+    each ``(``, where a callable's parameters open when a name precedes it.
+    A callable's body owns its tokens outside the type bodies in it, and
+    its returns outside the block lambdas in it.
     """
     pairs = unit.pairs  # unbalanced braces fail here, even in a unit with no bodies
     tokens = unit.tokens
     block_stops = unit.positions_of(_BLOCK_STOPS)
     body_stops = unit.positions_of(_TYPE_BODY_STOPS)
     spans: list[BodySpan] = []
-    frames: list[tuple[int, int, str | None, list[int]]] = [(0, len(tokens), None, block_stops)]
+    rule_arrows: set[int] = set()  # each '->' that ends a switch label
+    frames: list[tuple] = [(0, len(tokens), None, block_stops, None, None)]
     while frames:
-        i, hi, type_name, stops = frames.pop()
-        for k in range(bisect_left(stops, i), bisect_left(stops, hi)):
+        lo, hi, type_name, stops, owned, returns = frames.pop()
+        for k in range(bisect_left(stops, lo), bisect_left(stops, hi)):
             i = stops[k]
             tx = tokens[i].text
-            body_open = None
-            child_name = None
+            child = None  # the fields of the body's frame after its bounds
             if tx == "new":
                 site = match_creation(unit, i, hi)
                 if site is not None and site[1] + 1 < hi and tokens[site[1] + 1].text == "{":
-                    child_name, body_open = site[0], site[1] + 1
-            elif tx == "{":
-                body_open = i  # initializer block or array initializer
+                    body_open, child = site[1] + 1, (site[0], body_stops, None, None)
+            elif tx == "{":  # initializer block or array initializer
+                body_open, child = i, (None, block_stops, None, None)
             elif tx == "(":
                 # a type body starts after its '{', so tokens[i - 1] is in it
                 if tokens[i - 1].kind is TokenKind.IDENTIFIER:
-                    body_open = _try_callable(unit, spans, i - 1, hi, type_name)
+                    span = _try_callable(unit, i - 1, hi, type_name)
+                    if span is not None:
+                        spans.append(span)
+                        body_open = span.body_token_range[0]
+                        child = (None, block_stops, span.owned, span.returns)
+            elif tx == "return":
+                if returns is not None:
+                    returns.append(i)
+            elif tx == "->":
+                if i not in rule_arrows and i + 1 < hi and tokens[i + 1].text == "{":
+                    body_open, child = i + 1, (None, block_stops, owned, None)
+            elif tx == "case" or tx == "default":
+                arrow = first_outside_groups(unit, i + 1, hi, _LABEL_ENDS)
+                if arrow is not None and tokens[arrow].text == "->":
+                    rule_arrows.add(arrow)
             elif i == 0 or tokens[i - 1].text != ".":  # 'String.class' is a class literal
                 j = i + 1
                 while j < hi and tokens[j].kind is not TokenKind.IDENTIFIER:
                     j += 1
                 if j < hi:
-                    child_name = tokens[j].text
+                    name = tokens[j].text
                     while j < hi and tokens[j].text != "{":
                         j += 1
                     if j < hi:
-                        body_open = j
-            if body_open is not None:
+                        body_open, child = j, (name, body_stops, None, None)
+            if child is not None:
+                if owned is not None and lo < body_open:
+                    owned.append((lo, body_open))
                 close = pairs[body_open]
-                frames.append((close + 1, hi, type_name, stops))
-                frames.append((body_open + 1, close, child_name,
-                               block_stops if child_name is None else body_stops))
+                frames.append((close + 1, hi, type_name, stops, owned, returns))
+                frames.append((body_open + 1, close, *child))
                 break
+        else:  # no body opened before ``hi``
+            if owned is not None and lo < hi:
+                owned.append((lo, hi))
     spans.sort(key=lambda s: s.body_token_range[0])
     return spans
 
@@ -347,13 +378,22 @@ def match_creation(unit: SourceUnit, i: int, hi: int) -> tuple[str, int] | None:
     return (name, pclose) if pclose < hi else None
 
 
-def _try_callable(
-    unit: SourceUnit, spans: list[BodySpan], i: int, hi: int, type_name: str
-) -> int | None:
+def first_outside_groups(unit: SourceUnit, k: int, end: int, texts: frozenset[str]) -> int | None:
+    """The index of the first token from ``k`` up to ``end`` whose text is
+    one of ``texts``, jumping over each bracket group; None if there is none."""
+    tokens, pairs = unit.tokens, unit.pairs
+    while k < end:
+        if tokens[k].text in texts:
+            return k
+        k = pairs.get(k, k) + 1
+    return None
+
+
+def _try_callable(unit: SourceUnit, i: int, hi: int, type_name: str) -> BodySpan | None:
     """Match Identifier '(' params ')' ['[' ']']* [throws types] '{' at index ``i``.
 
-    Records the span and returns the index of the body's '{', or None when
-    the tokens do not form a callable header.
+    Returns the span, whose ``owned`` and ``returns`` are yet empty, or None
+    when the tokens do not form a callable header.
     """
     tokens = unit.tokens
     prev = tokens[i - 1]  # the name lies in a type body, after its '{'
@@ -377,25 +417,16 @@ def _try_callable(
                 j = unit.pairs.get(j, hi) + 1
     if j >= hi or tokens[j].text != "{":
         return None
-    body_open = j
-    body_close = unit.pairs[body_open]
     name_tok = tokens[i]
     return_type = _type_before(tokens, unit.angles, i)
     if return_type is None and name_tok.text == type_name:
         kind = SpanKind.CONSTRUCTOR
     else:
         kind = SpanKind.METHOD
-    spans.append(
-        BodySpan(
-            kind=kind,
-            name=name_tok.text,
-            decl_line=name_tok.line,
-            body_token_range=(body_open, body_close + 1),
-            returns_reference=return_type is not None and (array_return or return_type),
-            nullable_params=_nullable_params(unit, popen, pclose),
-        )
-    )
-    return body_open
+    # positional arguments: a keyword call costs about twice as much, per span
+    return BodySpan(kind, name_tok.text, name_tok.line, (j, unit.pairs[j] + 1),
+                    return_type is not None and (array_return or return_type),
+                    _nullable_params(unit, popen, pclose), [], [])
 
 
 def _type_before(tokens: Sequence[Token], angles: GenericAngles, name_idx: int) -> bool | None:

@@ -505,6 +505,39 @@ def test_no_site_outside_a_body_on_a_body_line(src):
     assert analyze_unit("C.java", src, BOTH).mutants == ()
 
 
+def test_initializers_of_a_type_nested_in_a_body_count_nothing():
+    src = """\
+class C {
+    Object f(int a) {
+        Object o = new Object() {
+            int y = a + 1;
+            { y = y * 2; }
+        };
+        return o;
+    }
+}
+"""
+    _, mutants = mutants_of(src)
+    assert [(m.operator_id, m.line) for m in mutants] == [("NOI", 3), ("NRV", 7)]
+
+
+def test_a_local_class_counts_its_methods_but_not_its_fields():
+    src = """\
+class C {
+    void f() {
+        class L {
+            Object xs = new java.util.ArrayList<>();
+            int g(int a) {
+                return a - 1;
+            }
+        }
+    }
+}
+"""
+    _, mutants = mutants_of(src)
+    assert [(m.operator_id, m.line) for m in mutants] == [("AOR-B", 6)]
+
+
 def _nrv_lines(src):
     _, mutants = mutants_of(src, NULL_TYPE)
     return [m.line for m in mutants if m.operator_id == "NRV"]

@@ -128,13 +128,17 @@ _FRAGMENTS = [
 ]
 
 
+def _fragment_soups():
+    rng = random.Random(31)
+    for _ in range(300):
+        yield " ".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(1, 40)))
+
+
 def test_seeded_fragment_soup_analyzes_or_fails_cleanly():
     """Java fragments glued at random reach past the scanner into bodies,
     generics and every operator."""
-    rng = random.Random(31)
     analyzed = 0
-    for _ in range(300):
-        soup = " ".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(1, 40)))
+    for soup in _fragment_soups():
         try:
             analyze_unit("Soup.java", soup, ALL_OPS)
         except errors.MutdenseError:
@@ -196,9 +200,11 @@ def _relaid(unit: source_model.SourceUnit, gap) -> str:
     return "".join(out)
 
 
-def _wrapped(unit: source_model.SourceUnit) -> str:
+def _wrapped(unit: source_model.SourceUnit, opening: str = "class LayoutWrap {\n",
+             closing: str = "\n}\n") -> str:
     """The unit's text with the types after its package and import
-    declarations moved into an outer class."""
+    declarations moved between ``opening`` and ``closing``: by default into
+    an outer class."""
     src, tokens = unit.text, unit.tokens
     k = 0
     while k < len(tokens) and tokens[k].text in ("package", "import"):
@@ -206,7 +212,7 @@ def _wrapped(unit: source_model.SourceUnit) -> str:
             k += 1
         k += 1
     at = tokens[k].start if k < len(tokens) else len(src)
-    return f"{src[:at]}class LayoutWrap {{\n{src[at:]}\n}}\n"
+    return f"{src[:at]}{opening}{src[at:]}{closing}"
 
 
 _RELAYOUTS = {
@@ -217,6 +223,9 @@ _RELAYOUTS = {
     "crlf": lambda unit: _relaid(unit, lambda gap: gap.replace("\n", "\r\n")),
     "cr": lambda unit: _relaid(unit, lambda gap: gap.replace("\n", "\r")),
     "wrapped": _wrapped,
+    # local types: their field initializers and initializer blocks count
+    # no more than a top-level type's
+    "local-wrapped": lambda unit: _wrapped(unit, "class LayoutWrap { void w() {\n", "\n} }\n"),
 }
 
 
@@ -274,7 +283,7 @@ def test_relayout_keeps_every_mutant(layout):
     checked = 0
     for name, (unit, texts) in _layout_inputs().items():
         # record bodies are not yet located; wrapped, a record reads as a method
-        if layout == "wrapped" and _has_record(unit):
+        if layout.endswith("wrapped") and _has_record(unit):
             continue
         assert _relaid_mutant_texts(unit, layout) == texts, name
         checked += 1
@@ -286,6 +295,41 @@ def test_relayout_keeps_every_mutant(layout):
 def test_wrapping_a_record_keeps_every_mutant():
     unit, texts = _layout_inputs()[f"dense/{_RECORD_PATH}"]
     assert _relaid_mutant_texts(unit, "wrapped") == texts
+
+
+def _ownership_inputs():
+    """The layout units, and the soups of characters and of fragments that
+    parse."""
+    yield from (unit for unit, _ in _layout_inputs().values())
+    for soup in (*seeded_soups(SOUP_ALPHABET), *_fragment_soups()):
+        try:
+            unit = source_model.SourceUnit.from_text("Soup.java", soup)
+            unit.pairs  # unbalanced braces fail here
+        except errors.MutdenseError:
+            continue
+        yield unit
+
+
+def test_each_token_and_return_has_at_most_one_owner():
+    """A span's owned intervals ascend inside its braces, no two spans own
+    a token, and each of its returns is a 'return' token that it owns."""
+    with_returns = 0
+    for unit in _ownership_inputs():
+        claimed = []
+        for span in source_model.locate_bodies(unit):
+            at = span.body_token_range[0] + 1  # past the '{'
+            for lo, hi in span.owned:
+                assert at <= lo < hi < span.body_token_range[1], (unit.path, span)
+                at = hi
+            claimed += span.owned
+            for idx in span.returns:
+                assert unit.tokens[idx].text == "return"
+                assert any(lo <= idx < hi for lo, hi in span.owned), (unit.path, span, idx)
+            assert span.returns == sorted(span.returns)
+            with_returns += bool(span.returns)
+        claimed.sort()
+        assert all(a[1] <= b[0] for a, b in zip(claimed, claimed[1:])), unit.path
+    assert with_returns > 100
 
 
 def _squeezed(src: str) -> str:
@@ -433,10 +477,20 @@ def _nested_anonymous_returns(depth: int) -> tuple[str, int]:
     return src, 2 * depth + 1
 
 
+def _nested_lambda_anonymous(depth: int) -> tuple[str, int]:
+    # one NOI per 'new'; each lambda returns an anonymous class whose method
+    # holds the next lambda, so only the innermost method's return and f's
+    # are NRVs
+    opening = "g(() -> {\nreturn new A() {\nObject h() {\n" * depth
+    closing = "}\n};\n});\n" * depth
+    src = "class C {\nObject f() {\n" + opening + "return x;\n" + closing + "return y;\n}\n}\n"
+    return src, depth + 2
+
+
 @pytest.mark.parametrize(
     "nested",
     [_nested_creations, _nested_lambda_returns, _nested_switch_rules, _comparison_chain,
-     _nested_anonymous_returns])
+     _nested_anonymous_returns, _nested_lambda_anonymous])
 def test_nesting_cost_grows_linearly(nested):
     """Token reads of the whole chain, and the text the mutants store,
     double, no more, when the depth of nested brackets doubles: each closer
@@ -473,7 +527,9 @@ def _locate_reads(src: str) -> int:
 
 
 def test_block_frames_read_no_token_without_a_body_opener():
-    """Inside a body, locate_bodies reads only 'new' and type keywords."""
+    """Inside a body, locate_bodies reads only its stops: 'new', type
+    keywords, 'return', and the '->', 'case' and 'default' that tell a
+    block lambda from a switch rule."""
     reads = [_locate_reads(_statements(count)) for count in (200, 400)]
     assert reads[1] - reads[0] <= 2, reads
 
