@@ -22,8 +22,6 @@ from mutdense.source_model import (
     SourceUnit,
     Token,
     TokenKind,
-    first_outside_groups,
-    match_creation,
 )
 
 
@@ -195,36 +193,35 @@ _SITES: dict[str, Callable[[Sequence[Token], int, GenericAngles], bool]] = {
 
 
 @lru_cache(maxsize=8)
-def _rule_table(
-    operator_set: OperatorSet,
-) -> tuple[dict[str, list[tuple[str, str, Callable | None]]], tuple[str, ...]]:
-    """The rewrite rules by token text, and every token text
-    ``find_mutation_sites`` acts on; built once per operator set and shared,
-    so callers must not change them."""
+def _rule_table(operator_set: OperatorSet) -> dict[str, list[tuple[str, str, Callable | None]]]:
+    """The rewrite rules by token text, built once per operator set and
+    shared, so callers must not change them."""
     enabled = operator_set.enabled_ids
     # token text -> [(operator id, replacement, site predicate or None)]
     rules: dict[str, list[tuple[str, str, Callable | None]]] = {}
     for op_id in sorted(enabled & REWRITES.keys()):
         for text, replacement in REWRITES[op_id].items():
             rules.setdefault(text, []).append((op_id, replacement, _SITES.get(op_id)))
-    visited = [*rules]
-    if "NOI" in enabled:
-        visited.append("new")
-    return rules, tuple(visited)
+    return rules
+
+
+# After these a 'new' starts a statement, which 'null;' is not.  After ':',
+# ')', '->' or 'else' it may start an expression: ternary, cast, arrow body.
+_STATEMENT_STARTS = frozenset({";", "{", "}"})
 
 
 def find_mutation_sites(
     unit: SourceUnit, spans: Sequence[BodySpan], operator_set: OperatorSet
 ) -> list[Mutant]:
-    """Enumerate every enabled-operator match on a token that a span owns,
-    each NRV on a return it owns, and each NIV, whose site is the parameter.
+    """Enumerate each enabled rewrite of a token, creation (NOI) and return
+    (NRV) that a span owns, and each NIV, whose site is the parameter.
 
     Returned sorted by (line, column, operator id); identical inputs always
     produce the identical list.
     """
     tokens = unit.tokens
     angles = unit.angles
-    rules, visited = _rule_table(operator_set)
+    rules = _rule_table(operator_set)
     enabled = operator_set.enabled_ids
     out: list[Mutant] = []
     text = unit.text
@@ -236,27 +233,25 @@ def find_mutation_sites(
                                  start, end, site_text(text, start, end), replacement,
                                  insert_after)))
 
-    found = unit.positions_of(visited)
+    found = unit.positions_of(rules)
     for span in spans:
         for lo, hi in span.owned:
             for idx in found[bisect_left(found, lo):bisect_left(found, hi)]:
                 tok = tokens[idx]
-                matches = rules.get(tok.text)
-                if matches is not None:
-                    for op_id, replacement, site in matches:
-                        if site is None or site(tokens, idx, angles):
-                            emit(op_id, tok.line, tok.column, tok.start, tok.end, replacement)
-                else:  # 'new'
-                    site_range = match_creation(unit, idx, len(tokens))
-                    if site_range is not None:
-                        emit("NOI", tok.line, tok.column, tok.start, tokens[site_range[1]].end,
-                             "null")
-        if span.returns_reference and "NRV" in enabled:
-            for idx in span.returns:
-                end = _nullable_return_range(unit, idx, span)
-                if end is not None:
+                for op_id, replacement, site in rules[tok.text]:
+                    if site is None or site(tokens, idx, angles):
+                        emit(op_id, tok.line, tok.column, tok.start, tok.end, replacement)
+        if "NOI" in enabled:
+            for idx, close in span.creations:
+                if tokens[idx - 1].text not in _STATEMENT_STARTS or tokens[close + 1].text != ";":
                     tok = tokens[idx]
-                    emit("NRV", tok.line, tok.column, tok.start, end, "return null;")
+                    emit("NOI", tok.line, tok.column, tok.start, tokens[close].end, "null")
+        if span.returns_reference and "NRV" in enabled:
+            for idx, end in span.returns:
+                # 'return null;' has no other value to return
+                if end is not None and (end != idx + 2 or tokens[idx + 1].text != "null"):
+                    tok = tokens[idx]
+                    emit("NRV", tok.line, tok.column, tok.start, tokens[end].end, "return null;")
         if "NIV" in enabled:
             insert_at = tokens[span.body_token_range[0]].end
             for name_idx in span.nullable_params:
@@ -272,18 +267,6 @@ def _null_adjacent(tokens: Sequence[Token], idx: int) -> bool:
     if idx > 0 and tokens[idx - 1].text == "null":
         return True
     return idx + 1 < len(tokens) and tokens[idx + 1].text == "null"
-
-
-_STATEMENT_END = frozenset({";"})
-
-
-def _nullable_return_range(unit: SourceUnit, idx: int, span: BodySpan) -> int | None:
-    """For 'return expr;' in ``span``, the end offset of the terminating
-    ';'; 'return null;' yields nothing."""
-    k = first_outside_groups(unit, idx + 1, span.body_token_range[1], _STATEMENT_END)
-    if k is None or (k == idx + 2 and unit.tokens[idx + 1].text == "null"):
-        return None
-    return unit.tokens[k].end
 
 
 def apply_mutant(unit: SourceUnit, mutant: Mutant) -> str:

@@ -135,8 +135,10 @@ class BodySpan(NamedTuple):
     name-token index of each parameter that is not ``final``, not a
     receiver and of a reference type.  ``owned`` holds the ascending
     half-open token intervals of the body that lie outside every type body
-    nested in it, and ``returns`` the index of each ``return`` in them
-    that leaves no block lambda.
+    nested in it.  ``returns`` pairs each ``return`` in them that leaves no
+    block lambda with its statement's ';' (None if none comes before the
+    body's '}'), and ``creations`` each owned ``new Name(...)`` with its
+    ')', which lies before the '}' of its body or block lambda.
     """
 
     kind: SpanKind
@@ -146,7 +148,8 @@ class BodySpan(NamedTuple):
     returns_reference: bool
     nullable_params: tuple[int, ...]
     owned: list[tuple[int, int]]
-    returns: list[int]
+    returns: list[tuple[int, int | None]]
+    creations: list[tuple[int, int]]
 
 
 class LineSet(NamedTuple):
@@ -239,6 +242,7 @@ _TYPE_OPENERS = ("new", "class", "enum", "interface")
 _BLOCK_STOPS = (*_TYPE_OPENERS, "return", "->", "case", "default")
 _TYPE_BODY_STOPS = (*_TYPE_OPENERS, "{", "(")
 _LABEL_ENDS = frozenset({"->", ":", ";", "{", "}"})
+_STATEMENT_END = frozenset({";"})
 _FORBIDDEN_BEFORE_NAME = frozenset(
     {"new", "if", "for", "while", "switch", "catch", "synchronized"}
 )
@@ -254,17 +258,19 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
 
     One loop over an explicit stack of frames ``(next token, end token,
     enclosing type name or None inside a block, stop list, the owned
-    intervals and the returns that the frame adds to, each None when it
-    adds to none)``, so nesting depth is bounded by memory rather than by
-    the interpreter stack.  Every frame jumps through its ascending stop
-    indices from ``unit.positions``: a block stops at ``new`` and the type
-    keywords, where a type body may open, at each ``return``, and at each
-    ``->``, ``case`` and ``default``, which tell whether a ``{`` after a
-    ``->`` opens a block lambda; a type body stops at ``new`` and the type
-    keywords too, at each ``{``, which opens an initializer block, and at
-    each ``(``, where a callable's parameters open when a name precedes it.
-    A callable's body owns its tokens outside the type bodies in it, and
-    its returns outside the block lambdas in it.
+    intervals, the returns and the creations that the frame adds to, each
+    None when it adds to none)``, so nesting depth is bounded by memory
+    rather than by the interpreter stack.  Every frame jumps through its
+    ascending stop indices from ``unit.positions``: a block stops at
+    ``new`` and the type keywords, where a type body may open, at each
+    ``return``, and at each ``->``, ``case`` and ``default``, which tell
+    whether a ``{`` after a ``->`` opens a block lambda; a type body stops
+    at ``new`` and the type keywords too, at each ``{``, which opens an
+    initializer block, and at each ``(``, where a callable's parameters
+    open when a name precedes it.  A callable's body owns its tokens
+    outside the type bodies in it, and its returns outside the block
+    lambdas in it; in its frames the ``new`` stop records each creation
+    with its ')', and the ``return`` stop its statement's ';'.
     """
     pairs = unit.pairs  # unbalanced braces fail here, even in a unit with no bodies
     tokens = unit.tokens
@@ -272,19 +278,21 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     body_stops = unit.positions_of(_TYPE_BODY_STOPS)
     spans: list[BodySpan] = []
     rule_arrows: set[int] = set()  # each '->' that ends a switch label
-    frames: list[tuple] = [(0, len(tokens), None, block_stops, None, None)]
+    frames: list[tuple] = [(0, len(tokens), None, block_stops, None, None, None)]
     while frames:
-        lo, hi, type_name, stops, owned, returns = frames.pop()
+        lo, hi, type_name, stops, owned, returns, creations = frames.pop()
         for k in range(bisect_left(stops, lo), bisect_left(stops, hi)):
             i = stops[k]
             tx = tokens[i].text
             child = None  # the fields of the body's frame after its bounds
             if tx == "new":
                 site = match_creation(unit, i, hi)
+                if site is not None and creations is not None:
+                    creations.append((i, site[1]))
                 if site is not None and site[1] + 1 < hi and tokens[site[1] + 1].text == "{":
-                    body_open, child = site[1] + 1, (site[0], body_stops, None, None)
+                    body_open, child = site[1] + 1, (site[0], body_stops, None, None, None)
             elif tx == "{":  # initializer block or array initializer
-                body_open, child = i, (None, block_stops, None, None)
+                body_open, child = i, (None, block_stops, None, None, None)
             elif tx == "(":
                 # a type body starts after its '{', so tokens[i - 1] is in it
                 if tokens[i - 1].kind is TokenKind.IDENTIFIER:
@@ -292,13 +300,13 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                     if span is not None:
                         spans.append(span)
                         body_open = span.body_token_range[0]
-                        child = (None, block_stops, span.owned, span.returns)
+                        child = (None, block_stops, span.owned, span.returns, span.creations)
             elif tx == "return":
                 if returns is not None:
-                    returns.append(i)
+                    returns.append((i, first_outside_groups(unit, i + 1, hi, _STATEMENT_END)))
             elif tx == "->":
                 if i not in rule_arrows and i + 1 < hi and tokens[i + 1].text == "{":
-                    body_open, child = i + 1, (None, block_stops, owned, None)
+                    body_open, child = i + 1, (None, block_stops, owned, None, creations)
             elif tx == "case" or tx == "default":
                 arrow = first_outside_groups(unit, i + 1, hi, _LABEL_ENDS)
                 if arrow is not None and tokens[arrow].text == "->":
@@ -312,12 +320,12 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                     while j < hi and tokens[j].text != "{":
                         j += 1
                     if j < hi:
-                        body_open, child = j, (name, body_stops, None, None)
+                        body_open, child = j, (name, body_stops, None, None, None)
             if child is not None:
                 if owned is not None and lo < body_open:
                     owned.append((lo, body_open))
                 close = pairs[body_open]
-                frames.append((close + 1, hi, type_name, stops, owned, returns))
+                frames.append((close + 1, hi, type_name, stops, owned, returns, creations))
                 frames.append((body_open + 1, close, *child))
                 break
         else:  # no body opened before ``hi``
@@ -392,8 +400,8 @@ def first_outside_groups(unit: SourceUnit, k: int, end: int, texts: frozenset[st
 def _try_callable(unit: SourceUnit, i: int, hi: int, type_name: str) -> BodySpan | None:
     """Match Identifier '(' params ')' ['[' ']']* [throws types] '{' at index ``i``.
 
-    Returns the span, whose ``owned`` and ``returns`` are yet empty, or None
-    when the tokens do not form a callable header.
+    Returns the span, whose ``owned``, ``returns`` and ``creations`` are
+    yet empty, or None when the tokens do not form a callable header.
     """
     tokens = unit.tokens
     prev = tokens[i - 1]  # the name lies in a type body, after its '{'
@@ -426,7 +434,7 @@ def _try_callable(unit: SourceUnit, i: int, hi: int, type_name: str) -> BodySpan
     # positional arguments: a keyword call costs about twice as much, per span
     return BodySpan(kind, name_tok.text, name_tok.line, (j, unit.pairs[j] + 1),
                     return_type is not None and (array_return or return_type),
-                    _nullable_params(unit, popen, pclose), [], [])
+                    _nullable_params(unit, popen, pclose), [], [], [])
 
 
 def _type_before(tokens: Sequence[Token], angles: GenericAngles, name_idx: int) -> bool | None:

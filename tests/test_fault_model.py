@@ -298,6 +298,24 @@ def test_noi_object_creation_forms():
         assert [(m.original, m.replacement) for m in noi] == [(site_text, "null")], stmt
 
 
+def test_noi_skips_creation_statements():
+    # 'null;' is no statement; after ')' or 'else' a creation may be an
+    # expression, so it keeps its NOI there
+    stmt = ("new Object(); Object o = new Object(); g(new B());"
+            " if (c) { new C(); } else new D();")
+    _, mutants = mutants_of(in_method(stmt), NULL_TYPE)
+    assert [m.original for m in mutants if m.operator_id == "NOI"] == [
+        "new Object()", "new B()", "new D()"]
+    assert [m.column for m in mutants if m.operator_id == "NOI"] == [34, 50, 85]
+
+
+def test_noi_ends_inside_its_body():
+    # a creation whose ')' lies past its body's '}' gets no NOI across it
+    unit, mutants = mutants_of("class A {\n  Object f() {\n    x = new B(\n  }\n  )\n}\n")
+    assert [span.name for span in locate_bodies(unit)] == ["f"]
+    assert mutants == []
+
+
 def test_noi_skips_array_creation():
     for stmt in ("a = new int[3];", "a = new String[n];", "a = new int[]{1, 2};"):
         _, mutants = mutants_of(in_method(stmt), NULL_TYPE)

@@ -298,9 +298,12 @@ def test_wrapping_a_record_keeps_every_mutant():
 
 
 def _ownership_inputs():
-    """The layout units, and the soups of characters and of fragments that
-    parse."""
+    """The layout units, the nests of lambdas, switch rules and anonymous
+    classes, and the soups of characters and of fragments that parse."""
     yield from (unit for unit, _ in _layout_inputs().values())
+    for nested in (_nested_creations, _nested_lambda_returns, _nested_switch_rules,
+                   _nested_anonymous_returns, _nested_lambda_anonymous):
+        yield source_model.SourceUnit.from_text("Nest.java", nested(3)[0])
     for soup in (*seeded_soups(SOUP_ALPHABET), *_fragment_soups()):
         try:
             unit = source_model.SourceUnit.from_text("Soup.java", soup)
@@ -312,24 +315,49 @@ def _ownership_inputs():
 
 def test_each_token_and_return_has_at_most_one_owner():
     """A span's owned intervals ascend inside its braces, no two spans own
-    a token, and each of its returns is a 'return' token that it owns."""
-    with_returns = 0
+    a token, each of its returns is a 'return' token that it owns, ended by
+    a ';' that it owns or by none, and each of its creations is a 'new'
+    that it owns, closed by a ')' inside its body."""
+    with_returns = with_creations = 0
     for unit in _ownership_inputs():
-        claimed = []
+        tokens = unit.tokens
+        claimed, created, accepted = [], [], []
         for span in source_model.locate_bodies(unit):
+            def owns(idx):
+                return any(lo <= idx < hi for lo, hi in span.owned)
+
             at = span.body_token_range[0] + 1  # past the '{'
             for lo, hi in span.owned:
                 assert at <= lo < hi < span.body_token_range[1], (unit.path, span)
                 at = hi
             claimed += span.owned
-            for idx in span.returns:
-                assert unit.tokens[idx].text == "return"
-                assert any(lo <= idx < hi for lo, hi in span.owned), (unit.path, span, idx)
+            for idx, end in span.returns:
+                assert tokens[idx].text == "return"
+                assert owns(idx), (unit.path, span, idx)
+                assert end is None or (idx < end and tokens[end].text == ";" and owns(end)), (
+                    unit.path, span, idx, end)
             assert span.returns == sorted(span.returns)
+            for idx, close in span.creations:
+                assert tokens[idx].text == "new" and owns(idx), (unit.path, span, idx)
+                assert tokens[close].text == ")", (unit.path, span, idx, close)
+                assert idx < close < span.body_token_range[1] - 1, (unit.path, span, idx, close)
+            assert span.creations == sorted(span.creations), (unit.path, span)
+            created += span.creations
             with_returns += bool(span.returns)
+            with_creations += bool(span.creations)
+            # each owned 'new' that matches a creation up to the unit's end
+            # and closes it inside the body
+            for lo, hi in span.owned:
+                for idx in range(lo, hi):
+                    if tokens[idx].text == "new":
+                        site = source_model.match_creation(unit, idx, len(tokens))
+                        if site is not None and site[1] < span.body_token_range[1] - 1:
+                            accepted.append((idx, site[1]))
+        assert sorted(created) == sorted(accepted), unit.path
         claimed.sort()
         assert all(a[1] <= b[0] for a, b in zip(claimed, claimed[1:])), unit.path
     assert with_returns > 100
+    assert with_creations > 100
 
 
 def _squeezed(src: str) -> str:
