@@ -291,6 +291,9 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                     creations.append((i, site[1]))
                 if site is not None and site[1] + 1 < hi and tokens[site[1] + 1].text == "{":
                     body_open, child = site[1] + 1, (site[0], body_stops, None, None, None)
+                    if creations is not None:  # resumed past the body, the frame would miss its arguments
+                        creations += [(j, c[1]) for j in stops[k + 1:bisect_left(stops, site[1])]
+                                      if tokens[j].text == "new" and (c := match_creation(unit, j, hi))]
             elif tx == "{":  # initializer block or array initializer
                 body_open, child = i, (None, block_stops, None, None, None)
             elif tx == "(":
@@ -404,8 +407,7 @@ def _try_callable(unit: SourceUnit, i: int, hi: int, type_name: str) -> BodySpan
     yet empty, or None when the tokens do not form a callable header.
     """
     tokens = unit.tokens
-    prev = tokens[i - 1]  # the name lies in a type body, after its '{'
-    if prev.kind is TokenKind.KEYWORD and prev.text in _FORBIDDEN_BEFORE_NAME:
+    if tokens[i - 1].text in _FORBIDDEN_BEFORE_NAME:  # the name lies in a type body, after its '{'
         return None
     popen = i + 1
     pclose = unit.pairs.get(popen, hi)
@@ -427,10 +429,8 @@ def _try_callable(unit: SourceUnit, i: int, hi: int, type_name: str) -> BodySpan
         return None
     name_tok = tokens[i]
     return_type = _type_before(tokens, unit.angles, i)
-    if return_type is None and name_tok.text == type_name:
-        kind = SpanKind.CONSTRUCTOR
-    else:
-        kind = SpanKind.METHOD
+    constructor = return_type is None and name_tok.text == type_name
+    kind = SpanKind.CONSTRUCTOR if constructor else SpanKind.METHOD
     # positional arguments: a keyword call costs about twice as much, per span
     return BodySpan(kind, name_tok.text, name_tok.line, (j, unit.pairs[j] + 1),
                     return_type is not None and (array_return or return_type),

@@ -297,10 +297,24 @@ def test_wrapping_a_record_keeps_every_mutant():
     assert _relaid_mutant_texts(unit, "wrapped") == texts
 
 
+# creations in the arguments of anonymous creations, in a body and in a
+# block lambda, one of them anonymous too
+_ANONYMOUS_ARGUMENTS = """\
+class A {
+  void f() {
+    Object o = new A(new B(), () -> { new C(); }) { };
+    Runnable r = () -> { o = new A(new B(new C()) { void g() { new D(); } }) { }; };
+  }
+}
+"""
+
+
 def _ownership_inputs():
-    """The layout units, the nests of lambdas, switch rules and anonymous
-    classes, and the soups of characters and of fragments that parse."""
+    """The layout units, creations in anonymous creations' arguments, the
+    nests of lambdas, switch rules and anonymous classes, and the soups of
+    characters and of fragments that parse."""
     yield from (unit for unit, _ in _layout_inputs().values())
+    yield source_model.SourceUnit.from_text("Arguments.java", _ANONYMOUS_ARGUMENTS)
     for nested in (_nested_creations, _nested_lambda_returns, _nested_switch_rules,
                    _nested_anonymous_returns, _nested_lambda_anonymous):
         yield source_model.SourceUnit.from_text("Nest.java", nested(3)[0])
