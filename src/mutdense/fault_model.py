@@ -205,9 +205,10 @@ def _rule_table(operator_set: OperatorSet) -> dict[str, list[tuple[str, str, Cal
     return rules
 
 
-# After these a 'new' starts a statement, which 'null;' is not.  After ':',
-# ')', '->' or 'else' it may start an expression: ternary, cast, arrow body.
-_STATEMENT_STARTS = frozenset({";", "{", "}"})
+# After these a 'new' starts a statement, which 'null;' is not ('else' is
+# always followed by one).  After ':', ')' or '->' it may start an
+# expression: ternary, cast, arrow body.
+_STATEMENT_STARTS = frozenset({";", "{", "}", "else"})
 
 
 def find_mutation_sites(

@@ -243,6 +243,7 @@ _BLOCK_STOPS = (*_TYPE_OPENERS, "return", "->", "case", "default")
 _TYPE_BODY_STOPS = (*_TYPE_OPENERS, "{", "(")
 _LABEL_ENDS = frozenset({"->", ":", ";", "{", "}"})
 _STATEMENT_END = frozenset({";"})
+_BODY_OPEN, _COMMA = frozenset({"{"}), frozenset({","})
 _FORBIDDEN_BEFORE_NAME = frozenset(
     {"new", "if", "for", "while", "switch", "catch", "synchronized"}
 )
@@ -258,19 +259,23 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
 
     One loop over an explicit stack of frames ``(next token, end token,
     enclosing type name or None inside a block, stop list, the owned
-    intervals, the returns and the creations that the frame adds to, each
-    None when it adds to none)``, so nesting depth is bounded by memory
-    rather than by the interpreter stack.  Every frame jumps through its
-    ascending stop indices from ``unit.positions``: a block stops at
-    ``new`` and the type keywords, where a type body may open, at each
-    ``return``, and at each ``->``, ``case`` and ``default``, which tell
-    whether a ``{`` after a ``->`` opens a block lambda; a type body stops
-    at ``new`` and the type keywords too, at each ``{``, which opens an
-    initializer block, and at each ``(``, where a callable's parameters
-    open when a name precedes it.  A callable's body owns its tokens
-    outside the type bodies in it, and its returns outside the block
-    lambdas in it; in its frames the ``new`` stop records each creation
-    with its ')', and the ``return`` stop its statement's ';'.
+    intervals, returns and creations that the frame adds to, each None when
+    it adds to none)``, so nesting depth is bounded by memory rather than
+    by the interpreter stack.  Every frame jumps through its ascending stop
+    indices from ``unit.positions``: a block stops at ``new`` and the type
+    keywords, where a type body may open, at each ``return``, and at each
+    ``->``, ``case`` and ``default``, which tell whether a ``{`` after a
+    ``->`` opens a block lambda; a type body stops at ``new`` and the type
+    keywords too, at each ``{``, which opens an initializer block, and at
+    each ``(``, where a callable's parameters open when a name precedes it.
+    A type's ``{`` is the first outside its header's groups.  When another
+    stop lies between a stop and the ``{`` it opens (an anonymous class's
+    arguments), the tokens between are one more frame like the enclosing
+    one, walked before the body; no body opens in it that closes past it.
+    A callable's body owns its tokens outside the type bodies in it, and
+    its returns outside the block lambdas in it; in its frames the ``new``
+    stop records each creation with its ')', and the ``return`` stop its
+    statement's ';'.
     """
     pairs = unit.pairs  # unbalanced braces fail here, even in a unit with no bodies
     tokens = unit.tokens
@@ -291,9 +296,6 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                     creations.append((i, site[1]))
                 if site is not None and site[1] + 1 < hi and tokens[site[1] + 1].text == "{":
                     body_open, child = site[1] + 1, (site[0], body_stops, None, None, None)
-                    if creations is not None:  # resumed past the body, the frame would miss its arguments
-                        creations += [(j, c[1]) for j in stops[k + 1:bisect_left(stops, site[1])]
-                                      if tokens[j].text == "new" and (c := match_creation(unit, j, hi))]
             elif tx == "{":  # initializer block or array initializer
                 body_open, child = i, (None, block_stops, None, None, None)
             elif tx == "(":
@@ -318,18 +320,18 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                 j = i + 1
                 while j < hi and tokens[j].kind is not TokenKind.IDENTIFIER:
                     j += 1
-                if j < hi:
-                    name = tokens[j].text
-                    while j < hi and tokens[j].text != "{":
-                        j += 1
-                    if j < hi:
-                        body_open, child = j, (name, body_stops, None, None, None)
-            if child is not None:
-                if owned is not None and lo < body_open:
-                    owned.append((lo, body_open))
-                close = pairs[body_open]
+                body_open = first_outside_groups(unit, j, hi, _BODY_OPEN)
+                if body_open is not None:  # the type's name is tokens[j]
+                    child = (tokens[j].text, body_stops, None, None, None)
+            if child is not None and (close := pairs[body_open]) < hi:
+                # an anonymous class's arguments that hold stops are walked first
+                head = i + 1 if bisect_left(stops, body_open) > k + 1 else body_open
+                if owned is not None and lo < head:
+                    owned.append((lo, head))
                 frames.append((close + 1, hi, type_name, stops, owned, returns, creations))
                 frames.append((body_open + 1, close, *child))
+                if head < body_open:
+                    frames.append((head, body_open, type_name, stops, owned, returns, creations))
                 break
         else:  # no body opened before ``hi``
             if owned is not None and lo < hi:
@@ -391,12 +393,13 @@ def match_creation(unit: SourceUnit, i: int, hi: int) -> tuple[str, int] | None:
 
 def first_outside_groups(unit: SourceUnit, k: int, end: int, texts: frozenset[str]) -> int | None:
     """The index of the first token from ``k`` up to ``end`` whose text is
-    one of ``texts``, jumping over each bracket group; None if there is none."""
-    tokens, pairs = unit.tokens, unit.pairs
+    one of ``texts``, jumping over each bracket and generic group; None if
+    there is none, also when a group closes at or past ``end``."""
+    tokens, pairs, angles = unit.tokens, unit.pairs, unit.angles.open_close
     while k < end:
         if tokens[k].text in texts:
             return k
-        k = pairs.get(k, k) + 1
+        k = (pairs.get(k) or angles.get(k, k)) + 1
     return None
 
 
@@ -425,7 +428,7 @@ def _try_callable(unit: SourceUnit, i: int, hi: int, type_name: str) -> BodySpan
             j += 1
             if j < hi and tokens[j].text == "(":  # a type annotation's arguments
                 j = unit.pairs.get(j, hi) + 1
-    if j >= hi or tokens[j].text != "{":
+    if j >= hi or tokens[j].text != "{" or unit.pairs[j] >= hi:  # its body lies in tokens[:hi]
         return None
     name_tok = tokens[i]
     return_type = _type_before(tokens, unit.angles, i)
@@ -470,16 +473,12 @@ def _nullable_params(unit: SourceUnit, popen: int, pclose: int) -> tuple[int, ..
     is no receiver (``C this``, ``C Outer.this``: ``this`` is no
     identifier).  An annotated dimension after the name (``int x @A []``)
     hides it: the name read is then ``A``, which no type precedes."""
-    tokens, pairs, angles = unit.tokens, unit.pairs, unit.angles
+    tokens, angles = unit.tokens, unit.angles
     nullable: list[int] = []
-    lo = idx = popen + 1
-    while idx <= pclose:
-        if idx < pclose and tokens[idx].text != ",":
-            # past the group this token opens, if any; in broken code a '['
-            # may close past the list
-            group_end = pairs.get(idx) or angles.open_close.get(idx, idx)
-            idx = min(group_end, pclose - 1) + 1
-            continue
+    lo = popen + 1
+    while lo <= pclose:
+        # in broken code a '[' may close past the list, which then ends it
+        idx = first_outside_groups(unit, lo, pclose, _COMMA) or pclose
         name = idx - 1
         while name - 1 > lo and tokens[name].text == "]" and tokens[name - 1].text == "[":
             name -= 2
@@ -488,7 +487,7 @@ def _nullable_params(unit: SourceUnit, popen: int, pclose: int) -> tuple[int, ..
             if (declared is not None and (name < idx - 1 or declared)
                     and not any(tokens[k].text == "final" for k in range(lo, name))):
                 nullable.append(name)
-        lo = idx = idx + 1
+        lo = idx + 1
     return tuple(nullable)
 
 

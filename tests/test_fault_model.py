@@ -299,10 +299,12 @@ def test_noi_object_creation_forms():
 
 
 def test_noi_skips_creation_statements():
-    # 'null;' is no statement; after ':', ')' or '->' a creation may be an
-    # expression (ternary, cast, lambda body), so it keeps its NOI there
+    # 'null;' is no statement, and 'else' is always followed by one; after
+    # ':', ')' or '->' a creation may be an expression (ternary, cast,
+    # lambda body), so it keeps its NOI there
     stmt = ("new Object(); Object o = new Object(); g(new B()); { new C(); }"
-            " o = c ? a : new D(); o = (Object) new E(); r = () -> new F();")
+            " o = c ? a : new D(); o = (Object) new E(); r = () -> new F();"
+            " if (c) f(); else new G();")
     _, mutants = mutants_of(in_method(stmt), NULL_TYPE)
     noi = [m for m in mutants if m.operator_id == "NOI"]
     assert [m.original for m in noi] == [
@@ -312,9 +314,9 @@ def test_noi_skips_creation_statements():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 5: a creation statement after a statement header, "
-                          "'else', a label or a switch-statement label reads as an expression")
+                          "a label or a switch-statement label reads as an expression")
 def test_noi_skips_creation_statements_after_headers_and_labels():
-    stmts = ["if (c) new C();", "if (c) f(); else new D();", "while (c) new E();",
+    stmts = ["if (c) new C();", "while (c) new E();",
              "l: new F();", "switch (c) { case 1: new G(); }", "switch (c) { case 1 -> new H(); }"]
     with_noi = [stmt for stmt in stmts
                 if any(m.operator_id == "NOI" for m in mutants_of(in_method(stmt), NULL_TYPE)[1])]
@@ -322,9 +324,9 @@ def test_noi_skips_creation_statements_after_headers_and_labels():
 
 
 def test_noi_reaches_into_an_anonymous_creations_arguments():
-    # the frame resumes past the anonymous body, so the creations in its
-    # arguments are recorded at its 'new'; the NOI of 'new A(...)' itself,
-    # which leaves 'null { }', is ROADMAP item 5's anonymous-class half
+    # the arguments are walked as a frame of the method's, so each creation
+    # in them is recorded; the NOI of 'new A(...)' itself, which leaves
+    # 'null { }', is ROADMAP item 5's anonymous-class half
     stmt = "Object o = new A(new B(), () -> { Object c = new C(); }, () -> new D()) { };"
     _, mutants = mutants_of(in_method(stmt), NULL_TYPE)
     assert [m.original for m in mutants if m.operator_id == "NOI"][1:] == [

@@ -298,25 +298,39 @@ def test_wrapping_a_record_keeps_every_mutant():
 
 
 # creations in the arguments of anonymous creations, in a body and in a
-# block lambda, one of them anonymous too
+# block lambda, one of them anonymous too, and a broken lambda there whose
+# braces enclose the class body
 _ANONYMOUS_ARGUMENTS = """\
 class A {
   void f() {
     Object o = new A(new B(), () -> { new C(); }) { };
     Runnable r = () -> { o = new A(new B(new C()) { void g() { new D(); } }) { }; };
+    o = new A(() -> { ) { void g() { new D(); } } };
   }
+}
+"""
+
+# type headers whose annotation arguments hold a '{', at the top level and
+# in a type body, where that '{' and the '(' before it are stops
+_ANNOTATED_HEADERS = """\
+class X implements @A({1}) Y {
+  int f(int a) { return a + 1; }
+  class Z<T extends @A({2}) Object> { Object g() { return new B(new C()) { }; } }
 }
 """
 
 
 def _ownership_inputs():
-    """The layout units, creations in anonymous creations' arguments, the
-    nests of lambdas, switch rules and anonymous classes, and the soups of
-    characters and of fragments that parse."""
+    """The layout units, creations in anonymous creations' arguments, type
+    headers with annotation arguments, the nests of lambdas, switch rules
+    and anonymous classes, and the soups of characters and of fragments
+    that parse."""
     yield from (unit for unit, _ in _layout_inputs().values())
     yield source_model.SourceUnit.from_text("Arguments.java", _ANONYMOUS_ARGUMENTS)
+    yield source_model.SourceUnit.from_text("Headers.java", _ANNOTATED_HEADERS)
     for nested in (_nested_creations, _nested_lambda_returns, _nested_switch_rules,
-                   _nested_anonymous_returns, _nested_lambda_anonymous):
+                   _nested_anonymous_returns, _nested_lambda_anonymous,
+                   _nested_anonymous_arguments):
         yield source_model.SourceUnit.from_text("Nest.java", nested(3)[0])
     for soup in (*seeded_soups(SOUP_ALPHABET), *_fragment_soups()):
         try:
@@ -529,10 +543,17 @@ def _nested_lambda_anonymous(depth: int) -> tuple[str, int]:
     return src, depth + 2
 
 
+def _nested_anonymous_arguments(depth: int) -> tuple[str, int]:
+    # each anonymous class's arguments hold another anonymous class and the
+    # rest of the nest: one NOI per 'new', one NRV per g and f's NRV
+    nest = "new A(new B() {\nObject g() {\nreturn x;\n}\n}, " * depth + "null" + ") { }" * depth
+    return "class C {\nObject f() {\nreturn " + nest + ";\n}\n}\n", 3 * depth + 1
+
+
 @pytest.mark.parametrize(
     "nested",
     [_nested_creations, _nested_lambda_returns, _nested_switch_rules, _comparison_chain,
-     _nested_anonymous_returns, _nested_lambda_anonymous])
+     _nested_anonymous_returns, _nested_lambda_anonymous, _nested_anonymous_arguments])
 def test_nesting_cost_grows_linearly(nested):
     """Token reads of the whole chain, and the text the mutants store,
     double, no more, when the depth of nested brackets doubles: each closer

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from mutdense import errors
-from mutdense.fault_model import OperatorSet
+from mutdense.fault_model import OperatorSet, find_mutation_sites
 from mutdense.metrics import analyze_unit
 from mutdense.source_model import (
     SpanKind,
@@ -91,6 +91,34 @@ class Outer {
         (SpanKind.METHOD, "run"),
         (SpanKind.METHOD, "deep"),
     ]
+
+
+def test_a_method_in_an_anonymous_creations_arguments_is_a_span():
+    src = """\
+class T {
+    Object f(Object x) {
+        o = new A(new B() { Object g(String s) { return s + 1; } }) { Object h() { return x; } };
+    }
+}
+"""
+    unit = make_unit(src)
+    spans = locate_bodies(unit)
+    assert [s.name for s in spans] == ["f", "g", "h"]
+    f, g, _ = spans
+    g_open, g_end = g.body_token_range
+    assert all(hi <= g_open or lo >= g_end for lo, hi in f.owned)
+    assert sorted((m.operator_id, m.original) for m in find_mutation_sites(
+        unit, [g], OperatorSet.default())) == [("AOR-B", "+"), ("NIV", "s"), ("NRV", "return s + 1;")]
+
+
+@pytest.mark.parametrize(
+    "header", ["class X implements @A({1}) Y", "class X<T extends @A({1}) Object>"])
+def test_a_type_headers_annotation_arguments_are_skipped(header):
+    # the type's '{' is the first outside the header's groups
+    src = header + " { int f(int a) { return a + 1; } }"
+    assert [s.name for s in spans_of(src)] == ["f"]
+    report = analyze_unit("X.java", src, OperatorSet.default())
+    assert [m.operator_id for m in report.mutants] == ["AOR-B"]
 
 
 def test_interface_bodiless_methods_yield_nothing():
