@@ -205,10 +205,12 @@ def _rule_table(operator_set: OperatorSet) -> dict[str, list[tuple[str, str, Cal
     return rules
 
 
-# After these a 'new' starts a statement, which 'null;' is not ('else' is
-# always followed by one).  After ':', ')' or '->' it may start an
-# expression: ternary, cast, arrow body.
-_STATEMENT_STARTS = frozenset({";", "{", "}", "else"})
+# After these a 'new' starts a statement, which 'null;' is not ('else' and
+# 'do' are always followed by one), as it does after the ')' that ends a
+# header of ``_HEADER_WORDS``.  After ':', '->' or a cast's ')' it may
+# start an expression: ternary, arrow body, cast.
+_STATEMENT_STARTS = frozenset({";", "{", "}", "else", "do"})
+_HEADER_WORDS = ("if", "while", "for")
 
 
 def find_mutation_sites(
@@ -235,6 +237,9 @@ def find_mutation_sites(
                                  insert_after)))
 
     found = unit.positions_of(rules)
+    if "NOI" in enabled:  # the ')' that ends each 'if', 'while' and 'for' header
+        positions, pairs = unit.positions, unit.pairs
+        header_ends = {pairs.get(h + 1) for w in _HEADER_WORDS for h in positions.get(w, ())}
     for span in spans:
         for lo, hi in span.owned:
             for idx in found[bisect_left(found, lo):bisect_left(found, hi)]:
@@ -244,7 +249,8 @@ def find_mutation_sites(
                         emit(op_id, tok.line, tok.column, tok.start, tok.end, replacement)
         if "NOI" in enabled:
             for idx, close in span.creations:
-                if tokens[idx - 1].text not in _STATEMENT_STARTS or tokens[close + 1].text != ";":
+                if tokens[close + 1].text != ";" or not (
+                        tokens[idx - 1].text in _STATEMENT_STARTS or idx - 1 in header_ends):
                     tok = tokens[idx]
                     emit("NOI", tok.line, tok.column, tok.start, tokens[close].end, "null")
         if span.returns_reference and "NRV" in enabled:

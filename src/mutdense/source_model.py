@@ -257,25 +257,25 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     """Find every method/constructor body span, including those of nested,
     local, and anonymous types, with the tokens and returns each one owns.
 
-    One loop over an explicit stack of frames ``(next token, end token,
-    enclosing type name or None inside a block, stop list, the owned
-    intervals, returns and creations that the frame adds to, each None when
-    it adds to none)``, so nesting depth is bounded by memory rather than
-    by the interpreter stack.  Every frame jumps through its ascending stop
-    indices from ``unit.positions``: a block stops at ``new`` and the type
-    keywords, where a type body may open, at each ``return``, and at each
-    ``->``, ``case`` and ``default``, which tell whether a ``{`` after a
-    ``->`` opens a block lambda; a type body stops at ``new`` and the type
-    keywords too, at each ``{``, which opens an initializer block, and at
-    each ``(``, where a callable's parameters open when a name precedes it.
-    A type's ``{`` is the first outside its header's groups.  When another
-    stop lies between a stop and the ``{`` it opens (an anonymous class's
-    arguments), the tokens between are one more frame like the enclosing
-    one, walked before the body; no body opens in it that closes past it.
-    A callable's body owns its tokens outside the type bodies in it, and
-    its returns outside the block lambdas in it; in its frames the ``new``
-    stop records each creation with its ')', and the ``return`` stop its
-    statement's ';'.
+    One loop over an explicit stack of frames ``(lo, hi, type_name, span,
+    returns)``, so nesting depth is bounded by memory rather than by the
+    interpreter stack.  A frame walks ``tokens[lo:hi]``, adding to the owned
+    intervals and creations of ``span`` (None outside a callable's body or
+    in an initializer) and to ``returns`` (the span's, or None in a block
+    lambda), through the ascending indices of its stops in
+    ``unit.positions``.  A block (no ``type_name``) stops at ``new`` and the
+    type keywords, where a type body may open, at each ``return``, and at
+    each ``->``, ``case`` and ``default``, which tell whether a ``{`` after
+    a ``->`` opens a block lambda; a type body named ``type_name`` stops at
+    ``new`` and the type keywords too, at each ``{``, which opens an
+    initializer block, and at each ``(``, where a callable's parameters open
+    when a name precedes it.  A type's ``{`` is the first outside its
+    header's groups.  When another stop lies between a stop and the ``{`` it
+    opens (an anonymous class's arguments), the tokens between are one more
+    frame like the enclosing one, walked before the body; no body opens in
+    it that closes past it.  A callable's body owns its tokens outside the
+    type bodies in it, its returns outside the block lambdas in it (each
+    with its ';') and its creations (each with its ')').
     """
     pairs = unit.pairs  # unbalanced braces fail here, even in a unit with no bodies
     tokens = unit.tokens
@@ -283,35 +283,35 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     body_stops = unit.positions_of(_TYPE_BODY_STOPS)
     spans: list[BodySpan] = []
     rule_arrows: set[int] = set()  # each '->' that ends a switch label
-    frames: list[tuple] = [(0, len(tokens), None, block_stops, None, None, None)]
+    frames: list[tuple] = [(0, len(tokens), None, None, None)]
     while frames:
-        lo, hi, type_name, stops, owned, returns, creations = frames.pop()
+        lo, hi, type_name, span, returns = frames.pop()
+        stops = block_stops if type_name is None else body_stops
         for k in range(bisect_left(stops, lo), bisect_left(stops, hi)):
             i = stops[k]
             tx = tokens[i].text
             child = None  # the fields of the body's frame after its bounds
             if tx == "new":
                 site = match_creation(unit, i, hi)
-                if site is not None and creations is not None:
-                    creations.append((i, site[1]))
+                if site is not None and span is not None:
+                    span.creations.append((i, site[1]))
                 if site is not None and site[1] + 1 < hi and tokens[site[1] + 1].text == "{":
-                    body_open, child = site[1] + 1, (site[0], body_stops, None, None, None)
+                    body_open, child = site[1] + 1, (site[0], None, None)
             elif tx == "{":  # initializer block or array initializer
-                body_open, child = i, (None, block_stops, None, None, None)
+                body_open, child = i, (None, None, None)
             elif tx == "(":
                 # a type body starts after its '{', so tokens[i - 1] is in it
                 if tokens[i - 1].kind is TokenKind.IDENTIFIER:
-                    span = _try_callable(unit, i - 1, hi, type_name)
-                    if span is not None:
-                        spans.append(span)
-                        body_open = span.body_token_range[0]
-                        child = (None, block_stops, span.owned, span.returns, span.creations)
+                    found = _try_callable(unit, i - 1, hi, type_name)
+                    if found is not None:
+                        spans.append(found)
+                        body_open, child = found.body_token_range[0], (None, found, found.returns)
             elif tx == "return":
                 if returns is not None:
                     returns.append((i, first_outside_groups(unit, i + 1, hi, _STATEMENT_END)))
             elif tx == "->":
                 if i not in rule_arrows and i + 1 < hi and tokens[i + 1].text == "{":
-                    body_open, child = i + 1, (None, block_stops, owned, None, creations)
+                    body_open, child = i + 1, (None, span, None)
             elif tx == "case" or tx == "default":
                 arrow = first_outside_groups(unit, i + 1, hi, _LABEL_ENDS)
                 if arrow is not None and tokens[arrow].text == "->":
@@ -322,20 +322,20 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                     j += 1
                 body_open = first_outside_groups(unit, j, hi, _BODY_OPEN)
                 if body_open is not None:  # the type's name is tokens[j]
-                    child = (tokens[j].text, body_stops, None, None, None)
+                    child = (tokens[j].text, None, None)
             if child is not None and (close := pairs[body_open]) < hi:
                 # an anonymous class's arguments that hold stops are walked first
                 head = i + 1 if bisect_left(stops, body_open) > k + 1 else body_open
-                if owned is not None and lo < head:
-                    owned.append((lo, head))
-                frames.append((close + 1, hi, type_name, stops, owned, returns, creations))
+                if span is not None and lo < head:
+                    span.owned.append((lo, head))
+                frames.append((close + 1, hi, type_name, span, returns))
                 frames.append((body_open + 1, close, *child))
                 if head < body_open:
-                    frames.append((head, body_open, type_name, stops, owned, returns, creations))
+                    frames.append((head, body_open, type_name, span, returns))
                 break
         else:  # no body opened before ``hi``
-            if owned is not None and lo < hi:
-                owned.append((lo, hi))
+            if span is not None and lo < hi:
+                span.owned.append((lo, hi))
     spans.sort(key=lambda s: s.body_token_range[0])
     return spans
 

@@ -452,6 +452,13 @@ def test_unlistable_directory_is_a_diagnostic(
     assert doc["diagnostics"] == [{"path": display, "error": error}]
 
 
+def test_a_directory_given_as_a_unit_is_a_diagnostic(tmp_path):
+    # discover yields no directory, but a library caller may pass one
+    result = cli.analyze_path("D.java", str(tmp_path), Config(roots=(str(tmp_path),)))
+    error = f"unreadable: [Errno {errno.EISDIR}] Is a directory: '{tmp_path}'"
+    assert result == Diagnostic("D.java", error)
+
+
 def test_discovery_missing_root():
     with pytest.raises(errors.MutdenseError):
         discover(Config(roots=("does/not/exist",)))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import shutil
+import subprocess
 from collections import Counter
 
 import pytest
@@ -299,12 +301,15 @@ def test_noi_object_creation_forms():
 
 
 def test_noi_skips_creation_statements():
-    # 'null;' is no statement, and 'else' is always followed by one; after
-    # ':', ')' or '->' a creation may be an expression (ternary, cast,
-    # lambda body), so it keeps its NOI there
+    # 'null;' is no statement, and 'else', 'do' and the ')' of an 'if',
+    # 'while' or 'for' header are always followed by one; after ':', '->'
+    # or a cast's ')' a creation may be an expression (ternary, lambda
+    # body, cast's operand), so it keeps its NOI there
     stmt = ("new Object(); Object o = new Object(); g(new B()); { new C(); }"
             " o = c ? a : new D(); o = (Object) new E(); r = () -> new F();"
-            " if (c) f(); else new G();")
+            " if (c) f(); else new G(); do new K(); while (c);"
+            " if (c) new C(); while (c) new E(); for (int i = 0; i < n; i++) new H();"
+            " if (f(g(c))) f(); else if (c) new J();")
     _, mutants = mutants_of(in_method(stmt), NULL_TYPE)
     noi = [m for m in mutants if m.operator_id == "NOI"]
     assert [m.original for m in noi] == [
@@ -312,15 +317,62 @@ def test_noi_skips_creation_statements():
     assert noi[0].column == 34  # the declaration's
 
 
+# A creation statement that keeps a NOI whose mutant does not compile
+_NOI_STATEMENTS_KEPT = ["l: new Object();", "switch (o.hashCode()) { case 1: new Object(); }",
+                        "switch (o.hashCode()) { case 1 -> new Object(); }"]
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5: a creation statement after a statement header, "
-                          "a label or a switch-statement label reads as an expression")
-def test_noi_skips_creation_statements_after_headers_and_labels():
-    stmts = ["if (c) new C();", "while (c) new E();",
-             "l: new F();", "switch (c) { case 1: new G(); }", "switch (c) { case 1 -> new H(); }"]
-    with_noi = [stmt for stmt in stmts
+                   reason="ROADMAP item 5: a creation statement after a label or a "
+                          "switch-statement label reads as an expression")
+def test_noi_skips_creation_statements_after_labels():
+    with_noi = [stmt for stmt in _NOI_STATEMENTS_KEPT
                 if any(m.operator_id == "NOI" for m in mutants_of(in_method(stmt), NULL_TYPE)[1])]
     assert with_noi == []
+
+
+_NOI_STATEMENTS = [
+    "new Object();", "{ new Object(); }", "if (c) g(o); else new Object();",
+    "do new Object(); while (c);", "if (c) new Object();", "while (c) new Object();",
+    "for (int i = 0; i < 1; i++) new Object();", "if (c) g(o); else if (g(c) == o) new Object();",
+    *_NOI_STATEMENTS_KEPT,
+]
+_NOI_EXPRESSIONS = [
+    "Object d = new Object();", "g(new Object());", "o = c ? o : new Object();",
+    "o = (Object) new Object();", "java.util.function.Supplier<Object> s = () -> new Object();",
+]
+
+
+@pytest.mark.skipif(shutil.which("javac") is None,
+                    reason="javac is not on PATH, so the NOI mutants cannot be compiled")
+def test_noi_mutants_compile(tmp_path):
+    # each form in a well-typed class; the originals and every NOI mutant
+    # but those of the statements kept above go to one javac call
+    def unit_of(name, form):
+        return make_unit(f"class {name} {{ Object o; boolean c; Object g(Object x) {{ return x; }}"
+                         f" Object f() {{ {form} return o; }} }}\n", f"{name}.java")
+
+    with_noi, sources = [], {}
+    for n, form in enumerate(_NOI_STATEMENTS + _NOI_EXPRESSIONS):
+        sources[f"O{n}"] = unit_of(f"O{n}", form).text
+        unit = unit_of(f"M{n}", form)
+        noi = [m for m in find_mutation_sites(unit, locate_bodies(unit), NULL_TYPE)
+               if m.operator_id == "NOI"]
+        assert len(noi) <= 1, form
+        if noi:
+            with_noi.append(form)
+            if form not in _NOI_STATEMENTS_KEPT:
+                sources[f"M{n}"] = apply_mutant(unit, noi[0])
+    paths = []
+    for name, text in sources.items():
+        paths.append(tmp_path / f"{name}.java")
+        paths[-1].write_text(text, encoding="utf-8")
+    compiled = subprocess.run(["javac", "-d", str(tmp_path / "classes"), *map(str, paths)],
+                              capture_output=True, text=True)
+    assert compiled.returncode == 0, compiled.stderr
+    # the kept statements are a named allowance, and the only forms besides
+    # the expressions that still get a NOI
+    assert with_noi == _NOI_STATEMENTS_KEPT + _NOI_EXPRESSIONS
 
 
 def test_noi_reaches_into_an_anonymous_creations_arguments():

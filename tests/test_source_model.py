@@ -286,6 +286,14 @@ class A {
     assert spans[0].decl_line == 3
 
 
+def test_a_header_left_open_is_no_callable():
+    # 'f(' has no ')' in the class body, so f is no callable; g after it is
+    src = "class A { void f( int x; int g(int a) { return a + 1; } }"
+    assert [s.name for s in spans_of(src)] == ["g"]
+    assert [m.operator_id for m in analyze_unit("A.java", src, OperatorSet.default()).mutants] == [
+        "AOR-B"]
+
+
 # ---------------------------------------------------------------------------
 # generic angle brackets
 # ---------------------------------------------------------------------------
