@@ -415,19 +415,6 @@ def discover(config: Config) -> tuple[list[tuple[str, str]], list[Diagnostic]]:
 # ---------------------------------------------------------------------------
 
 
-class UnitResult(NamedTuple):
-    """What a worker sends back for one file it analyzed.
-
-    ``summary`` is what the text table, the bar chart and the threshold
-    gate read; ``json`` is the unit's ``project.json`` entry when json is
-    requested and ``html`` its heatmap page when html is.
-    """
-
-    summary: UnitSummary
-    json: bytes | None
-    html: bytes | None
-
-
 def read_text(fs_path: str) -> str:
     """The file's text as ``open(fs_path, encoding="utf-8")`` reads it, with
     universal newlines: one byte read, one decode, then ``\r\n`` and a lone
@@ -437,9 +424,13 @@ def read_text(fs_path: str) -> str:
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def analyze_path(display: str, fs_path: str, config: Config) -> UnitResult | Diagnostic:
-    """Run the full per-unit pipeline and build the unit's parts of the
-    requested formats; a failure comes back as a ``Diagnostic``."""
+def analyze_path(display: str, fs_path: str, config: Config,
+                 heatmap: str | None = None) -> UnitSummary | Diagnostic:
+    """Run the full per-unit pipeline, write the unit's heatmap to the name
+    ``heatmap`` (if one is given) in ``config.output_dir`` and build its
+    ``project.json`` entry when json is requested.  A unit that cannot be
+    analyzed comes back as a ``Diagnostic``; a failed write raises
+    UnwritableOutput."""
     try:
         text = read_text(fs_path)
     except UnicodeDecodeError:
@@ -450,19 +441,25 @@ def analyze_path(display: str, fs_path: str, config: Config) -> UnitResult | Dia
         report = analyze_unit(display, text, config.operator_set)
     except errors.MutdenseError as exc:
         return Diagnostic(display, str(exc))
+    if heatmap is not None:
+        page = render_heatmap(report, text, config.style).encode("utf-8")
+        try:
+            with open(os.path.join(config.output_dir, heatmap), "wb") as fh:
+                fh.write(page)
+        except OSError as exc:
+            raise errors.UnwritableOutput(f"cannot write output: {exc}") from exc
     formats = config.formats
-    return UnitResult(
-        UnitSummary.from_report(report, config.top_lines if "text" in formats else 0),
-        json=emit_unit_json(report) if "json" in formats else None,
-        html=(render_heatmap(report, text, config.style).encode("utf-8")
-              if "html" in formats else None),
-    )
+    return UnitSummary.from_report(report, config.top_lines if "text" in formats else 0,
+                                   emit_unit_json(report) if "json" in formats else None)
 
 
-def analyze_chunk(task: tuple[Sequence[tuple[str, str]], Config]) -> list[UnitResult | Diagnostic]:
-    """``analyze_path`` over one chunk of (display path, fs path) pairs."""
-    files, config = task
-    return [analyze_path(display, fs_path, config) for display, fs_path in files]
+def analyze_chunk(task: tuple[Sequence[tuple[str, str, str | None]], Config]
+                  ) -> list[UnitSummary | Diagnostic]:
+    """``analyze_path`` over one chunk of (display path, fs path, heatmap
+    name or None) triples."""
+    units, config = task
+    return [analyze_path(display, fs_path, config, heatmap)
+            for display, fs_path, heatmap in units]
 
 
 # each chunk takes 1 / (workers * _CHUNK_DIVISOR) of the files not yet sent:
@@ -472,7 +469,7 @@ def analyze_chunk(task: tuple[Sequence[tuple[str, str]], Config]) -> list[UnitRe
 _CHUNK_DIVISOR = 2
 
 
-def chunked(files: Sequence[tuple[str, str]], workers: int) -> list[Sequence[tuple[str, str]]]:
+def chunked(files: Sequence[tuple], workers: int) -> list[Sequence[tuple]]:
     """``files`` cut, in order, into chunks that shrink from a
     ``1 / (2 * workers)`` share of the files down to one file."""
     divisor = max(workers, 1) * _CHUNK_DIVISOR
@@ -556,17 +553,23 @@ def heatmap_filenames(display_paths: Sequence[str]) -> list[str]:
 
 
 def run(config: Config) -> int:
-    try:
-        files, diagnostics = discover(config)
-    except errors.MutdenseError as exc:
-        print(f"mutdense: {exc}", file=sys.stderr)
-        return 1
+    """Analyze the configured tree and write its artifacts.  Returns 0, or 2
+    when the threshold gate trips; a fatal error raises MutdenseError."""
+    files, diagnostics = discover(config)
     if not files and not diagnostics:
-        print("mutdense: no input files matched", file=sys.stderr)
-        return 1
+        raise errors.MutdenseError("no input files matched")
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise errors.UnwritableOutput(f"cannot write output: {exc}") from exc
 
-    workers = worker_count(config.jobs, len(files), usable_cpus())
-    tasks = [(chunk, config) for chunk in chunked(files, workers)]
+    # each page's name comes from the discovered paths alone, so the worker
+    # that renders a page writes it
+    names = (heatmap_filenames([display for display, _ in files])
+             if "html" in config.formats else [None] * len(files))
+    units = [(display, fs_path, name) for (display, fs_path), name in zip(files, names)]
+    workers = worker_count(config.jobs, len(units), usable_cpus())
+    tasks = [(chunk, config) for chunk in chunked(units, workers)]
     if workers > 1:
         with process_pool(workers) as pool:
             chunks = list(pool.map(analyze_chunk, tasks))
@@ -577,19 +580,12 @@ def run(config: Config) -> int:
     # order, so the results come in the order aggregate_project gives
     results = [result for chunk in chunks for result in chunk]
     diagnostics += [r for r in results if isinstance(r, Diagnostic)]
-    analyzed = [r for r in results if not isinstance(r, Diagnostic)]
-
+    project = aggregate_project([r for r in results if not isinstance(r, Diagnostic)],
+                                diagnostics)
     try:
-        project = aggregate_project([r.summary for r in analyzed], diagnostics)
-    except errors.DuplicatePath as exc:
-        print(f"mutdense: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        _write_artifacts(project, analyzed, config)
+        _write_artifacts(project, config)
     except OSError as exc:
-        print(f"mutdense: cannot write output: {exc}", file=sys.stderr)
-        return 1
+        raise errors.UnwritableOutput(f"cannot write output: {exc}") from exc
 
     if config.threshold is not None:
         offenders = [
@@ -612,26 +608,19 @@ def run(config: Config) -> int:
     return 0
 
 
-def _write_artifacts(
-    project: ProjectReport, analyzed: Sequence[UnitResult], config: Config
-) -> None:
-    """Write the run's artifacts; ``analyzed`` is in ``project.units``' order."""
+def _write_artifacts(project: ProjectReport, config: Config) -> None:
+    """Write ``project.json``, ``.txt`` and ``.svg``; ``project.units`` are
+    the workers' summaries, and the workers wrote the heatmaps."""
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
     if "json" in config.formats:
         with open(os.path.join(out, "project.json"), "wb") as fh:
-            fh.write(emit_json(project, [result.json for result in analyzed]))
+            fh.write(emit_json(project, [u.json for u in project.units]))
     if "text" in config.formats:
         with open(os.path.join(out, "project.txt"), "w", encoding="utf-8") as fh:
             fh.write(render_text(project, config.top_lines))
     if "svg" in config.formats and project.units:
         with open(os.path.join(out, "project.svg"), "w", encoding="utf-8") as fh:
             fh.write(render_barchart(project))
-    if "html" in config.formats:
-        names = heatmap_filenames([unit.path for unit in project.units])
-        for result, name in zip(analyzed, names):
-            with open(os.path.join(out, name), "wb") as fh:
-                fh.write(result.html)
 
 
 # ---------------------------------------------------------------------------

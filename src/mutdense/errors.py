@@ -38,6 +38,10 @@ class DuplicatePath(MutdenseError):
     """Two unit reports share the same path."""
 
 
+class UnwritableOutput(MutdenseError):
+    """The output directory or an artifact in it cannot be written."""
+
+
 class EmptyProject(MutdenseError):
     """A rendering was requested for a project with no analyzable units."""
 

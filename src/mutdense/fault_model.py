@@ -16,12 +16,14 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from mutdense import errors
 from mutdense.scanner import scan
 from mutdense.source_model import (
+    LABEL_ENDS,
     PRIMITIVE_TYPES,
     BodySpan,
     GenericAngles,
     SourceUnit,
     Token,
     TokenKind,
+    first_outside_groups,
 )
 
 
@@ -207,8 +209,9 @@ def _rule_table(operator_set: OperatorSet) -> dict[str, list[tuple[str, str, Cal
 
 # After these a 'new' starts a statement, which 'null;' is not ('else' and
 # 'do' are always followed by one), as it does after the ')' that ends a
-# header of ``_HEADER_WORDS``.  After ':', '->' or a cast's ')' it may
-# start an expression: ternary, arrow body, cast.
+# header of ``_HEADER_WORDS`` and after the ':' that ends a 'case' or
+# 'default' label or a statement label.  After any other ':', '->' or a
+# cast's ')' it may start an expression: ternary, arrow body, cast.
 _STATEMENT_STARTS = frozenset({";", "{", "}", "else", "do"})
 _HEADER_WORDS = ("if", "while", "for")
 
@@ -237,9 +240,20 @@ def find_mutation_sites(
                                  insert_after)))
 
     found = unit.positions_of(rules)
-    if "NOI" in enabled:  # the ')' that ends each 'if', 'while' and 'for' header
+    if "NOI" in enabled:
+        # the ')' that ends each 'if', 'while' and 'for' header, the ':' that
+        # ends each 'case' and 'default' label, and each ':' that a name and
+        # then a statement start or another such end precede (a label)
         positions, pairs = unit.positions, unit.pairs
-        header_ends = {pairs.get(h + 1) for w in _HEADER_WORDS for h in positions.get(w, ())}
+        statement_ends = {pairs.get(h + 1) for w in _HEADER_WORDS for h in positions.get(w, ())}
+        for k in unit.positions_of(("case", "default")):
+            end = first_outside_groups(unit, k + 1, len(tokens), LABEL_ENDS)
+            if end is not None and tokens[end].text == ":":
+                statement_ends.add(end)
+        for k in positions.get(":", ()):
+            if k >= 2 and tokens[k - 1].kind is TokenKind.IDENTIFIER and (
+                    tokens[k - 2].text in _STATEMENT_STARTS or k - 2 in statement_ends):
+                statement_ends.add(k)
     for span in spans:
         for lo, hi in span.owned:
             for idx in found[bisect_left(found, lo):bisect_left(found, hi)]:
@@ -250,7 +264,7 @@ def find_mutation_sites(
         if "NOI" in enabled:
             for idx, close in span.creations:
                 if tokens[close + 1].text != ";" or not (
-                        tokens[idx - 1].text in _STATEMENT_STARTS or idx - 1 in header_ends):
+                        tokens[idx - 1].text in _STATEMENT_STARTS or idx - 1 in statement_ends):
                     tok = tokens[idx]
                     emit("NOI", tok.line, tok.column, tok.start, tokens[close].end, "null")
         if span.returns_reference and "NRV" in enabled:

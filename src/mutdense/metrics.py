@@ -115,18 +115,21 @@ class _SummaryFields(NamedTuple):
     null_type: int
     top_n: int = 0
     top_rows: tuple[tuple[int, int], ...] = ()
+    json: bytes | None = None
 
 
 class UnitSummary(_SummaryFields, _UnitAverages):
     """The part of a unit that the text table, the bar chart and the
     threshold gate read, with the report's top ``top_n`` combined-density
-    lines.  ``mutdense analyze`` keeps this of each unit in place of the
+    lines, and ``json``, the unit's ``project.json`` entry when one was
+    built.  ``mutdense analyze`` keeps this of each unit in place of the
     UnitReport, which stays in the worker that built it.  Its fields are
     plain values, so it crosses a process pipe with no ``Family`` member.
     """
 
     @classmethod
-    def from_report(cls, report: UnitReport, top_n: int = 0) -> "UnitSummary":
+    def from_report(cls, report: UnitReport, top_n: int = 0,
+                    json: bytes | None = None) -> "UnitSummary":
         counts = report.mutant_count_by_family
         return cls(
             path=report.path,
@@ -135,6 +138,7 @@ class UnitSummary(_SummaryFields, _UnitAverages):
             null_type=counts[Family.NULL_TYPE],
             top_n=top_n,
             top_rows=tuple(report.top_lines(top_n)),
+            json=json,
         )
 
     @property

@@ -241,7 +241,7 @@ def mark_generic_angles(tokens: Sequence[Token], positions: dict[str, list[int]]
 _TYPE_OPENERS = ("new", "class", "enum", "interface")
 _BLOCK_STOPS = (*_TYPE_OPENERS, "return", "->", "case", "default")
 _TYPE_BODY_STOPS = (*_TYPE_OPENERS, "{", "(")
-_LABEL_ENDS = frozenset({"->", ":", ";", "{", "}"})
+LABEL_ENDS = frozenset({"->", ":", ";", "{", "}"})
 _STATEMENT_END = frozenset({";"})
 _BODY_OPEN, _COMMA = frozenset({"{"}), frozenset({","})
 _FORBIDDEN_BEFORE_NAME = frozenset(
@@ -313,7 +313,7 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                 if i not in rule_arrows and i + 1 < hi and tokens[i + 1].text == "{":
                     body_open, child = i + 1, (None, span, None)
             elif tx == "case" or tx == "default":
-                arrow = first_outside_groups(unit, i + 1, hi, _LABEL_ENDS)
+                arrow = first_outside_groups(unit, i + 1, hi, LABEL_ENDS)
                 if arrow is not None and tokens[arrow].text == "->":
                     rule_arrows.add(arrow)
             elif i == 0 or tokens[i - 1].text != ".":  # 'String.class' is a class literal

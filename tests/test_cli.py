@@ -688,7 +688,7 @@ def test_run_dispatches_files_in_chunks(write_tree, tmp_path, monkeypatch):
         tasks.clear()
         assert run(load_config([str(root), "--out", str(out), "--jobs", str(jobs)])) == 0
         assert 0 < len(tasks) <= 16
-        assert [display for chunk, _ in tasks for display, _ in chunk] == names
+        assert [display for chunk, _ in tasks for display, _, _ in chunk] == names
     assert sizes == [2]
     assert (outputs[0] / "project.json").read_bytes() == (outputs[1] / "project.json").read_bytes()
 
@@ -808,12 +808,33 @@ def test_missing_root_is_fatal(tmp_path, capsys):
     assert "root does not exist" in capsys.readouterr().err
 
 
-def test_unwritable_output_is_fatal(write_tree, tmp_path, capsys):
-    root = write_tree({"One.java": ALPHA_SRC})
-    blocker = tmp_path / "blocked"
-    blocker.write_text("a file, not a directory")
-    assert main(["analyze", str(root), "--out", str(blocker)]) == 1
-    assert "cannot write output" in capsys.readouterr().err
+def test_unwritable_output_is_fatal(write_tree, tmp_path, capfd, monkeypatch):
+    # a page is written in the worker that renders it, and its write error
+    # crosses the pool as the same one-line message the parent's writes give
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    root = trio(write_tree)
+    for jobs in (1, 2):
+        blocker = tmp_path / f"blocked-j{jobs}"
+        blocker.write_text("a file, not a directory")
+        paged = tmp_path / f"paged-j{jobs}"
+        (paged / "Beta.java.html").mkdir(parents=True)  # a directory at a page's name
+        for out in (blocker, paged):
+            argv = ["analyze", str(root), "--format", "json,html", "--jobs", str(jobs),
+                    "--out", str(out)]
+            assert main(argv) == 1, out
+            err = capfd.readouterr().err
+            assert err.startswith("mutdense: cannot write output:"), err
+            assert "Traceback" not in err and err.count("\n") == 1, err
+
+
+def test_a_failed_file_keeps_its_page_name(write_tree, tmp_path):
+    # names come from the discovered paths, so the broken a/B.java still
+    # holds a_B.java.html and a_B.java takes the next free name
+    root = write_tree({"a/B.java": "class B { /* never closed\n", "a_B.java": GAMMA_SRC})
+    out = tmp_path / "out"
+    assert main(["analyze", str(root), "--format", "json,html", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["a_B.java.2.html", "project.json"]
+    assert "<title>a_B.java</title>" in (out / "a_B.java.2.html").read_text(encoding="utf-8")
 
 
 def test_failed_unit_becomes_diagnostic_not_fatal(write_tree, tmp_path):

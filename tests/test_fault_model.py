@@ -301,30 +301,35 @@ def test_noi_object_creation_forms():
 
 
 def test_noi_skips_creation_statements():
-    # 'null;' is no statement, and 'else', 'do' and the ')' of an 'if',
-    # 'while' or 'for' header are always followed by one; after ':', '->'
-    # or a cast's ')' a creation may be an expression (ternary, lambda
-    # body, cast's operand), so it keeps its NOI there
+    # 'null;' is no statement, and 'else', 'do', the ')' of an 'if',
+    # 'while' or 'for' header and the ':' of a label are always followed by
+    # one; after any other ':', '->' or a cast's ')' a creation may be an
+    # expression (ternary, for-each source, assert message, lambda body,
+    # switch-expression arm, cast's operand), so it keeps its NOI there
     stmt = ("new Object(); Object o = new Object(); g(new B()); { new C(); }"
             " o = c ? a : new D(); o = (Object) new E(); r = () -> new F();"
             " if (c) f(); else new G(); do new K(); while (c);"
             " if (c) new C(); while (c) new E(); for (int i = 0; i < n; i++) new H();"
-            " if (f(g(c))) f(); else if (c) new J();")
+            " if (f(g(c))) f(); else if (c) new J();"
+            " l: new L(); l: m: new M(); switch (k) { case 1: new N(); default: new P(); }"
+            " switch (k) { case A: l: new Q(); }"
+            " for (Object x : new R()) f(); assert c : new S();"
+            " o = switch (k) { case 1 -> new T(); default -> new U(); };")
     _, mutants = mutants_of(in_method(stmt), NULL_TYPE)
     noi = [m for m in mutants if m.operator_id == "NOI"]
     assert [m.original for m in noi] == [
-        "new Object()", "new B()", "new D()", "new E()", "new F()"]
+        "new Object()", "new B()", "new D()", "new E()", "new F()",
+        "new R()", "new S()", "new T()", "new U()"]
     assert noi[0].column == 34  # the declaration's
 
 
 # A creation statement that keeps a NOI whose mutant does not compile
-_NOI_STATEMENTS_KEPT = ["l: new Object();", "switch (o.hashCode()) { case 1: new Object(); }",
-                        "switch (o.hashCode()) { case 1 -> new Object(); }"]
+_NOI_STATEMENTS_KEPT = ["switch (o.hashCode()) { case 1 -> new Object(); }"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5: a creation statement after a label or a "
-                          "switch-statement label reads as an expression")
+                   reason="ROADMAP item 5: a creation statement as a switch statement's "
+                          "rule reads as a switch expression's arm")
 def test_noi_skips_creation_statements_after_labels():
     with_noi = [stmt for stmt in _NOI_STATEMENTS_KEPT
                 if any(m.operator_id == "NOI" for m in mutants_of(in_method(stmt), NULL_TYPE)[1])]
@@ -335,11 +340,15 @@ _NOI_STATEMENTS = [
     "new Object();", "{ new Object(); }", "if (c) g(o); else new Object();",
     "do new Object(); while (c);", "if (c) new Object();", "while (c) new Object();",
     "for (int i = 0; i < 1; i++) new Object();", "if (c) g(o); else if (g(c) == o) new Object();",
+    "l: new Object();", "switch (o.hashCode()) { case 1: new Object(); }",
+    "switch (o.hashCode()) { default: new Object(); }",
     *_NOI_STATEMENTS_KEPT,
 ]
 _NOI_EXPRESSIONS = [
     "Object d = new Object();", "g(new Object());", "o = c ? o : new Object();",
     "o = (Object) new Object();", "java.util.function.Supplier<Object> s = () -> new Object();",
+    "assert c : new Object();",
+    "o = switch (o.hashCode()) { case 1 -> new Object(); default -> o; };",
 ]
 
 

@@ -688,18 +688,19 @@ _FOUND = ["path", "physical_line_count", "relevant_lines", "mutants"]
 def test_worker_result_holds_only_what_analysis_found(tmp_path):
     source = tmp_path / "Outer.java"
     source.write_text(_NESTED_SRC, encoding="utf-8")
-    config = cli.Config(("Outer.java",), operator_set=ALL_OPS, formats=("json", "html", "text"),
-                        top_lines=10, style=DEFAULT_STYLE)
-    result = cli.analyze_path("Outer.java", str(source), config)
+    config = cli.Config(("Outer.java",), operator_set=ALL_OPS, output_dir=str(tmp_path),
+                        formats=("json", "html", "text"), top_lines=10, style=DEFAULT_STYLE)
+    result = cli.analyze_path("Outer.java", str(source), config, "Outer.java.html")
     report = analyze_unit("Outer.java", _NESTED_SRC, ALL_OPS)
     assert list(UnitReport._fields) == _FOUND
     # no derived view was built by analysis
     assert vars(report) == {}
-    assert isinstance(result, cli.UnitResult) and report.mutants
-    # the worker sends finished bytes and a summary, never the report
-    assert result.json == emit_unit_json(report)
-    assert result.html == render_heatmap(report, _NESTED_SRC).encode("utf-8")
-    assert result.summary == UnitSummary.from_report(report, 10)
+    assert type(result) is UnitSummary and report.mutants
+    # the worker writes the page itself and sends a summary with the
+    # finished JSON entry, never the report or the page
+    page = (tmp_path / "Outer.java.html").read_bytes()
+    assert page == render_heatmap(report, _NESTED_SRC).encode("utf-8")
+    assert result == UnitSummary.from_report(report, 10, emit_unit_json(report))
     assert pickle.loads(pickle.dumps(result)) == result
     clone = pickle.loads(pickle.dumps(report))
     assert clone == report
