@@ -613,14 +613,32 @@ def _write_artifacts(project: ProjectReport, config: Config) -> None:
     the workers' summaries, and the workers wrote the heatmaps."""
     out = config.output_dir
     if "json" in config.formats:
-        with open(os.path.join(out, "project.json"), "wb") as fh:
-            fh.write(emit_json(project, [u.json for u in project.units]))
+        _write_whole(out, "project.json", emit_json(project, [u.json for u in project.units]))
     if "text" in config.formats:
-        with open(os.path.join(out, "project.txt"), "w", encoding="utf-8") as fh:
-            fh.write(render_text(project, config.top_lines))
+        _write_whole(out, "project.txt", render_text(project, config.top_lines))
     if "svg" in config.formats and project.units:
-        with open(os.path.join(out, "project.svg"), "w", encoding="utf-8") as fh:
-            fh.write(render_barchart(project))
+        _write_whole(out, "project.svg", render_barchart(project))
+
+
+def _write_whole(out: str, name: str, data: bytes | str) -> None:
+    """Write ``data`` (text as UTF-8) to a temporary name in ``out``, then
+    rename it to ``name``: an interrupted write leaves no partial artifact,
+    and a failed one no temporary file."""
+    temporary = os.path.join(out, f".{name}.{os.getpid()}.tmp")
+    try:
+        if isinstance(data, bytes):
+            with open(temporary, "wb") as fh:
+                fh.write(data)
+        else:
+            with open(temporary, "w", encoding="utf-8") as fh:
+                fh.write(data)
+        os.replace(temporary, os.path.join(out, name))
+    except BaseException:
+        try:
+            os.remove(temporary)
+        except OSError:  # it was never created
+            pass
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ keeps the density metric parametric in the fault model.
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from mutdense import errors
@@ -21,7 +22,6 @@ from mutdense.source_model import (
     BodySpan,
     GenericAngles,
     SourceUnit,
-    Token,
     TokenKind,
     first_outside_groups,
 )
@@ -53,8 +53,8 @@ CATALOG: tuple[MutationOperator, ...] = (
     MutationOperator("NNC", Family.NULL_TYPE, "negate a null check (== null <-> != null)"),
 )
 
-_OPERATORS_BY_ID = {op.id: op for op in CATALOG}
-ALL_OPERATOR_IDS = frozenset(_OPERATORS_BY_ID)
+_FAMILIES = {op.id: op.family for op in CATALOG}
+ALL_OPERATOR_IDS = frozenset(_FAMILIES)
 
 
 class OperatorSet(NamedTuple):
@@ -152,7 +152,7 @@ _BINARY_LEFT_KINDS = frozenset(
 _BINARY_LEFT_TEXTS = frozenset({")", "]", "true", "false", "null", "++", "--"})
 
 
-def _is_binary(tokens: Sequence[Token], idx: int) -> bool:
+def _is_binary(texts: Sequence[str], kinds: Sequence[TokenKind], idx: int) -> bool:
     """'+'/'-'/'&'/'|'/'^' is binary iff an operand just closed on its left.
 
     The ')' of a primitive cast such as '(int)' closes none; after any other
@@ -160,37 +160,38 @@ def _is_binary(tokens: Sequence[Token], idx: int) -> bool:
     """
     if idx == 0:
         return False
-    prev = tokens[idx - 1]
-    if prev.text == ")" and idx >= 3 and tokens[idx - 2].text in PRIMITIVE_TYPES:
-        return tokens[idx - 3].text != "("
-    return prev.kind in _BINARY_LEFT_KINDS or prev.text in _BINARY_LEFT_TEXTS
+    prev = texts[idx - 1]
+    if prev == ")" and idx >= 3 and texts[idx - 2] in PRIMITIVE_TYPES:
+        return texts[idx - 3] != "("
+    return kinds[idx - 1] in _BINARY_LEFT_KINDS or prev in _BINARY_LEFT_TEXTS
 
 
-def _string_adjacent(tokens: Sequence[Token], idx: int) -> bool:
-    if idx > 0 and tokens[idx - 1].kind is TokenKind.STRING_LITERAL:
+def _string_adjacent(kinds: Sequence[TokenKind], idx: int) -> bool:
+    if idx > 0 and kinds[idx - 1] is TokenKind.STRING_LITERAL:
         return True
-    return idx + 1 < len(tokens) and tokens[idx + 1].kind is TokenKind.STRING_LITERAL
+    return idx + 1 < len(kinds) and kinds[idx + 1] is TokenKind.STRING_LITERAL
 
 
-def _arithmetic_site(tokens: Sequence[Token], idx: int, angles: GenericAngles) -> bool:
+def _arithmetic_site(texts: Sequence[str], kinds: Sequence[TokenKind], idx: int,
+                     angles: GenericAngles) -> bool:
     """'*', '/', '%' always; '+'/'-' in binary position, but no '+' next to
     a string literal, which is concatenation."""
-    tx = tokens[idx].text
+    tx = texts[idx]
     if tx != "+" and tx != "-":
         return True
-    return _is_binary(tokens, idx) and not (tx == "+" and _string_adjacent(tokens, idx))
+    return _is_binary(texts, kinds, idx) and not (tx == "+" and _string_adjacent(kinds, idx))
 
 
-# Where each operator in REWRITES applies; one missing here applies at every
-# token it names.  A '<' or a '>'-run that closes type arguments is no
-# comparison or shift.
-_SITES: dict[str, Callable[[Sequence[Token], int, GenericAngles], bool]] = {
+# Where each operator in REWRITES applies, given the token texts and kinds;
+# one missing here applies at every token it names.  A '<' or a '>'-run that
+# closes type arguments is no comparison or shift.
+_SITES: dict[str, Callable[[Sequence[str], Sequence[TokenKind], int, GenericAngles], bool]] = {
     "AOR-B": _arithmetic_site,
-    "AOR-U": lambda tokens, idx, angles: not _is_binary(tokens, idx),
-    "ROR": lambda tokens, idx, angles: idx not in angles.indices,
-    "LOR": lambda tokens, idx, angles: _is_binary(tokens, idx),
-    "SOR": lambda tokens, idx, angles: idx not in angles.indices,
-    "NNC": lambda tokens, idx, angles: _null_adjacent(tokens, idx),
+    "AOR-U": lambda texts, kinds, idx, angles: not _is_binary(texts, kinds, idx),
+    "ROR": lambda texts, kinds, idx, angles: idx not in angles.indices,
+    "LOR": lambda texts, kinds, idx, angles: _is_binary(texts, kinds, idx),
+    "SOR": lambda texts, kinds, idx, angles: idx not in angles.indices,
+    "NNC": lambda texts, kinds, idx, angles: _null_adjacent(texts, idx),
 }
 
 
@@ -226,6 +227,8 @@ def find_mutation_sites(
     produce the identical list.
     """
     tokens = unit.tokens
+    texts, kinds, lines, starts = tokens.texts, tokens.kinds, tokens.lines, tokens.starts
+    line_starts = tokens.line_starts
     angles = unit.angles
     rules = _rule_table(operator_set)
     enabled = operator_set.enabled_ids
@@ -233,9 +236,11 @@ def find_mutation_sites(
     text = unit.text
     _new = tuple.__new__  # builds a Mutant without NamedTuple's Python-level __new__
 
-    def emit(op_id: str, tok_line: int, tok_col: int, start: int, end: int,
-             replacement: str, insert_after: int | None = None) -> None:
-        out.append(_new(Mutant, (op_id, _OPERATORS_BY_ID[op_id].family, tok_line, tok_col,
+    def emit(op_id: str, idx: int, end: int, replacement: str,
+             insert_after: int | None = None) -> None:
+        """A mutant whose site runs from token ``idx`` to offset ``end``."""
+        start, line = starts[idx], lines[idx]
+        out.append(_new(Mutant, (op_id, _FAMILIES[op_id], line, start - line_starts[line - 1] + 1,
                                  start, end, site_text(text, start, end), replacement,
                                  insert_after)))
 
@@ -247,47 +252,45 @@ def find_mutation_sites(
         positions, pairs = unit.positions, unit.pairs
         statement_ends = {pairs.get(h + 1) for w in _HEADER_WORDS for h in positions.get(w, ())}
         for k in unit.positions_of(("case", "default")):
-            end = first_outside_groups(unit, k + 1, len(tokens), LABEL_ENDS)
-            if end is not None and tokens[end].text == ":":
+            end = first_outside_groups(unit, k + 1, len(texts), LABEL_ENDS)
+            if end is not None and texts[end] == ":":
                 statement_ends.add(end)
         for k in positions.get(":", ()):
-            if k >= 2 and tokens[k - 1].kind is TokenKind.IDENTIFIER and (
-                    tokens[k - 2].text in _STATEMENT_STARTS or k - 2 in statement_ends):
+            if k >= 2 and kinds[k - 1] is TokenKind.IDENTIFIER and (
+                    texts[k - 2] in _STATEMENT_STARTS or k - 2 in statement_ends):
                 statement_ends.add(k)
     for span in spans:
         for lo, hi in span.owned:
             for idx in found[bisect_left(found, lo):bisect_left(found, hi)]:
-                tok = tokens[idx]
-                for op_id, replacement, site in rules[tok.text]:
-                    if site is None or site(tokens, idx, angles):
-                        emit(op_id, tok.line, tok.column, tok.start, tok.end, replacement)
+                tx = texts[idx]
+                for op_id, replacement, site in rules[tx]:
+                    if site is None or site(texts, kinds, idx, angles):
+                        emit(op_id, idx, starts[idx] + len(tx), replacement)
         if "NOI" in enabled:
             for idx, close in span.creations:
-                if tokens[close + 1].text != ";" or not (
-                        tokens[idx - 1].text in _STATEMENT_STARTS or idx - 1 in statement_ends):
-                    tok = tokens[idx]
-                    emit("NOI", tok.line, tok.column, tok.start, tokens[close].end, "null")
+                if texts[close + 1] != ";" or not (
+                        texts[idx - 1] in _STATEMENT_STARTS or idx - 1 in statement_ends):
+                    emit("NOI", idx, starts[close] + 1, "null")
         if span.returns_reference and "NRV" in enabled:
             for idx, end in span.returns:
                 # 'return null;' has no other value to return
-                if end is not None and (end != idx + 2 or tokens[idx + 1].text != "null"):
-                    tok = tokens[idx]
-                    emit("NRV", tok.line, tok.column, tok.start, tokens[end].end, "return null;")
+                if end is not None and (end != idx + 2 or texts[idx + 1] != "null"):
+                    emit("NRV", idx, starts[end] + 1, "return null;")
         if "NIV" in enabled:
-            insert_at = tokens[span.body_token_range[0]].end
+            insert_at = starts[span.body_token_range[0]] + 1
             for name_idx in span.nullable_params:
-                name_tok = tokens[name_idx]
-                emit("NIV", name_tok.line, name_tok.column, name_tok.start,
-                     name_tok.end, f"{name_tok.text} = null", insert_after=insert_at)
+                name = texts[name_idx]
+                emit("NIV", name_idx, starts[name_idx] + len(name), f"{name} = null",
+                     insert_after=insert_at)
 
-    out.sort(key=lambda m: (m.line, m.column, m.operator_id))
+    out.sort(key=itemgetter(2, 3, 0))  # line, column, operator id
     return out
 
 
-def _null_adjacent(tokens: Sequence[Token], idx: int) -> bool:
-    if idx > 0 and tokens[idx - 1].text == "null":
+def _null_adjacent(texts: Sequence[str], idx: int) -> bool:
+    if idx > 0 and texts[idx - 1] == "null":
         return True
-    return idx + 1 < len(tokens) and tokens[idx + 1].text == "null"
+    return idx + 1 < len(texts) and texts[idx + 1] == "null"
 
 
 def apply_mutant(unit: SourceUnit, mutant: Mutant) -> str:
@@ -305,10 +308,13 @@ def apply_mutant(unit: SourceUnit, mutant: Mutant) -> str:
     # where the replacement meets its neighbours: the text back to the start
     # of the last token before the site, and on through the first after it
     tokens = unit.tokens
-    k = bisect_right(tokens, mutant.start, key=lambda t: t.end)
-    m = bisect_left(tokens, mutant.end, key=lambda t: t.start)
-    left = text[tokens[k - 1].start if k else 0 : mutant.start]
-    right = text[mutant.end : tokens[m].end if m < len(tokens) else len(text)]
+    starts = tokens.starts
+    k = bisect_right(starts, mutant.start)  # tokens[:k] start at or before the site
+    if k and tokens.end(k - 1) > mutant.start:  # the site's own token
+        k -= 1
+    m = bisect_left(starts, mutant.end)
+    left = text[starts[k - 1] if k else 0 : mutant.start]
+    right = text[mutant.end : tokens.end(m) if m < len(starts) else len(text)]
     replacement = mutant.replacement
     if replacement:
         pad_left, pad_right = _joins(left, replacement), _joins(replacement, right)
@@ -323,6 +329,6 @@ def _joins(a: str, b: str) -> bool:
     other tokens than each does alone: ``-`` before ``-b`` makes ``--``,
     and ``/`` before ``/*c*/y`` opens a line comment."""
     try:
-        return [t.text for t in scan(a + b)] != [t.text for t in scan(a) + scan(b)]
+        return scan(a + b).texts != scan(a).texts + scan(b).texts
     except errors.MutdenseError:
         return True

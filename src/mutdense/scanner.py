@@ -1,19 +1,24 @@
 """Scanner for Java-style source text.
 
-``scan`` produces ``Token`` tuples ``(kind, text, line, column, start, end)``:
-``kind`` is a ``TokenKind`` member, ``line``/``column`` are the 1-based
-position of the token start and ``start``/``end`` are half-open character
-offsets.  Comments and whitespace are consumed silently; literals keep their
-delimiters; multi-character operators are maximal-munch.
+``scan`` gives the tokens of a text as columns (``Tokens``): each token's
+``text``, its ``kind`` (a ``TokenKind`` member), its ``start`` offset and
+its 1-based ``line``.  Its end is ``start + len(text)`` and its column
+follows from its line's start.  Comments and whitespace emit nothing;
+literals keep their delimiters; multi-character operators are
+maximal-munch.  A ``Token`` tuple ``(kind, text, line, column, start,
+end)`` is built only when one is asked for.
 
 A line ends at ``\\n``, at ``\\r\\n`` or at a lone ``\\r``: ``LINE_END`` is
 that rule, and every line fact (token lines, ``split_lines``) comes from it.
 """
 
+import functools
 import re
 from bisect import bisect_right
 from enum import IntEnum
-from typing import NamedTuple
+from itertools import accumulate, repeat
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 from mutdense import errors
 
@@ -60,15 +65,6 @@ KEYWORDS = frozenset(
     }
 )
 
-# plain module globals keep the kernel's loop free of enum attribute lookups
-_IDENTIFIER = TokenKind.IDENTIFIER
-_KEYWORD = TokenKind.KEYWORD
-_OPERATOR = TokenKind.OPERATOR
-_PUNCTUATION = TokenKind.PUNCTUATION
-_NUMBER = TokenKind.NUMBER_LITERAL
-_STRING = TokenKind.STRING_LITERAL
-_CHAR = TokenKind.CHAR_LITERAL
-
 # Operator texts; every other token that is not a word, a number or a
 # literal is punctuation, including a character outside the language.
 _OPERATORS = frozenset(
@@ -79,19 +75,129 @@ _OPERATORS = frozenset(
 # The multi-character tokens, matched longest first; the two that are not
 # operators are punctuation.
 _MULTI = frozenset(t for t in _OPERATORS if len(t) > 1) | {"::", "..."}
-# first character -> the lengths to try, longest first; a character that
-# starts no multi-character token, such as ( ) ; , is always one long
-_LENGTHS = {
-    c: tuple(sorted({len(t) for t in _MULTI if t[0] == c}, reverse=True))
-    for c in {t[0] for t in _MULTI}
+
+# The scan reads a shadow of the text, as long as the text, in which each
+# character outside ASCII stands for its class, a pair of backslashes for
+# two plain characters and each line end for one "\n" (a "\r\n" for " \n").
+# So the pattern below decides exactly as ``str.isalpha``, ``str.isdigit``
+# and ``str.isalnum`` do, a quote is escaped exactly when a lone backslash
+# precedes it, and the "\n"s give the lines.
+_ALPHA, _NUMERIC = "\u00aa", "\u00bd"  # a letter; a number that is no digit
+_SENTINEL = "\uffff"  # ends the shadow; only a literal or comment left open reaches it
+_WS = " \t\n\r\f\x0b"
+
+
+def _shadow_char(c: str) -> str:
+    if c.isalpha():
+        return _ALPHA
+    if c.isdigit():
+        return "1"  # never "0", which could start a hex prefix
+    return _NUMERIC if c.isalnum() else "#"
+
+
+def _longest_first(texts: list[str]) -> str:
+    """A pattern that matches the longest of ``texts`` that it can, as a
+    tree of alternatives by first character."""
+    by_first: dict[str, list[str]] = {}
+    for text in texts:
+        by_first.setdefault(text[0], []).append(text[1:])
+    branches = []
+    for first, rests in sorted(by_first.items()):
+        longer = [rest for rest in rests if rest]
+        branch = re.escape(first)
+        if longer:
+            branch += f"(?:{_longest_first(longer)})" + ("?" if "" in rests else "")
+        branches.append(branch)
+    return "|".join(branches)
+
+
+@functools.cache  # compiled on first use: a process that scans nothing skips it
+def _pattern() -> re.Pattern:
+    """One token, comment or open literal of the shadow, with each
+    repetition over a single character class, so that memory stays flat
+    in its length.  A literal's closing quote is the first that no lone
+    backslash precedes; a number takes an exponent sign after e/E, or p/P
+    in a hex literal.  A literal or block comment left open matches up to
+    the sentinel."""
+    word = rf"0-9A-Za-z_{_ALPHA}{_NUMERIC}"  # what str.isalnum accepts, and '_'
+    return re.compile(
+        rf"([{_WS}]*)([A-Za-z_${_ALPHA}][{word}$]*|[(){{}}\[\];,@?~]"
+        rf"|//[^\n{_SENTINEL}]*|/\*[\s\S]*?\*/|/\*[\s\S]*"
+        r'|"""[\s\S]*?(?<!\\)"""|"(?!"")(?:[^"\\\n]*"|[^\n]*?(?<!\\)")|"[\s\S]*'
+        r"|'(?:[^'\\\n]*'|[^\n]*?(?<!\\)')|'[\s\S]*"
+        rf"|0[xX][{word}.]*(?:(?<=[pP])[+-][{word}.+-]*?(?![{word}.]|(?<=[pP])[+-]))?"
+        rf"|\.?[0-9][{word}.]*(?:(?<=[eE])[+-][{word}.+-]*?(?![{word}.]|(?<=[eE])[+-]))?"
+        rf"|{_longest_first(sorted(_OPERATORS | _MULTI | {'.'}))}|[^{_WS}])"
+    )
+
+
+_COMMENT = None  # the kind of a comment, which the scan drops
+# A piece's kind: its whole text, if it is a word, an operator or one of the
+# punctuation texts that starts like a number; else by its first character.
+_KIND_OF_TEXT = {
+    **dict.fromkeys(KEYWORDS, TokenKind.KEYWORD),
+    **dict.fromkeys(_OPERATORS, TokenKind.OPERATOR),
+    **dict.fromkeys(("::", ".", "..."), TokenKind.PUNCTUATION),
 }
-# closing delimiter -> the literal's kind, the message when it is missing,
-# and the characters it may not hold: only a text block crosses a line end
-_LITERALS = {
-    '"""': (_STRING, "unterminated text block", ()),
-    '"': (_STRING, "unterminated string literal", ("\n", "\r")),
-    "'": (_CHAR, "unterminated character literal", ("\n", "\r")),
+_KIND_OF_FIRST = {
+    **dict.fromkeys(map(chr, range(128)), TokenKind.PUNCTUATION),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$" + _ALPHA,
+                    TokenKind.IDENTIFIER),
+    **dict.fromkeys("0123456789.", TokenKind.NUMBER_LITERAL),
+    '"': TokenKind.STRING_LITERAL,
+    "'": TokenKind.CHAR_LITERAL,
+    "/": _COMMENT,
+    _NUMERIC: TokenKind.PUNCTUATION,
 }
+# what an open literal or comment reports, by its first characters
+_UNTERMINATED = (
+    ('"""', errors.UnterminatedLiteral, "unterminated text block"),
+    ('"', errors.UnterminatedLiteral, "unterminated string literal"),
+    ("'", errors.UnterminatedLiteral, "unterminated character literal"),
+    ("/*", errors.UnterminatedComment, "unterminated block comment"),
+)
+
+
+class Tokens:
+    """The tokens of one text as columns: ``texts``, ``kinds``, ``starts``
+    (offsets into the text) and ``lines``, one entry per token.  Indexing
+    or iterating builds ``Token`` tuples; the analysis reads the columns."""
+
+    __slots__ = ("texts", "kinds", "starts", "lines", "line_starts")
+
+    def __init__(self, texts: list[str], kinds: list[TokenKind], starts: list[int],
+                 lines: list[int], line_starts: list[int]) -> None:
+        self.texts = texts
+        self.kinds = kinds
+        self.starts = starts
+        self.lines = lines
+        self.line_starts = line_starts  # the offset where each line starts
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def column(self, k: int) -> int:
+        """The 1-based column of token ``k``."""
+        return self.starts[k] - self.line_starts[self.lines[k] - 1] + 1
+
+    def end(self, k: int) -> int:
+        return self.starts[k] + len(self.texts[k])
+
+    def __getitem__(self, k: int) -> Token:
+        return Token(self.kinds[k], self.texts[k], self.lines[k], self.column(k),
+                     self.starts[k], self.end(k))
+
+    def __iter__(self) -> Iterator[Token]:
+        return map(self.__getitem__, range(len(self.texts)))
+
+
+def _without(column: list, dropped: list[int]) -> list:
+    """``column`` without its entries at the ascending indices ``dropped``,
+    in time linear in its length."""
+    kept = column[:dropped[0]]
+    for lo, hi in zip(dropped, [*dropped[1:], len(column)]):
+        kept += column[lo + 1:hi]
+    return kept
 
 
 def split_lines(text: str) -> tuple[str, ...]:
@@ -104,107 +210,43 @@ def split_lines(text: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
-def scan(text: str, start: int = 0) -> list[Token]:
+def scan(text: str, start: int = 0) -> Tokens:
     """The tokens of ``text`` from offset ``start`` on, which must lie
-    between two tokens; each keeps its line, column and offsets in the
-    whole text."""
-    n = len(text)
-    i = start
-    # offsets where a line starts after the first; tokens come in offset
-    # order, so the walk below only moves forward through them
-    starts = list(map(re.Match.end, LINE_END.finditer(text)))
-    starts.append(n + 1)  # sentinel: no token starts there
-    line = bisect_right(starts, start) + 1  # the line that holds ``start``
-    next_start = starts[line - 1]
-    line_start = starts[line - 2] if line > 1 else 0  # offset of the current line's start
-    out: list[Token] = []
-    append = out.append
-    _new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
+    between two tokens; each keeps its line and offsets in the whole text.
 
-    while i < n:
-        c = text[i]
-
-        # whitespace, line ends included: the table above places the lines
-        if c in " \t\n\r\f\x0b":
-            i += 1
-            continue
-
-        start = i
-        while i >= next_start:
-            line_start = next_start
-            next_start = starts[line]
-            line += 1
-        col = i - line_start + 1
-
-        if c == "/":
-            c2 = text[i + 1] if i + 1 < n else ""
-            if c2 == "/":
-                m = LINE_END.search(text, i + 2)
-                i = m.start() if m else n
-                continue
-            if c2 == "*":
-                i = text.find("*/", i + 2)
-                if i < 0:
-                    raise errors.UnterminatedComment("unterminated block comment", line, col)
-                i += 2
-                continue
-            # otherwise "/" or "/=", an operator
-
-        if c == '"' or c == "'":
-            # a literal runs to its closing delimiter; a backslash escapes the next character
-            close = '"""' if text.startswith('"""', i) else c
-            kind, what, breaks = _LITERALS[close]
-            i += len(close)
+    One split of the shadow gives whitespace and pieces in turn, and the
+    columns come from C-level passes over them.  Raises
+    UnterminatedLiteral / UnterminatedComment at the open construct.
+    """
+    shadow = text
+    if not text.isascii():
+        shadow = text.translate({ord(c): _shadow_char(c) for c in set(text) if c > "\x7f"})
+    shadow = shadow.replace("\\\\", "##").replace("\r\n", " \n").replace("\r", "\n")
+    parts = _pattern().split(shadow[start:] + _SENTINEL)
+    offsets = list(accumulate(map(len, parts), initial=start))
+    pieces, starts = parts[2::3], offsets[2:-1:3]
+    last, at = pieces.pop(), starts.pop()
+    if last != _SENTINEL:
+        line_start = shadow.rfind("\n", 0, at) + 1
+        for opener, error, message in _UNTERMINATED:
+            if last.startswith(opener):
+                raise error(message, shadow.count("\n", 0, at) + 1, at - line_start + 1)
+    kinds = list(map(_KIND_OF_TEXT.get, pieces,
+                     map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), pieces))))
+    if shadow is text:
+        texts = pieces
+    else:
+        texts = list(map(text.__getitem__, map(slice, starts, offsets[3::3])))
+    if "//" in shadow or "/*" in shadow:  # a comment to drop, maybe
+        comments: list[int] = []
+        try:
             while True:
-                if i >= n:
-                    raise errors.UnterminatedLiteral(what, line, col)
-                ch = text[i]
-                if ch == "\\":
-                    i += 1
-                    ch = text[i : i + 1]
-                elif ch == c and text.startswith(close, i):
-                    break
-                if ch in breaks:
-                    raise errors.UnterminatedLiteral(what, line, col)
-                i += 1
-            i += len(close)
-            append(_new(Token, (kind, text[start:i], line, col, start, i)))
-            continue
-
-        if c.isalpha() or c == "_" or c == "$":
-            i += 1
-            while i < n:
-                ch = text[i]
-                if ch.isalnum() or ch == "_" or ch == "$":
-                    i += 1
-                else:
-                    break
-            word = text[start:i]
-            kind = _KEYWORD if word in KEYWORDS else _IDENTIFIER
-            append(_new(Token, (kind, word, line, col, start, i)))
-            continue
-
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            # an exponent sign follows e/E, or p/P in a hex literal: 1e+5, 0x1.8p-3
-            exp = "pP" if text.startswith(("0x", "0X"), i) else "eE"
-            i += 1
-            while i < n:
-                ch = text[i]
-                if ch.isalnum() or ch == "_" or ch == "." or (ch in "+-" and text[i - 1] in exp):
-                    i += 1
-                else:
-                    break
-            append(_new(Token, (_NUMBER, text[start:i], line, col, start, i)))
-            continue
-
-        # operators and punctuation, longest match first
-        tok = c
-        for length in _LENGTHS.get(c, ()):
-            if text[i : i + length] in _MULTI:
-                tok = text[i : i + length]
-                break
-        i += len(tok)
-        kind = _OPERATOR if tok in _OPERATORS else _PUNCTUATION
-        append(_new(Token, (kind, tok, line, col, start, i)))
-
-    return out
+                comments.append(kinds.index(_COMMENT, comments[-1] + 1 if comments else 0))
+        except ValueError:  # no comment after the last
+            pass
+        if comments:
+            texts, kinds, starts = (_without(c, comments) for c in (texts, kinds, starts))
+    line_starts = list(accumulate(map((1).__add__, map(len, shadow.split("\n"))), initial=0))
+    del line_starts[-1]
+    lines = list(map(bisect_right, repeat(line_starts), starts))
+    return Tokens(texts, kinds, starts, lines, line_starts)

@@ -8,21 +8,22 @@ lambdas, text blocks) are tokenized and skipped gracefully.
 import functools
 import re
 from bisect import bisect_left
+from itertools import compress
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from mutdense import errors, scanner
-from mutdense.scanner import Token, TokenKind, split_lines
+from mutdense.scanner import Token, TokenKind, Tokens, split_lines
 
 
 def tokenize(text: str, start: int = 0) -> list[Token]:
-    """Scan ``text`` into tokens, from offset ``start`` on.
+    """Scan ``text`` into ``Token`` tuples, from offset ``start`` on.
 
     Comments and whitespace emit nothing; literals keep their delimiters.
     Raises UnterminatedLiteral / UnterminatedComment with the position of
     the offending construct.
     """
-    return scanner.scan(text, start)
+    return list(scanner.scan(text, start))
 
 
 _WS = r"[ \t\n\r\f\x0b]*"
@@ -56,11 +57,12 @@ _PREAMBLE_WINDOW = 1 << 16
 class _SourceFields(NamedTuple):
     path: str
     text: str
-    tokens: tuple[Token, ...]
+    tokens: Tokens
 
 
 class SourceUnit(_SourceFields):
-    """One source file: raw text and its token stream.
+    """One source file: raw text and its tokens, as the columns of
+    ``scanner.scan``; indexing ``tokens`` builds a ``Token``.
 
     ``lines`` (the physical lines of the text), ``pairs`` (bracket pairs),
     ``angles`` and ``positions`` are derived on first use and kept, so every
@@ -73,7 +75,7 @@ class SourceUnit(_SourceFields):
         import preamble: every layer gives the same results as it does on
         all of the text's tokens."""
         start = _preamble().match(text, 0, _PREAMBLE_WINDOW).end()
-        return cls(path, text, tuple(tokenize(text, start)))
+        return cls(path, text, scanner.scan(text, start))
 
     @functools.cached_property
     def lines(self) -> tuple[str, ...]:
@@ -105,15 +107,16 @@ class SourceUnit(_SourceFields):
 _INDEXED_KINDS = frozenset({TokenKind.KEYWORD, TokenKind.OPERATOR, TokenKind.PUNCTUATION})
 
 
-def text_positions(tokens: Sequence[Token]) -> dict[str, list[int]]:
+def text_positions(tokens: Tokens) -> dict[str, list[int]]:
     """Map each keyword, operator and punctuation text to the ascending
     indices of its tokens; identifiers and literals are left out."""
     positions: dict[str, list[int]] = {}
-    for idx, tok in enumerate(tokens):
-        if tok.kind in _INDEXED_KINDS:
-            at = positions.get(tok.text)
+    kinds = tokens.kinds
+    for idx, text in enumerate(tokens.texts):
+        if kinds[idx] in _INDEXED_KINDS:
+            at = positions.get(text)
             if at is None:
-                positions[tok.text] = [idx]
+                positions[text] = [idx]
             else:
                 at.append(idx)
     return positions
@@ -165,8 +168,8 @@ class LineSet(NamedTuple):
 # 'super', '.', '[', ']', '&', a primitive keyword followed by '[' (int[]),
 # an '@' followed by an identifier (@NonNull), or a nested '<...>'.
 # Anything else makes it a relational operator.
-_ANGLE_PUNCT = frozenset({",", ".", "[", "]", "?", "&"})
-_ANGLE_KEYWORDS = frozenset({"extends", "super"})
+# only a keyword token has the text of a keyword
+_ANGLE_WORDS = frozenset({",", ".", "[", "]", "?", "&", "extends", "super"})
 _CLOSER_DEPTH = {">": 1, ">>": 2, ">>>": 3}
 
 
@@ -178,7 +181,7 @@ class GenericAngles(NamedTuple):
     close_open: dict[int, int]  # final closer index -> outermost '<' index
 
 
-def mark_generic_angles(tokens: Sequence[Token], positions: dict[str, list[int]]) -> GenericAngles:
+def mark_generic_angles(tokens: Tokens, positions: dict[str, list[int]]) -> GenericAngles:
     """Mark each '<' that a later closer matches, with the '<'s and closers
     between them, unless an earlier match encloses it.  One walk over a run
     of type-argument tokens settles every '<' in the run, so a walk starts
@@ -186,7 +189,8 @@ def mark_generic_angles(tokens: Sequence[Token], positions: dict[str, list[int]]
     marked: set[int] = set()
     open_close: dict[int, int] = {}
     close_open: dict[int, int] = {}
-    n = len(tokens)
+    texts, kinds = tokens.texts, tokens.kinds
+    n = len(texts)
     covered = -1  # the index of the token that ended the last run
     for i in positions.get("<", ()):
         if i <= covered:
@@ -197,8 +201,7 @@ def mark_generic_angles(tokens: Sequence[Token], positions: dict[str, list[int]]
         depth = 0
         j = i
         while j < n:
-            t = tokens[j]
-            tx = t.text
+            tx = texts[j]
             if tx == "<":
                 unsettled.append((j, depth))
                 depth += 1
@@ -212,10 +215,10 @@ def mark_generic_angles(tokens: Sequence[Token], positions: dict[str, list[int]]
                     k, before = unsettled.pop()
                     if before == depth:
                         matches[k] = j
-            elif not (t.kind is TokenKind.IDENTIFIER or tx in _ANGLE_PUNCT
-                      or (t.kind is TokenKind.KEYWORD and tx in _ANGLE_KEYWORDS)
-                      or (tx in PRIMITIVE_TYPES and j + 1 < n and tokens[j + 1].text == "[")
-                      or (tx == "@" and j + 1 < n and tokens[j + 1].kind is TokenKind.IDENTIFIER)):
+            elif not (tx in _ANGLE_WORDS
+                      or (tx in PRIMITIVE_TYPES and j + 1 < n and texts[j + 1] == "[")
+                      or kinds[j] is TokenKind.IDENTIFIER
+                      or (tx == "@" and j + 1 < n and kinds[j + 1] is TokenKind.IDENTIFIER)):
                 break
             j += 1
         enclosing_end = -1
@@ -278,30 +281,30 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     with its ';') and its creations (each with its ')').
     """
     pairs = unit.pairs  # unbalanced braces fail here, even in a unit with no bodies
-    tokens = unit.tokens
+    texts, kinds = unit.tokens.texts, unit.tokens.kinds
     block_stops = unit.positions_of(_BLOCK_STOPS)
     body_stops = unit.positions_of(_TYPE_BODY_STOPS)
     spans: list[BodySpan] = []
     rule_arrows: set[int] = set()  # each '->' that ends a switch label
-    frames: list[tuple] = [(0, len(tokens), None, None, None)]
+    frames: list[tuple] = [(0, len(texts), None, None, None)]
     while frames:
         lo, hi, type_name, span, returns = frames.pop()
         stops = block_stops if type_name is None else body_stops
         for k in range(bisect_left(stops, lo), bisect_left(stops, hi)):
             i = stops[k]
-            tx = tokens[i].text
+            tx = texts[i]
             child = None  # the fields of the body's frame after its bounds
             if tx == "new":
                 site = match_creation(unit, i, hi)
                 if site is not None and span is not None:
                     span.creations.append((i, site[1]))
-                if site is not None and site[1] + 1 < hi and tokens[site[1] + 1].text == "{":
+                if site is not None and site[1] + 1 < hi and texts[site[1] + 1] == "{":
                     body_open, child = site[1] + 1, (site[0], None, None)
             elif tx == "{":  # initializer block or array initializer
                 body_open, child = i, (None, None, None)
             elif tx == "(":
                 # a type body starts after its '{', so tokens[i - 1] is in it
-                if tokens[i - 1].kind is TokenKind.IDENTIFIER:
+                if kinds[i - 1] is TokenKind.IDENTIFIER:
                     found = _try_callable(unit, i - 1, hi, type_name)
                     if found is not None:
                         spans.append(found)
@@ -310,19 +313,19 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                 if returns is not None:
                     returns.append((i, first_outside_groups(unit, i + 1, hi, _STATEMENT_END)))
             elif tx == "->":
-                if i not in rule_arrows and i + 1 < hi and tokens[i + 1].text == "{":
+                if i not in rule_arrows and i + 1 < hi and texts[i + 1] == "{":
                     body_open, child = i + 1, (None, span, None)
             elif tx == "case" or tx == "default":
                 arrow = first_outside_groups(unit, i + 1, hi, LABEL_ENDS)
-                if arrow is not None and tokens[arrow].text == "->":
+                if arrow is not None and texts[arrow] == "->":
                     rule_arrows.add(arrow)
-            elif i == 0 or tokens[i - 1].text != ".":  # 'String.class' is a class literal
+            elif i == 0 or texts[i - 1] != ".":  # 'String.class' is a class literal
                 j = i + 1
-                while j < hi and tokens[j].kind is not TokenKind.IDENTIFIER:
+                while j < hi and kinds[j] is not TokenKind.IDENTIFIER:
                     j += 1
                 body_open = first_outside_groups(unit, j, hi, _BODY_OPEN)
-                if body_open is not None:  # the type's name is tokens[j]
-                    child = (tokens[j].text, None, None)
+                if body_open is not None:  # the type's name is texts[j]
+                    child = (texts[j], None, None)
             if child is not None and (close := pairs[body_open]) < hi:
                 # an anonymous class's arguments that hold stops are walked first
                 head = i + 1 if bisect_left(stops, body_open) > k + 1 else body_open
@@ -340,7 +343,7 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     return spans
 
 
-def match_braces(tokens: Sequence[Token], positions: dict[str, list[int]]) -> dict[int, int]:
+def match_braces(tokens: Tokens, positions: dict[str, list[int]]) -> dict[int, int]:
     """Map each '(', '[' and '{' token index to the index of its closer.
 
     Each kind pairs on its own stack, walking only that kind's indices in
@@ -359,11 +362,11 @@ def match_braces(tokens: Sequence[Token], positions: dict[str, list[int]]) -> di
             if stack:
                 pairs[stack.pop()] = close
             elif opener == "{":
-                tok = tokens[close]
-                raise errors.UnbalancedBraces("unmatched '}'", tok.line, tok.column)
+                raise errors.UnbalancedBraces("unmatched '}'", tokens.lines[close],
+                                              tokens.column(close))
         if opener == "{" and (stack or k < len(opens)):
-            tok = tokens[opens[-1] if k < len(opens) else stack[-1]]  # the last left open
-            raise errors.UnbalancedBraces("unclosed '{'", tok.line, tok.column)
+            at = opens[-1] if k < len(opens) else stack[-1]  # the last left open
+            raise errors.UnbalancedBraces("unclosed '{'", tokens.lines[at], tokens.column(at))
     return pairs
 
 
@@ -374,30 +377,30 @@ def match_creation(unit: SourceUnit, i: int, hi: int) -> tuple[str, int] | None:
     Returns the last name and the index of the closing ')', or None for
     anything else (array creation, a parenthesis left open before ``hi``).
     """
-    tokens, angles = unit.tokens, unit.angles
+    texts, kinds, angles = unit.tokens.texts, unit.tokens.kinds, unit.angles
     j = i + 1
-    if j >= hi or tokens[j].kind is not TokenKind.IDENTIFIER:
+    if j >= hi or kinds[j] is not TokenKind.IDENTIFIER:
         return None
-    name = tokens[j].text
+    name = texts[j]
     j += 1
-    while j + 1 < hi and tokens[j].text == "." and tokens[j + 1].kind is TokenKind.IDENTIFIER:
-        name = tokens[j + 1].text
+    while j + 1 < hi and texts[j] == "." and kinds[j + 1] is TokenKind.IDENTIFIER:
+        name = texts[j + 1]
         j += 2
-    if j < hi and tokens[j].text == "<" and j in angles.open_close:
+    if j < hi and texts[j] == "<" and j in angles.open_close:
         j = angles.open_close[j] + 1
-    if j >= hi or tokens[j].text != "(":
+    if j >= hi or texts[j] != "(":
         return None
     pclose = unit.pairs.get(j, hi)
     return (name, pclose) if pclose < hi else None
 
 
-def first_outside_groups(unit: SourceUnit, k: int, end: int, texts: frozenset[str]) -> int | None:
+def first_outside_groups(unit: SourceUnit, k: int, end: int, wanted: frozenset[str]) -> int | None:
     """The index of the first token from ``k`` up to ``end`` whose text is
-    one of ``texts``, jumping over each bracket and generic group; None if
+    one of ``wanted``, jumping over each bracket and generic group; None if
     there is none, also when a group closes at or past ``end``."""
-    tokens, pairs, angles = unit.tokens, unit.pairs, unit.angles.open_close
+    texts, pairs, angles = unit.tokens.texts, unit.pairs, unit.angles.open_close
     while k < end:
-        if tokens[k].text in texts:
+        if texts[k] in wanted:
             return k
         k = (pairs.get(k) or angles.get(k, k)) + 1
     return None
@@ -410,37 +413,36 @@ def _try_callable(unit: SourceUnit, i: int, hi: int, type_name: str) -> BodySpan
     yet empty, or None when the tokens do not form a callable header.
     """
     tokens = unit.tokens
-    if tokens[i - 1].text in _FORBIDDEN_BEFORE_NAME:  # the name lies in a type body, after its '{'
+    texts, kinds = tokens.texts, tokens.kinds
+    if texts[i - 1] in _FORBIDDEN_BEFORE_NAME:  # the name lies in a type body, after its '{'
         return None
     popen = i + 1
     pclose = unit.pairs.get(popen, hi)
     if pclose >= hi:
         return None
     j = pclose + 1
-    while j < hi and tokens[j].text == "[":  # legacy array return: int f()[] { ... }
+    while j < hi and texts[j] == "[":  # legacy array return: int f()[] { ... }
         j = unit.pairs.get(j, hi) + 1
     array_return = j > pclose + 1  # brackets after ')' make the return type an array
-    if j < hi and tokens[j].kind is TokenKind.KEYWORD and tokens[j].text == "throws":
+    if j < hi and texts[j] == "throws":
         j += 1
-        while j < hi and (
-            tokens[j].kind is TokenKind.IDENTIFIER or tokens[j].text in (".", ",", "@")
-        ):
+        while j < hi and (kinds[j] is TokenKind.IDENTIFIER or texts[j] in (".", ",", "@")):
             j += 1
-            if j < hi and tokens[j].text == "(":  # a type annotation's arguments
+            if j < hi and texts[j] == "(":  # a type annotation's arguments
                 j = unit.pairs.get(j, hi) + 1
-    if j >= hi or tokens[j].text != "{" or unit.pairs[j] >= hi:  # its body lies in tokens[:hi]
+    if j >= hi or texts[j] != "{" or unit.pairs[j] >= hi:  # its body lies in tokens[:hi]
         return None
-    name_tok = tokens[i]
+    name = texts[i]
     return_type = _type_before(tokens, unit.angles, i)
-    constructor = return_type is None and name_tok.text == type_name
+    constructor = return_type is None and name == type_name
     kind = SpanKind.CONSTRUCTOR if constructor else SpanKind.METHOD
     # positional arguments: a keyword call costs about twice as much, per span
-    return BodySpan(kind, name_tok.text, name_tok.line, (j, unit.pairs[j] + 1),
+    return BodySpan(kind, name, tokens.lines[i], (j, unit.pairs[j] + 1),
                     return_type is not None and (array_return or return_type),
                     _nullable_params(unit, popen, pclose), [], [], [])
 
 
-def _type_before(tokens: Sequence[Token], angles: GenericAngles, name_idx: int) -> bool | None:
+def _type_before(tokens: Tokens, angles: GenericAngles, name_idx: int) -> bool | None:
     """The type declared just before the name at ``name_idx``: None when no
     type precedes it, False for a primitive keyword or ``void`` and True
     for any other type.  An array or a varargs type ends in ']' or '...';
@@ -448,19 +450,20 @@ def _type_before(tokens: Sequence[Token], angles: GenericAngles, name_idx: int) 
     type name precedes declares type parameters (``<T> C(``).  A type name
     is ``Name(.Name)*``, unless an '@' starts it: ``@a.b.C`` is an
     annotation, not a type."""
+    texts, kinds = tokens.texts, tokens.kinds
     k = name_idx - 1
-    tx = tokens[k].text if k >= 0 else ""
+    tx = texts[k] if k >= 0 else ""
     if tx in _TYPE_WORDS:
         return False
     if tx in ("]", "..."):
         return True
     if k in angles.close_open:
         k = angles.close_open[k] - 1
-    if k < 0 or tokens[k].kind is not TokenKind.IDENTIFIER:
+    if k < 0 or kinds[k] is not TokenKind.IDENTIFIER:
         return None
-    while k >= 2 and tokens[k - 1].text == "." and tokens[k - 2].kind is TokenKind.IDENTIFIER:
+    while k >= 2 and texts[k - 1] == "." and kinds[k - 2] is TokenKind.IDENTIFIER:
         k -= 2
-    return None if k >= 1 and tokens[k - 1].text == "@" else True
+    return None if k >= 1 and texts[k - 1] == "@" else True
 
 
 def _nullable_params(unit: SourceUnit, popen: int, pclose: int) -> tuple[int, ...]:
@@ -474,18 +477,19 @@ def _nullable_params(unit: SourceUnit, popen: int, pclose: int) -> tuple[int, ..
     identifier).  An annotated dimension after the name (``int x @A []``)
     hides it: the name read is then ``A``, which no type precedes."""
     tokens, angles = unit.tokens, unit.angles
+    texts = tokens.texts
     nullable: list[int] = []
     lo = popen + 1
     while lo <= pclose:
         # in broken code a '[' may close past the list, which then ends it
         idx = first_outside_groups(unit, lo, pclose, _COMMA) or pclose
         name = idx - 1
-        while name - 1 > lo and tokens[name].text == "]" and tokens[name - 1].text == "[":
+        while name - 1 > lo and texts[name] == "]" and texts[name - 1] == "[":
             name -= 2
-        if tokens[name].kind is TokenKind.IDENTIFIER:
+        if tokens.kinds[name] is TokenKind.IDENTIFIER:
             declared = _type_before(tokens, angles, name)
             if (declared is not None and (name < idx - 1 or declared)
-                    and not any(tokens[k].text == "final" for k in range(lo, name))):
+                    and "final" not in texts[lo:name]):
                 nullable.append(name)
         lo = idx + 1
     return tuple(nullable)
@@ -505,8 +509,8 @@ def relevant_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> LineSet:
     """
     region: set[int] = set()
     covered = 0  # every line up to here is in ``region``; nested spans add none
-    tokens = unit.tokens
-    ends = sorted((s.decl_line, tokens[s.body_token_range[1] - 1].line) for s in spans)
+    lines = unit.tokens.lines
+    ends = sorted((s.decl_line, lines[s.body_token_range[1] - 1]) for s in spans)
     for first, last in ends:
         if last > covered:
             region.update(range(max(first, covered + 1), last + 1))
@@ -515,13 +519,17 @@ def relevant_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> LineSet:
 
 
 def _nonblank_lines(unit: SourceUnit) -> set[int]:
-    covered = {tok.line for tok in unit.tokens}
-    # only text blocks span lines, and a unit without '"""' holds none
-    if '"""' in unit.text:
-        for tok in unit.tokens:
-            if tok.kind is TokenKind.STRING_LITERAL and tok.text.startswith('"""'):
-                last_line = tok.line + len(scanner.LINE_END.findall(tok.text))
-                covered.update(range(tok.line + 1, last_line + 1))
+    texts, starts, lines = unit.tokens.texts, unit.tokens.starts, unit.tokens.lines
+    covered = set(lines)
+    # only text blocks span lines: a token that starts at a '"""'
+    at = unit.text.find('"""')
+    while at >= 0:
+        k = bisect_left(starts, at)
+        if k < len(starts) and starts[k] == at:
+            last_line = lines[k] + len(scanner.LINE_END.findall(texts[k]))
+            covered.update(range(lines[k] + 1, last_line + 1))
+            at += len(texts[k]) - 1
+        at = unit.text.find('"""', at + 1)
     # a token may sit on a line that strip() calls blank (U+00A0, say)
-    lines = unit.lines
-    return {ln for ln in covered if ln - 1 < len(lines) and lines[ln - 1].strip()}
+    text_lines = map(unit.lines.__getitem__, map((-1).__add__, covered))
+    return set(compress(covered, map(str.strip, text_lines)))

@@ -827,6 +827,22 @@ def test_unwritable_output_is_fatal(write_tree, tmp_path, capfd, monkeypatch):
             assert "Traceback" not in err and err.count("\n") == 1, err
 
 
+def test_a_failed_artifact_write_leaves_no_temporary_file(write_tree, tmp_path, capfd):
+    # project.json, .txt and .svg each go to a temporary name first and are
+    # renamed into place, so a failed write leaves whole artifacts only
+    root = trio(write_tree)
+    clean = tmp_path / "clean"
+    assert main(["analyze", str(root), "--format", "json,text", "--out", str(clean)]) == 0
+    out = tmp_path / "out"
+    (out / "project.txt").mkdir(parents=True)  # a directory at the text report's name
+    assert main(["analyze", str(root), "--format", "json,text", "--out", str(out)]) == 1
+    err = capfd.readouterr().err
+    assert "mutdense: cannot write output:" in err and "Traceback" not in err, err
+    assert sorted(p.name for p in out.iterdir()) == ["project.json", "project.txt"]
+    assert (out / "project.json").read_bytes() == (clean / "project.json").read_bytes()
+    assert list((out / "project.txt").iterdir()) == []
+
+
 def test_a_failed_file_keeps_its_page_name(write_tree, tmp_path):
     # names come from the discovered paths, so the broken a/B.java still
     # holds a_B.java.html and a_B.java takes the next free name

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from mutdense import cli, errors, source_model
+from mutdense import cli, errors, scanner, source_model
 from mutdense.fault_model import OperatorSet, apply_mutant, find_mutation_sites
 from mutdense.metrics import (
     UnitReport,
@@ -481,19 +481,34 @@ def test_nesting_depth_is_not_bounded_by_the_interpreter_stack(tmp_path):
         name: mutants for name, (_, _, mutants) in cases.items()}
 
 
-class CountingTokens(tuple):
-    """A token tuple that counts its indexed reads and the walks over it."""
+class CountingColumn(list):
+    """A token column that counts its indexed reads and the walks over it
+    on the tokens it belongs to."""
 
-    reads = 0
-    walks = 0
+    def __init__(self, items, counts):
+        super().__init__(items)
+        self.counts = counts
 
     def __getitem__(self, key):
-        self.reads += 1
+        self.counts.reads += 1
         return super().__getitem__(key)
 
     def __iter__(self):
-        self.walks += 1
+        self.counts.walks += 1
         return super().__iter__()
+
+
+class CountingTokens(scanner.Tokens):
+    """The tokens of ``src``, whose texts and kinds, the columns that the
+    layers index, count their indexed reads and the walks over them."""
+
+    __slots__ = ("reads", "walks")
+
+    def __init__(self, src):
+        tokens = scanner.scan(src)
+        super().__init__(CountingColumn(tokens.texts, self), CountingColumn(tokens.kinds, self),
+                         tokens.starts, tokens.lines, tokens.line_starts)
+        self.reads = self.walks = 0
 
 
 # Each builds a unit nested ``depth`` deep and gives its mutant count.
@@ -562,7 +577,7 @@ def test_nesting_cost_grows_linearly(nested):
     reads, stored = [], []
     for depth in (300, 600):
         src, count = nested(depth)
-        tokens = CountingTokens(source_model.tokenize(src))
+        tokens = CountingTokens(src)
         unit = source_model.SourceUnit("N.java", src, tokens)
         spans = source_model.locate_bodies(unit)
         mutants = build_unit_report(unit, source_model.relevant_lines(unit, spans),
@@ -581,7 +596,7 @@ def _statements(count: int) -> str:
 def _locate_reads(src: str) -> int:
     """The token reads of ``locate_bodies`` on ``src``, which has one body,
     with the unit's tables built before the count starts."""
-    tokens = CountingTokens(source_model.tokenize(src))
+    tokens = CountingTokens(src)
     unit = source_model.SourceUnit("N.java", src, tokens)
     unit.pairs, unit.angles, unit.positions
     tokens.reads = 0
@@ -617,7 +632,7 @@ def test_bracket_and_angle_tables_read_only_brackets_and_angle_runs():
     for count in (200, 400):
         src = ("class C {\nint f(List<int[]> a) {\n" + "a = a + 1;\n" * count
                + "return a < b ? g(a) : c[a];\n}\n}\n")
-        tokens = CountingTokens(source_model.tokenize(src))
+        tokens = CountingTokens(src)
         unit = source_model.SourceUnit("N.java", src, tokens)
         unit.positions  # the one walk, before the count starts
         tokens.reads = tokens.walks = 0

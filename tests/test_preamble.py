@@ -33,7 +33,7 @@ ALL_OPS = OperatorSet.default()
 
 def full_unit(path: str, text: str) -> SourceUnit:
     """The unit built from every token of ``text``."""
-    return SourceUnit(path, text, tuple(scan(text)))
+    return SourceUnit(path, text, scan(text))
 
 
 def outcome(build, path: str, text: str):
@@ -153,7 +153,7 @@ def test_mixed_units_behind_preambles_analyze_as_from_all_their_tokens():
 def test_preamble_keeps_positions_and_stops_where_analysis_reads():
     src = "// (c)\npackage a.b;\n\nimport static a.B.*;\nimport a.c.D;\n" + ALPHA_SRC
     unit = SourceUnit.from_text("Alpha.java", src)
-    assert unit.tokens == tuple(t for t in scan(src) if t.start >= src.index("class"))
+    assert tuple(unit.tokens) == tuple(t for t in scan(src) if t.start >= src.index("class"))
     assert (unit.tokens[0].line, unit.tokens[0].column) == (6, 1)
     # an import that names a block-opening word stays, with all after it
     src = "import a.b;\nimport x.enum.Y;\nimport c.d;\nclass C { }\n"

@@ -187,6 +187,35 @@ def test_unknown_character_is_single_punctuation():
     assert toks[1].kind is TokenKind.PUNCTUATION
 
 
+_I, _N, _P = TokenKind.IDENTIFIER, TokenKind.NUMBER_LITERAL, TokenKind.PUNCTUATION
+
+
+@pytest.mark.parametrize(
+    "src,expected",
+    [
+        # a digit that is no decimal digit starts a number, as str.isdigit says
+        ("\u00b2x", [Token(_N, "\u00b2x", 1, 1, 0, 2)]),
+        # a number that is no digit starts nothing, but continues a word
+        ("\u00bdx", [Token(_P, "\u00bd", 1, 1, 0, 1), Token(_I, "x", 1, 2, 1, 2)]),
+        ("\u2167", [Token(_P, "\u2167", 1, 1, 0, 1)]),
+        ("x\u00b2", [Token(_I, "x\u00b2", 1, 1, 0, 2)]),
+        ("\u00e91$", [Token(_I, "\u00e91$", 1, 1, 0, 3)]),
+        ("\u4e16\u754c", [Token(_I, "\u4e16\u754c", 1, 1, 0, 2)]),
+        ("\u0663.5e+2", [Token(_N, "\u0663.5e+2", 1, 1, 0, 6)]),
+        # a no-break space is no whitespace to the scanner
+        ("a\u00a0b", [Token(_I, "a", 1, 1, 0, 1), Token(_P, "\u00a0", 1, 2, 1, 2),
+                       Token(_I, "b", 1, 3, 2, 3)]),
+    ],
+)
+def test_token_starts_follow_the_str_predicates(src, expected):
+    # a word starts where str.isalpha (or '_', '$') holds and a number where
+    # str.isdigit does, or at a '.' before one; a word and a number go on
+    # over str.isalnum, '_' and, in a word, '$'
+    assert tokenize(src) == expected
+    assert tokenize(f" {src}\n") == [t._replace(column=t.column + 1, start=t.start + 1,
+                                                end=t.end + 1) for t in expected]
+
+
 @pytest.mark.parametrize(
     "src,err,line,col",
     [
@@ -211,6 +240,29 @@ def test_unterminated_constructs_report_position(src, err, line, col):
         tokenize(src)
     assert exc_info.value.line == line
     assert exc_info.value.column == col
+
+
+_AFTER_MULTILINE = 'a = """\nx\ny""";\n/* c\nd */ s = '
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize(
+    "opener,err,message",
+    [
+        ('"open', errors.UnterminatedLiteral, "unterminated string literal"),
+        ("'open", errors.UnterminatedLiteral, "unterminated character literal"),
+        ("/*open", errors.UnterminatedComment, "unterminated block comment"),
+    ],
+)
+def test_errors_after_multiline_tokens_keep_their_position(end, opener, err, message):
+    # a text block and a block comment each cross two line ends before the
+    # construct left open, which starts at line 5, column 10 in every style
+    src = (_AFTER_MULTILINE + opener).replace("\n", end)
+    with pytest.raises(err) as exc_info:
+        tokenize(src)
+    assert type(exc_info.value) is err
+    assert str(exc_info.value) == f"{message} at line 5, column 10"
+    assert (exc_info.value.line, exc_info.value.column) == (5, 10)
 
 
 def assert_round_trip(src, toks):
@@ -287,7 +339,7 @@ def test_token_has_one_definition():
     toks = scanner.scan("a<=b")
     assert all(type(t) is scanner.Token for t in toks)
     assert toks[1] == Token(TokenKind.OPERATOR, "<=", 1, 2, 1, 3)
-    assert tokenize("a<=b") == toks
+    assert tokenize("a<=b") == list(toks)
 
 
 def test_token_kind_has_one_definition():

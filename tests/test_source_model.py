@@ -9,6 +9,7 @@ import pytest
 from mutdense import errors
 from mutdense.fault_model import OperatorSet, find_mutation_sites
 from mutdense.metrics import analyze_unit
+from mutdense.scanner import scan
 from mutdense.source_model import (
     SpanKind,
     locate_bodies,
@@ -300,7 +301,7 @@ def test_a_header_left_open_is_no_callable():
 
 
 def angle_texts(src):
-    toks = tokenize(src)
+    toks = scan(src)
     marked = mark_generic_angles(toks, text_positions(toks)).indices
     return [toks[i].text for i in sorted(marked)]
 
@@ -398,7 +399,7 @@ def test_pair_table_matches_a_walk_per_kind():
     seen = {"table": 0, "unmatched": 0, "unmatched '}'": 0, "unclosed '{'": 0}
     for src in sources:
         try:
-            tokens = tokenize(src)
+            tokens = scan(src)
         except errors.MutdenseError:
             continue
         texts = [t.text for t in tokens]
