@@ -228,7 +228,6 @@ def find_mutation_sites(
     """
     tokens = unit.tokens
     texts, kinds, lines, starts = tokens.texts, tokens.kinds, tokens.lines, tokens.starts
-    line_starts = tokens.line_starts
     angles = unit.angles
     rules = _rule_table(operator_set)
     enabled = operator_set.enabled_ids
@@ -239,10 +238,9 @@ def find_mutation_sites(
     def emit(op_id: str, idx: int, end: int, replacement: str,
              insert_after: int | None = None) -> None:
         """A mutant whose site runs from token ``idx`` to offset ``end``."""
-        start, line = starts[idx], lines[idx]
-        out.append(_new(Mutant, (op_id, _FAMILIES[op_id], line, start - line_starts[line - 1] + 1,
-                                 start, end, site_text(text, start, end), replacement,
-                                 insert_after)))
+        start = starts[idx]
+        out.append(_new(Mutant, (op_id, _FAMILIES[op_id], lines[idx], tokens.column(idx), start,
+                                 end, site_text(text, start, end), replacement, insert_after)))
 
     found = unit.positions_of(rules)
     if "NOI" in enabled:

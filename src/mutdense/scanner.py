@@ -121,7 +121,7 @@ def _pattern() -> re.Pattern:
     the sentinel."""
     word = rf"0-9A-Za-z_{_ALPHA}{_NUMERIC}"  # what str.isalnum accepts, and '_'
     return re.compile(
-        rf"([{_WS}]*)([A-Za-z_${_ALPHA}][{word}$]*|[(){{}}\[\];,@?~]"
+        rf"([{_WS}]*)([A-Za-z_${_ALPHA}][{word}$]*|[(){{}}\[\];,@]"
         rf"|//[^\n{_SENTINEL}]*|/\*[\s\S]*?\*/|/\*[\s\S]*"
         r'|"""[\s\S]*?(?<!\\)"""|"(?!"")(?:[^"\\\n]*"|[^\n]*?(?<!\\)")|"[\s\S]*'
         r"|'(?:[^'\\\n]*'|[^\n]*?(?<!\\)')|'[\s\S]*"
@@ -223,8 +223,9 @@ def scan(text: str, start: int = 0) -> Tokens:
         shadow = text.translate({ord(c): _shadow_char(c) for c in set(text) if c > "\x7f"})
     shadow = shadow.replace("\\\\", "##").replace("\r\n", " \n").replace("\r", "\n")
     parts = _pattern().split(shadow[start:] + _SENTINEL)
+    del parts[::3]  # the empty text between two matches
     offsets = list(accumulate(map(len, parts), initial=start))
-    pieces, starts = parts[2::3], offsets[2:-1:3]
+    pieces, starts = parts[1::2], offsets[1:-1:2]
     last, at = pieces.pop(), starts.pop()
     if last != _SENTINEL:
         line_start = shadow.rfind("\n", 0, at) + 1
@@ -236,7 +237,7 @@ def scan(text: str, start: int = 0) -> Tokens:
     if shadow is text:
         texts = pieces
     else:
-        texts = list(map(text.__getitem__, map(slice, starts, offsets[3::3])))
+        texts = list(map(text.__getitem__, map(slice, starts, offsets[2::2])))
     if "//" in shadow or "/*" in shadow:  # a comment to drop, maybe
         comments: list[int] = []
         try:

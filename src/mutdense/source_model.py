@@ -8,8 +8,8 @@ lambdas, text blocks) are tokenized and skipped gracefully.
 import functools
 import re
 from bisect import bisect_left
-from itertools import compress
 from enum import Enum
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from mutdense import errors, scanner
@@ -168,7 +168,7 @@ class LineSet(NamedTuple):
 # 'super', '.', '[', ']', '&', a primitive keyword followed by '[' (int[]),
 # an '@' followed by an identifier (@NonNull), or a nested '<...>'.
 # Anything else makes it a relational operator.
-# only a keyword token has the text of a keyword
+# the texts that continue a run; a token with a keyword's text is that keyword
 _ANGLE_WORDS = frozenset({",", ".", "[", "]", "?", "&", "extends", "super"})
 _CLOSER_DEPTH = {">": 1, ">>": 2, ">>>": 3}
 
