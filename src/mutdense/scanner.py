@@ -9,7 +9,8 @@ maximal-munch.  A ``Token`` tuple ``(kind, text, line, column, start,
 end)`` is built only when one is asked for.
 
 A line ends at ``\\n``, at ``\\r\\n`` or at a lone ``\\r``: ``LINE_END`` is
-that rule, and every line fact (token lines, ``split_lines``) comes from it.
+that rule, which ``split_lines`` applies, and the scan's shadow of the text
+writes each such end as one ``\\n``, from which the token lines come.
 """
 
 import functools
@@ -17,7 +18,7 @@ import re
 from bisect import bisect_right
 from enum import IntEnum
 from itertools import accumulate, repeat
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterator, NamedTuple
 
 from mutdense import errors
@@ -188,7 +189,12 @@ class Tokens:
                      self.starts[k], self.end(k))
 
     def __iter__(self) -> Iterator[Token]:
-        return map(self.__getitem__, range(len(self.texts)))
+        starts, lines = self.starts, self.lines
+        line_starts = map(self.line_starts.__getitem__, map((-1).__add__, lines))
+        columns = map((1).__add__, map(sub, starts, line_starts))
+        ends = map(add, starts, map(len, self.texts))
+        rows = zip(self.kinds, self.texts, lines, columns, starts, ends)
+        return map(tuple.__new__, repeat(Token), rows)  # no Python-level __new__ per token
 
 
 def _without(column: list, dropped: list[int]) -> list:
@@ -223,7 +229,7 @@ def scan(text: str, start: int = 0) -> Tokens:
         shadow = text.translate({ord(c): _shadow_char(c) for c in set(text) if c > "\x7f"})
     shadow = shadow.replace("\\\\", "##").replace("\r\n", " \n").replace("\r", "\n")
     parts = _pattern().split(shadow[start:] + _SENTINEL)
-    del parts[::3]  # the empty text between two matches
+    del parts[::3]  # the empty texts before, between and after the matches
     offsets = list(accumulate(map(len, parts), initial=start))
     pieces, starts = parts[1::2], offsets[1:-1:2]
     last, at = pieces.pop(), starts.pop()
