@@ -18,7 +18,6 @@ from mutdense.source_model import (
     relevant_lines,
     split_lines,
     text_positions,
-    tokenize,
 )
 from conftest import (
     FACTORIAL_SRC,
