@@ -444,8 +444,7 @@ def analyze_path(display: str, fs_path: str, config: Config,
     if heatmap is not None:
         page = render_heatmap(report, text, config.style).encode("utf-8")
         try:
-            with open(os.path.join(config.output_dir, heatmap), "wb") as fh:
-                fh.write(page)
+            _write_whole(config.output_dir, heatmap, page)
         except OSError as exc:
             raise errors.UnwritableOutput(f"cannot write output: {exc}") from exc
     formats = config.formats
@@ -623,8 +622,10 @@ def _write_artifacts(project: ProjectReport, config: Config) -> None:
 def _write_whole(out: str, name: str, data: bytes | str) -> None:
     """Write ``data`` (text as UTF-8) to a temporary name in ``out``, then
     rename it to ``name``: an interrupted write leaves no partial artifact,
-    and a failed one no temporary file."""
-    temporary = os.path.join(out, f".{name}.{os.getpid()}.tmp")
+    and a failed one no temporary file.  The temporary name is the same for
+    every artifact, so a long ``name`` cannot make it too long; each process
+    writes one file at a time."""
+    temporary = os.path.join(out, f".mutdense.{os.getpid()}.tmp")
     try:
         if isinstance(data, bytes):
             with open(temporary, "wb") as fh:

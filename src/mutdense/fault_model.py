@@ -17,13 +17,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from mutdense import errors
 from mutdense.scanner import scan
 from mutdense.source_model import (
-    LABEL_ENDS,
     PRIMITIVE_TYPES,
     BodySpan,
     GenericAngles,
     SourceUnit,
     TokenKind,
-    first_outside_groups,
 )
 
 
@@ -208,15 +206,6 @@ def _rule_table(operator_set: OperatorSet) -> dict[str, list[tuple[str, str, Cal
     return rules
 
 
-# After these a 'new' starts a statement, which 'null;' is not ('else' and
-# 'do' are always followed by one), as it does after the ')' that ends a
-# header of ``_HEADER_WORDS`` and after the ':' that ends a 'case' or
-# 'default' label or a statement label.  After any other ':', '->' or a
-# cast's ')' it may start an expression: ternary, arrow body, cast.
-_STATEMENT_STARTS = frozenset({";", "{", "}", "else", "do"})
-_HEADER_WORDS = ("if", "while", "for")
-
-
 def find_mutation_sites(
     unit: SourceUnit, spans: Sequence[BodySpan], operator_set: OperatorSet
 ) -> list[Mutant]:
@@ -243,20 +232,6 @@ def find_mutation_sites(
                                  end, site_text(text, start, end), replacement, insert_after)))
 
     found = unit.positions_of(rules)
-    if "NOI" in enabled:
-        # the ')' that ends each 'if', 'while' and 'for' header, the ':' that
-        # ends each 'case' and 'default' label, and each ':' that a name and
-        # then a statement start or another such end precede (a label)
-        positions, pairs = unit.positions, unit.pairs
-        statement_ends = {pairs.get(h + 1) for w in _HEADER_WORDS for h in positions.get(w, ())}
-        for k in unit.positions_of(("case", "default")):
-            end = first_outside_groups(unit, k + 1, len(texts), LABEL_ENDS)
-            if end is not None and texts[end] == ":":
-                statement_ends.add(end)
-        for k in positions.get(":", ()):
-            if k >= 2 and kinds[k - 1] is TokenKind.IDENTIFIER and (
-                    texts[k - 2] in _STATEMENT_STARTS or k - 2 in statement_ends):
-                statement_ends.add(k)
     for span in spans:
         for lo, hi in span.owned:
             for idx in found[bisect_left(found, lo):bisect_left(found, hi)]:
@@ -266,9 +241,7 @@ def find_mutation_sites(
                         emit(op_id, idx, starts[idx] + len(tx), replacement)
         if "NOI" in enabled:
             for idx, close in span.creations:
-                if texts[close + 1] != ";" or not (
-                        texts[idx - 1] in _STATEMENT_STARTS or idx - 1 in statement_ends):
-                    emit("NOI", idx, starts[close] + 1, "null")
+                emit("NOI", idx, starts[close] + 1, "null")
         if span.returns_reference and "NRV" in enabled:
             for idx, end in span.returns:
                 # 'return null;' has no other value to return

@@ -101,6 +101,9 @@ _EMPTY_ROWS = {
 }
 _UNIT_TAIL = '],"avg":{"traditional":%r,"nullType":%r,"combined":%r},"empty":%s}'
 _JSON_BOOL = {False: "false", True: "true"}
+# each family's name as a JSON string; a member hashes through str.__hash__,
+# so the lookup calls no Python-level enum property
+_JSON_FAMILY = {family: encode_basestring(family.value) for family in Family}
 
 
 def emit_unit_json(unit: UnitReport) -> bytes:
@@ -110,7 +113,7 @@ def emit_unit_json(unit: UnitReport) -> bytes:
     return "".join((
         _UNIT_HEAD % (enc(unit.path), unit.physical_line_count, unit.relevant_line_count),
         ",".join([
-            _MUTANT_ROW % (enc(op_id), enc(family.value), line, column,
+            _MUTANT_ROW % (enc(op_id), _JSON_FAMILY[family], line, column,
                            enc(original), enc(replacement))
             for op_id, family, line, column, _, _, original, replacement, _ in unit.mutants
         ]),

@@ -140,8 +140,8 @@ class BodySpan(NamedTuple):
     half-open token intervals of the body that lie outside every type body
     nested in it.  ``returns`` pairs each ``return`` in them that leaves no
     block lambda with its statement's ';' (None if none comes before the
-    body's '}'), and ``creations`` each owned ``new Name(...)`` with its
-    ')', which lies before the '}' of its body or block lambda.
+    body's '}'), and ``creations`` each owned ``new Name(...)`` but a whole
+    statement with its ')', which lies before the '}' of its body or lambda.
     """
 
     kind: SpanKind
@@ -240,11 +240,14 @@ def mark_generic_angles(tokens: Tokens, positions: dict[str, list[int]]) -> Gene
 
 # Where each frame of ``locate_bodies`` stops: every frame at the words that
 # may open a type body; a block also at each return and where a block lambda
-# may open, a type body where an initializer or a callable may.
+# or a statement may, a type body where an initializer or a callable may.
 _TYPE_OPENERS = ("new", "class", "enum", "interface")
-_BLOCK_STOPS = (*_TYPE_OPENERS, "return", "->", "case", "default")
+_BLOCK_STOPS = (*_TYPE_OPENERS, "return", "->", "case", "default", "switch", "if", "while", "for")
 _TYPE_BODY_STOPS = (*_TYPE_OPENERS, "{", "(")
-LABEL_ENDS = frozenset({"->", ":", ";", "{", "}"})
+_LABEL_ENDS = frozenset({"->", ":", ";", "{", "}"})
+# A statement starts after these ('else' and 'do' take one) and after each end
+# that ``locate_bodies`` marks; after other ':', '->' or ')' an expression may.
+_STATEMENT_STARTS = frozenset({";", "{", "}", "else", "do"})
 _STATEMENT_END = frozenset({";"})
 _BODY_OPEN, _COMMA = frozenset({"{"}), frozenset({","})
 _FORBIDDEN_BEFORE_NAME = frozenset(
@@ -267,9 +270,10 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     in an initializer) and to ``returns`` (the span's, or None in a block
     lambda), through the ascending indices of its stops in
     ``unit.positions``.  A block (no ``type_name``) stops at ``new`` and the
-    type keywords, where a type body may open, at each ``return``, and at
-    each ``->``, ``case`` and ``default``, which tell whether a ``{`` after
-    a ``->`` opens a block lambda; a type body named ``type_name`` stops at
+    type keywords, where a type body may open, at each ``return``, at each
+    ``->``, ``case`` and ``default``, which tell whether a ``{`` after a
+    ``->`` opens a block lambda, and at each ``if``, ``while``, ``for`` and
+    ``switch``, which tell where statements start; a type body stops at
     ``new`` and the type keywords too, at each ``{``, which opens an
     initializer block, and at each ``(``, where a callable's parameters open
     when a name precedes it.  A type's ``{`` is the first outside its
@@ -278,14 +282,25 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     frame like the enclosing one, walked before the body; no body opens in
     it that closes past it.  A callable's body owns its tokens outside the
     type bodies in it, its returns outside the block lambdas in it (each
-    with its ';') and its creations (each with its ')').
+    with its ';') and its creations but whole statements (each with its ')').
     """
     pairs = unit.pairs  # unbalanced braces fail here, even in a unit with no bodies
     texts, kinds = unit.tokens.texts, unit.tokens.kinds
     block_stops = unit.positions_of(_BLOCK_STOPS)
     body_stops = unit.positions_of(_TYPE_BODY_STOPS)
     spans: list[BodySpan] = []
-    rule_arrows: set[int] = set()  # each '->' that ends a switch label
+    # each header's ')' and each switch label's ':' or '->', mapped to whether
+    # a statement starts after it: not after a switch expression's arrow
+    ends: dict[int, bool] = {}
+    switches: list[tuple[int, bool]] = []  # each open switch body's '}', and whether a statement
+
+    def starts_statement(i: int) -> bool:
+        """Whether a statement starts at ``tokens[i]``, after any labels ``name :``."""
+        k = i - 1
+        while k > 0 and k not in ends and texts[k] == ":" and kinds[k - 1] is TokenKind.IDENTIFIER:
+            k -= 2
+        return k >= 0 and (texts[k] in _STATEMENT_STARTS or ends.get(k, False))
+
     frames: list[tuple] = [(0, len(texts), None, None, None)]
     while frames:
         lo, hi, type_name, span, returns = frames.pop()
@@ -296,7 +311,8 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
             child = None  # the fields of the body's frame after its bounds
             if tx == "new":
                 site = match_creation(unit, i, hi)
-                if site is not None and span is not None:
+                if site is not None and span is not None and (
+                        texts[site[1] + 1] != ";" or not starts_statement(i)):
                     span.creations.append((i, site[1]))
                 if site is not None and site[1] + 1 < hi and texts[site[1] + 1] == "{":
                     body_open, child = site[1] + 1, (site[0], None, None)
@@ -312,13 +328,23 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
             elif tx == "return":
                 if returns is not None:
                     returns.append((i, first_outside_groups(unit, i + 1, hi, _STATEMENT_END)))
+            elif tx == "if" or tx == "while" or tx == "for":
+                ends[pairs.get(i + 1, hi)] = True  # with no ')', hi: a brace or past the end
             elif tx == "->":
-                if i not in rule_arrows and i + 1 < hi and texts[i + 1] == "{":
+                if i not in ends and i + 1 < hi and texts[i + 1] == "{":
                     body_open, child = i + 1, (None, span, None)
             elif tx == "case" or tx == "default":
-                arrow = first_outside_groups(unit, i + 1, hi, LABEL_ENDS)
-                if arrow is not None and texts[arrow] == "->":
-                    rule_arrows.add(arrow)
+                end = first_outside_groups(unit, i + 1, hi, _LABEL_ENDS)
+                while switches and switches[-1][0] < i:  # closed before this label
+                    switches.pop()
+                if end is not None and texts[end] == ":":
+                    ends[end] = True
+                elif end is not None and texts[end] == "->":
+                    ends[end] = bool(switches) and switches[-1][1]
+            elif tx == "switch":
+                body = pairs.get(i + 1, hi) + 1  # the '{' after its header
+                if body < hi and texts[body] == "{":
+                    switches.append((pairs[body], starts_statement(i)))
             elif i == 0 or texts[i - 1] != ".":  # 'String.class' is a class literal
                 j = i + 1
                 while j < hi and kinds[j] is not TokenKind.IDENTIFIER:

@@ -825,6 +825,8 @@ def test_unwritable_output_is_fatal(write_tree, tmp_path, capfd, monkeypatch):
             err = capfd.readouterr().err
             assert err.startswith("mutdense: cannot write output:"), err
             assert "Traceback" not in err and err.count("\n") == 1, err
+        # a page goes to a temporary name first, which its failed rename removes
+        assert [p.name for p in paged.iterdir() if p.suffix == ".tmp"] == [], jobs
 
 
 def test_a_failed_artifact_write_leaves_no_temporary_file(write_tree, tmp_path, capfd):

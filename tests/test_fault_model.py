@@ -323,17 +323,22 @@ def test_noi_skips_creation_statements():
     assert noi[0].column == 34  # the declaration's
 
 
-# A creation statement that keeps a NOI whose mutant does not compile
-_NOI_STATEMENTS_KEPT = ["switch (o.hashCode()) { case 1 -> new Object(); }"]
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5: a creation statement as a switch statement's "
-                          "rule reads as a switch expression's arm")
 def test_noi_skips_creation_statements_after_labels():
-    with_noi = [stmt for stmt in _NOI_STATEMENTS_KEPT
-                if any(m.operator_id == "NOI" for m in mutants_of(in_method(stmt), NULL_TYPE)[1])]
-    assert with_noi == []
+    # a switch is a statement where a statement starts at its 'switch', and
+    # a rule of a switch statement holds a statement; an arm of a switch
+    # expression holds an expression, whatever encloses either
+    stmt = ("switch (k) { case 1 -> new A(); default -> { new B(); } }"
+            " if (c) switch (k) { case 1 -> new C(); } else l: switch (k) { default -> new D(); }"
+            " switch (k) { case 1: switch (k) { case 2 -> new E(); } }"
+            " switch (k) { case 1 -> { o = switch (k) { case 2 -> new F(); default -> o; }; }"
+            " default -> new G(); }"
+            " o = switch (k) { case 1 -> { switch (k) { case 2 -> new H(); } yield new J(); }"
+            " default -> new K(); };"
+            " r = () -> { switch (k) { case 1 -> new L(); } };"
+            " r = () -> switch (k) { case 1 -> new M(); default -> o; };")
+    _, mutants = mutants_of(in_method(stmt), NULL_TYPE)
+    assert [m.original for m in mutants if m.operator_id == "NOI"] == [
+        "new F()", "new J()", "new K()", "new M()"]
 
 
 _NOI_STATEMENTS = [
@@ -342,13 +347,22 @@ _NOI_STATEMENTS = [
     "for (int i = 0; i < 1; i++) new Object();", "if (c) g(o); else if (g(c) == o) new Object();",
     "l: new Object();", "switch (o.hashCode()) { case 1: new Object(); }",
     "switch (o.hashCode()) { default: new Object(); }",
-    *_NOI_STATEMENTS_KEPT,
+    "switch (o.hashCode()) { case 1 -> new Object(); }",
+    "if (c) switch (o.hashCode()) { case 1 -> new Object(); }",
+    "l: switch (o.hashCode()) { case 1 -> new Object(); }",
+    "switch (o.hashCode()) { case 1: switch (o.hashCode()) { case 2 -> new Object(); } }",
+    "Runnable r = () -> { switch (o.hashCode()) { case 1 -> new Object(); } };",
 ]
 _NOI_EXPRESSIONS = [
     "Object d = new Object();", "g(new Object());", "o = c ? o : new Object();",
     "o = (Object) new Object();", "java.util.function.Supplier<Object> s = () -> new Object();",
     "assert c : new Object();",
     "o = switch (o.hashCode()) { case 1 -> new Object(); default -> o; };",
+    # one NOI each: the switch expression's arm and the 'yield'
+    "switch (o.hashCode()) { case 1 -> { o = switch (o.hashCode()) { case 2 -> new Object();"
+    " default -> o; }; } default -> new Object(); }",
+    "o = switch (o.hashCode()) { case 1 -> { switch (o.hashCode()) { case 2 -> new Object(); }"
+    " yield new Object(); } default -> o; };",
 ]
 
 
@@ -356,7 +370,7 @@ _NOI_EXPRESSIONS = [
                     reason="javac is not on PATH, so the NOI mutants cannot be compiled")
 def test_noi_mutants_compile(tmp_path):
     # each form in a well-typed class; the originals and every NOI mutant
-    # but those of the statements kept above go to one javac call
+    # go to one javac call
     def unit_of(name, form):
         return make_unit(f"class {name} {{ Object o; boolean c; Object g(Object x) {{ return x; }}"
                          f" Object f() {{ {form} return o; }} }}\n", f"{name}.java")
@@ -370,8 +384,7 @@ def test_noi_mutants_compile(tmp_path):
         assert len(noi) <= 1, form
         if noi:
             with_noi.append(form)
-            if form not in _NOI_STATEMENTS_KEPT:
-                sources[f"M{n}"] = apply_mutant(unit, noi[0])
+            sources[f"M{n}"] = apply_mutant(unit, noi[0])
     paths = []
     for name, text in sources.items():
         paths.append(tmp_path / f"{name}.java")
@@ -379,9 +392,7 @@ def test_noi_mutants_compile(tmp_path):
     compiled = subprocess.run(["javac", "-d", str(tmp_path / "classes"), *map(str, paths)],
                               capture_output=True, text=True)
     assert compiled.returncode == 0, compiled.stderr
-    # the kept statements are a named allowance, and the only forms besides
-    # the expressions that still get a NOI
-    assert with_noi == _NOI_STATEMENTS_KEPT + _NOI_EXPRESSIONS
+    assert with_noi == _NOI_EXPRESSIONS
 
 
 def test_noi_reaches_into_an_anonymous_creations_arguments():

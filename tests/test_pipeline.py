@@ -329,7 +329,7 @@ def _ownership_inputs():
     yield source_model.SourceUnit.from_text("Arguments.java", _ANONYMOUS_ARGUMENTS)
     yield source_model.SourceUnit.from_text("Headers.java", _ANNOTATED_HEADERS)
     for nested in (_nested_creations, _nested_lambda_returns, _nested_switch_rules,
-                   _nested_anonymous_returns, _nested_lambda_anonymous,
+                   _nested_switches, _nested_anonymous_returns, _nested_lambda_anonymous,
                    _nested_anonymous_arguments):
         yield source_model.SourceUnit.from_text("Nest.java", nested(3)[0])
     for soup in (*seeded_soups(SOUP_ALPHABET), *_fragment_soups()):
@@ -345,7 +345,8 @@ def test_each_token_and_return_has_at_most_one_owner():
     """A span's owned intervals ascend inside its braces, no two spans own
     a token, each of its returns is a 'return' token that it owns, ended by
     a ';' that it owns or by none, and each of its creations is a 'new'
-    that it owns, closed by a ')' inside its body."""
+    that it owns, closed by a ')' inside its body.  An owned creation that
+    no span records is a whole statement, which NOI may not null."""
     with_returns = with_creations = 0
     for unit in _ownership_inputs():
         tokens = unit.tokens
@@ -381,7 +382,13 @@ def test_each_token_and_return_has_at_most_one_owner():
                         site = source_model.match_creation(unit, idx, len(tokens))
                         if site is not None and site[1] < span.body_token_range[1] - 1:
                             accepted.append((idx, site[1]))
-        assert sorted(created) == sorted(accepted), unit.path
+        # a statement ends at the ';' after it and starts after a statement's
+        # end, 'else', 'do', a header's ')', a label's ':' or a rule's '->'
+        statements = sorted(set(accepted) - set(created))
+        assert all(tokens[close + 1].text == ";" and tokens[idx - 1].text in (
+            ";", "{", "}", "else", "do", ")", ":", "->") for idx, close in statements), (
+            unit.path, statements)
+        assert sorted(created) == sorted(c for c in accepted if c not in statements), unit.path
         claimed.sort()
         assert all(a[1] <= b[0] for a, b in zip(claimed, claimed[1:])), unit.path
     assert with_returns > 100
@@ -535,6 +542,17 @@ def _nested_switch_rules(depth: int) -> tuple[str, int]:
     return src, depth + 1
 
 
+def _nested_switches(depth: int) -> tuple[str, int]:
+    # statement and expression switches in turn: each statement switch's
+    # rule and the innermost block hold creation statements, so the 'yield'
+    # has the one NOI, and f's NRV
+    opening = "switch (k) {\ncase 1 -> {\no = switch (k) {\ncase 2 -> {\n" * depth
+    closing = "}\ndefault -> o;\n};\n}\ndefault -> new C();\n}\n" * depth
+    innermost = "new A();\nyield new B();\n"
+    src = "class C {\nObject f() {\n" + opening + innermost + closing + "return o;\n}\n}\n"
+    return src, 2
+
+
 def _comparison_chain(depth: int) -> tuple[str, int]:
     # one ROR per '<' and the NRV
     return "class C {\nObject f() {\nreturn " + "a < " * depth + "a;\n}\n}\n", depth + 1
@@ -567,8 +585,9 @@ def _nested_anonymous_arguments(depth: int) -> tuple[str, int]:
 
 @pytest.mark.parametrize(
     "nested",
-    [_nested_creations, _nested_lambda_returns, _nested_switch_rules, _comparison_chain,
-     _nested_anonymous_returns, _nested_lambda_anonymous, _nested_anonymous_arguments])
+    [_nested_creations, _nested_lambda_returns, _nested_switch_rules, _nested_switches,
+     _comparison_chain, _nested_anonymous_returns, _nested_lambda_anonymous,
+     _nested_anonymous_arguments])
 def test_nesting_cost_grows_linearly(nested):
     """Token reads of the whole chain, and the text the mutants store,
     double, no more, when the depth of nested brackets doubles: each closer
