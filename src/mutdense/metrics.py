@@ -170,7 +170,7 @@ def build_unit_report(
     """Assemble the per-unit report from the analysis parts."""
     return UnitReport(
         path=unit.path,
-        physical_line_count=len(unit.lines),
+        physical_line_count=len(unit.tokens.line_starts),
         relevant_lines=relevant.relevant,
         mutants=tuple(mutants),
     )

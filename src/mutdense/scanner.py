@@ -10,7 +10,8 @@ end)`` is built only when one is asked for.
 
 A line ends at ``\\n``, at ``\\r\\n`` or at a lone ``\\r``: ``LINE_END`` is
 that rule, which ``split_lines`` applies, and the scan's shadow of the text
-writes each such end as one ``\\n``, from which the token lines come.
+writes each such end as one ``\\n``, from which ``Tokens.line_starts`` comes:
+one offset per physical line, as many as ``split_lines`` gives.
 """
 
 import functools
@@ -172,7 +173,7 @@ class Tokens:
         self.kinds = kinds
         self.starts = starts
         self.lines = lines
-        self.line_starts = line_starts  # the offset where each line starts
+        self.line_starts = line_starts  # the offset where each physical line starts
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -233,11 +234,14 @@ def scan(text: str, start: int = 0) -> Tokens:
     offsets = list(accumulate(map(len, parts), initial=start))
     pieces, starts = parts[1::2], offsets[1:-1:2]
     last, at = pieces.pop(), starts.pop()
+    # one offset per physical line: a line end that closes the text opens none
+    line_starts = list(accumulate(map((1).__add__, map(len, shadow.split("\n"))), initial=0))
+    del line_starts[-2 if line_starts[-2] == len(shadow) else -1:]
     if last != _SENTINEL:
-        line_start = shadow.rfind("\n", 0, at) + 1
+        line = bisect_right(line_starts, at)
         for opener, error, message in _UNTERMINATED:
             if last.startswith(opener):
-                raise error(message, shadow.count("\n", 0, at) + 1, at - line_start + 1)
+                raise error(message, line, at - line_starts[line - 1] + 1)
     kinds = list(map(_KIND_OF_TEXT.get, pieces,
                      map(_KIND_OF_FIRST.__getitem__, map(itemgetter(0), pieces))))
     if shadow is text:
@@ -253,7 +257,5 @@ def scan(text: str, start: int = 0) -> Tokens:
             pass
         if comments:
             texts, kinds, starts = (_without(c, comments) for c in (texts, kinds, starts))
-    line_starts = list(accumulate(map((1).__add__, map(len, shadow.split("\n"))), initial=0))
-    del line_starts[-1]
     lines = list(map(bisect_right, repeat(line_starts), starts))
     return Tokens(texts, kinds, starts, lines, line_starts)

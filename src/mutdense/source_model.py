@@ -7,13 +7,13 @@ lambdas, text blocks) are tokenized and skipped gracefully.
 
 import functools
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from mutdense import errors, scanner
-from mutdense.scanner import Token, TokenKind, Tokens, split_lines
+from mutdense.scanner import Token, TokenKind, Tokens
 
 
 def tokenize(text: str, start: int = 0) -> list[Token]:
@@ -26,7 +26,8 @@ def tokenize(text: str, start: int = 0) -> list[Token]:
     return list(scanner.scan(text, start))
 
 
-_WS = r"[ \t\n\r\f\x0b]*"
+_SPACE = f"[{re.escape(scanner._WS)}]"  # one character the scanner reads as whitespace
+_WS = _SPACE + "*"
 
 
 @functools.cache  # compiled on first use: a process that reads no unit skips it
@@ -42,7 +43,7 @@ def _preamble() -> re.Pattern:
     # ``locate_bodies`` opens a type body; any other name ends the preamble
     name = rf"(?!(?:{'|'.join(_TYPE_OPENERS)})(?![\w$]))[A-Za-z_$][A-Za-z0-9_$]*"
     return re.compile(
-        r"(?:[ \t\n\r\f\x0b]+(?![ \t\n\r\f\x0b])|//[^\r\n]*(?=[\r\n])"
+        rf"(?:{_SPACE}+(?!{_SPACE})|//[^\r\n]*(?=[\r\n])"
         r"|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
         rf"|(?:package|import(?![\w$])(?:{_WS}static)?)(?![\w$])"
         rf"{_WS}{name}(?:{_WS}\.{_WS}(?:{name}|\*))*{_WS};)*"
@@ -64,9 +65,9 @@ class SourceUnit(_SourceFields):
     """One source file: raw text and its tokens, as the columns of
     ``scanner.scan``; indexing ``tokens`` builds a ``Token``.
 
-    ``lines`` (the physical lines of the text), ``pairs`` (bracket pairs),
-    ``angles`` and ``positions`` are derived on first use and kept, so every
-    layer that reads them shares one computation.
+    ``pairs`` (bracket pairs), ``angles`` and ``positions`` are derived on
+    first use and kept, so every layer that reads them shares one
+    computation; ``tokens.line_starts`` numbers the physical lines.
     """
 
     @classmethod
@@ -76,10 +77,6 @@ class SourceUnit(_SourceFields):
         all of the text's tokens."""
         start = _preamble().match(text, 0, _PREAMBLE_WINDOW).end()
         return cls(path, text, scanner.scan(text, start))
-
-    @functools.cached_property
-    def lines(self) -> tuple[str, ...]:
-        return split_lines(self.text)
 
     @functools.cached_property
     def pairs(self) -> dict[int, int]:
@@ -533,29 +530,26 @@ def relevant_lines(unit: SourceUnit, spans: Sequence[BodySpan]) -> LineSet:
     Blank means no non-whitespace character outside comments; a line holding
     only a comment is blank for this purpose.
     """
+    text, tokens = unit.text, unit.tokens
+    texts, starts, lines = tokens.texts, tokens.starts, tokens.lines
     region: set[int] = set()
     covered = 0  # every line up to here is in ``region``; nested spans add none
-    lines = unit.tokens.lines
     ends = sorted((s.decl_line, lines[s.body_token_range[1] - 1]) for s in spans)
     for first, last in ends:
         if last > covered:
             region.update(range(max(first, covered + 1), last + 1))
             covered = last
-    return LineSet(frozenset(region & _nonblank_lines(unit)))
-
-
-def _nonblank_lines(unit: SourceUnit) -> set[int]:
-    texts, starts, lines = unit.tokens.texts, unit.tokens.starts, unit.tokens.lines
-    covered = set(lines)
-    # only text blocks span lines: a token that starts at a '"""'
-    at = unit.text.find('"""')
+    held = set(lines)  # the lines a token starts on or, below, a text block spans
+    at = text.find('"""')
     while at >= 0:
         k = bisect_left(starts, at)
         if k < len(starts) and starts[k] == at:
-            last_line = lines[k] + len(scanner.LINE_END.findall(texts[k]))
-            covered.update(range(lines[k] + 1, last_line + 1))
-            at += len(texts[k]) - 1
-        at = unit.text.find('"""', at + 1)
+            at += len(texts[k]) - 1  # the block's last character
+            held.update(range(lines[k] + 1, bisect_right(tokens.line_starts, at) + 1))
+        at = text.find('"""', at + 1)
+    held &= region
     # a token may sit on a line that strip() calls blank (U+00A0, say)
-    text_lines = map(unit.lines.__getitem__, map((-1).__add__, covered))
-    return set(compress(covered, map(str.strip, text_lines)))
+    bounds = [*tokens.line_starts, len(text)]  # line ln is text[bounds[ln - 1]:bounds[ln]]
+    cuts = map(slice, map(bounds.__getitem__, map((-1).__add__, held)),
+               map(bounds.__getitem__, held))
+    return LineSet(frozenset(compress(held, map(str.strip, map(text.__getitem__, cuts)))))

@@ -36,6 +36,7 @@ from conftest import (
     FACTORIAL_SRC,
     GAMMA_SRC,
     INTERFACE_SRC,
+    gen_mixed_unit,
 )
 
 
@@ -691,6 +692,43 @@ def test_run_dispatches_files_in_chunks(write_tree, tmp_path, monkeypatch):
         assert [display for chunk, _ in tasks for display, _, _ in chunk] == names
     assert sizes == [2]
     assert (outputs[0] / "project.json").read_bytes() == (outputs[1] / "project.json").read_bytes()
+
+
+def spawn_pool(sizes):
+    """``cli.process_pool`` with its workers started by ``spawn``, so that
+    they hold no state of the parent; each pool's size goes to ``sizes``."""
+
+    def process_pool(workers):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        sizes.append(workers)
+        return ProcessPoolExecutor(max_workers=workers,
+                                   mp_context=multiprocessing.get_context("spawn"))
+
+    return process_pool
+
+
+def test_spawned_workers_write_the_same_artifacts(write_tree, tmp_path, monkeypatch):
+    # Python 3.14 starts a pool's workers by forkserver on Linux; a spawned
+    # worker, like those, inherits no state from the parent
+    rng = random.Random(3)
+    units = [gen_mixed_unit(rng, idx) for idx in range(12)]
+    root = write_tree({f"p{idx % 3}/{path}": src for idx, (path, src) in enumerate(units)})
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+
+    def analyze(name, jobs):
+        out = tmp_path / name
+        assert main(["analyze", str(root), "--format", "json,html,svg,text",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    serial, default = analyze("serial", "1"), analyze("default", "2")
+    assert len(serial) == 12 + 3  # a page per unit, the JSON, the chart and the text
+    sizes = []
+    monkeypatch.setattr(cli, "process_pool", spawn_pool(sizes))
+    assert analyze("spawn", "2") == default == serial
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 40, 200, 4000])

@@ -22,6 +22,7 @@ from mutdense.metrics import (
     top_lines,
 )
 from mutdense.reporting import emit_unit_json
+from mutdense.scanner import split_lines
 from mutdense.source_model import locate_bodies, relevant_lines
 from conftest import (
     ALPHA_SRC,
@@ -83,7 +84,7 @@ def test_blank_line_has_zero_density_and_no_relevance():
     report = build_unit_report(unit, relevant, mutants)
     assert 3 not in report.relevant_lines
     assert 3 not in report.line_counts
-    assert report.physical_line_count == len(unit.lines)
+    assert report.physical_line_count == len(split_lines(unit.text))
 
 
 def test_null_check_line_density_splits_families():
@@ -98,9 +99,9 @@ def test_mutant_on_irrelevant_line_is_a_contract_violation():
         build_unit_report(unit, relevant, [stray])
     # the report itself holds the contract, however it is built
     with pytest.raises(errors.MutantOnIrrelevantLine, match="line 1 of U.java"):
-        UnitReport("U.java", len(unit.lines), relevant.relevant, (stray,))
+        UnitReport("U.java", len(split_lines(unit.text)), relevant.relevant, (stray,))
     # a copy with a field changed is checked too
-    report = UnitReport("U.java", len(unit.lines), relevant.relevant, ())
+    report = UnitReport("U.java", len(split_lines(unit.text)), relevant.relevant, ())
     with pytest.raises(errors.MutantOnIrrelevantLine):
         report._replace(mutants=(stray,))
 

@@ -284,7 +284,7 @@ def test_heatmap_gray_white_and_ramp():
     unit, report = unit_and_report(IMPORT_SRC)
     doc = render_heatmap(report, unit.text)
     rows = rows_of(doc)
-    assert len(rows) == len(unit.lines)
+    assert len(rows) == len(split_lines(unit.text))
     assert DEFAULT_STYLE.gray_color in rows[0]          # import line
     assert '<td class="badge"></td>' in rows[0]          # no badge when gray
     assert "#ffffff" in rows[4]                          # relevant, density 0

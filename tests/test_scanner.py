@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from bisect import bisect_right
 
 import pytest
 
@@ -27,6 +28,7 @@ from conftest import (
     INTERFACE_SRC,
     SHAPE_SRC,
     SOUP_ALPHABET,
+    corpus_plan,
     gen_mixed_unit,
     seeded_soups,
 )
@@ -233,6 +235,8 @@ def test_token_starts_follow_the_str_predicates(src, expected):
         ('s = """\nx""""', errors.UnterminatedLiteral, 2, 5),
         ('s = """\nx\\', errors.UnterminatedLiteral, 1, 5),
         ("c = '\\\r\n'", errors.UnterminatedLiteral, 1, 5),
+        ('a\r\n"', errors.UnterminatedLiteral, 2, 1),
+        ("x\n/*", errors.UnterminatedComment, 2, 1),
     ],
 )
 def test_unterminated_constructs_report_position(src, err, line, col):
@@ -389,8 +393,8 @@ def test_line_ends_agree(end):
     assert [(t.kind, t.line, t.column) for t in other.tokens] == [
         (t.kind, t.line, t.column) for t in lf.tokens
     ]
-    assert len(other.lines) == len(lf.lines) == 16
-    assert other.lines == lf.lines
+    assert len(scanner.split_lines(other.text)) == len(scanner.split_lines(lf.text)) == 16
+    assert scanner.split_lines(other.text) == scanner.split_lines(lf.text)
     assert (
         relevant_lines(other, locate_bodies(other))
         == relevant_lines(lf, locate_bodies(lf))
@@ -404,7 +408,7 @@ def test_cr_only_unit_counts_physical_lines():
     unit = SourceUnit.from_text(
         "A.java", "class A {\r  int f(int a) {\r    return a + 1;\r  }\r}\r"
     )
-    assert len(unit.lines) == 5
+    assert len(scanner.split_lines(unit.text)) == 5
     assert sorted(relevant_lines(unit, locate_bodies(unit)).relevant) == [2, 3, 4]
 
 
@@ -418,7 +422,7 @@ def line_facts(src):
     except errors.SourcePositionError as exc:
         return type(exc), exc.line, exc.column
     tokens = [(t.kind, _LINE_END.sub("\n", t.text), t.line, t.column) for t in unit.tokens]
-    return tokens, unit.lines, relevant
+    return tokens, scanner.split_lines(unit.text), relevant
 
 
 def rotate_line_ends(src):
@@ -438,3 +442,64 @@ def test_line_ends_agree_on_seeded_inputs():
         for variant in (src.replace("\n", "\r\n"), src.replace("\n", "\r"),
                         rotate_line_ends(src)):
             assert line_facts(variant) == expected, repr(variant)
+
+
+def relevant_by_line_split(unit, spans):
+    """Relevant lines counted without the line table: the lines a token
+    starts on and those a text block spans by its line-end matches, each
+    within a span and non-blank as ``split_lines`` cuts the text."""
+    tokens = unit.tokens
+    held = set(tokens.lines)
+    for text, line in zip(tokens.texts, tokens.lines):
+        if text.startswith('"""'):
+            held.update(range(line + 1, line + len(_LINE_END.findall(text)) + 1))
+    region = set()
+    for span in spans:
+        region.update(range(span.decl_line, tokens.lines[span.body_token_range[1] - 1] + 1))
+    lines = scanner.split_lines(unit.text)
+    return {ln for ln in held & region if lines[ln - 1].strip()}
+
+
+_TABLE_EDGES = [
+    "", "\n", "\r", "a", "a\r\n\r",
+    # a text block whose lines end in CRLF, one of them blank and the last
+    # holding no other token, and a line whose only token strip() calls blank
+    'class T {\r\n  String f() {\r\n    return """\r\n      a\r\n\r\n      b"""\r\n    ;\r\n  }\r\n}\r\n',
+    "class U {\n  int f() {\n\u00a0\n    return 1;\n  }\n}\n",
+]
+
+
+def assert_line_table_agrees(src):
+    """The scan's line table has one entry per line ``split_lines`` gives,
+    each token's line and column count the line ends before it, and the
+    relevant lines are those ``relevant_by_line_split`` counts."""
+    try:
+        tokens = scanner.scan(src)
+    except errors.SourcePositionError:
+        return
+    assert len(tokens.line_starts) == len(scanner.split_lines(src)), repr(src)
+    line_starts = [0, *(m.end() for m in _LINE_END.finditer(src))]
+    positions = []
+    for start in tokens.starts:
+        line = bisect_right(line_starts, start)
+        positions.append((line, start - line_starts[line - 1] + 1))
+    assert [(t.line, t.column) for t in tokens] == positions, repr(src)
+    unit = SourceUnit("S.java", src, tokens)
+    try:
+        spans = locate_bodies(unit)
+    except errors.SourcePositionError:
+        return
+    assert relevant_lines(unit, spans).relevant == relevant_by_line_split(unit, spans), repr(src)
+
+
+def test_line_table_agrees_on_edges_and_soups():
+    for src in [*_TABLE_EDGES, *seeded_soups(SOUP_ALPHABET), *seeded_soups(SOUP_ALPHABET + "\r")]:
+        assert_line_table_agrees(src)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+@pytest.mark.parametrize("corpus", ["dense", "sparse"])
+def test_line_table_agrees_on_relaid_benchmark_units(corpus, end):
+    for path, data in sorted(corpus_plan(corpus, 1).files.items()):
+        if path.endswith(".java") and b"\xe9" not in data:  # all but the Latin-1 files
+            assert_line_table_agrees(data.decode("utf-8").replace("\n", end))

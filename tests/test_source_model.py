@@ -9,14 +9,13 @@ import pytest
 from mutdense import errors
 from mutdense.fault_model import OperatorSet, find_mutation_sites
 from mutdense.metrics import analyze_unit
-from mutdense.scanner import scan
+from mutdense.scanner import scan, split_lines
 from mutdense.source_model import (
     SpanKind,
     locate_bodies,
     mark_generic_angles,
     match_braces,
     relevant_lines,
-    split_lines,
     text_positions,
 )
 from conftest import (
@@ -499,7 +498,7 @@ def test_every_relevant_line_is_nonblank():
         unit = make_unit(src)
         rel = relevant_lines(unit, locate_bodies(unit))
         for ln in rel.relevant:
-            assert unit.lines[ln - 1].strip()
+            assert split_lines(unit.text)[ln - 1].strip()
 
 
 def test_span_invariants_and_nesting():
