@@ -614,25 +614,21 @@ def _write_artifacts(project: ProjectReport, config: Config) -> None:
     if "json" in config.formats:
         _write_whole(out, "project.json", emit_json(project, [u.json for u in project.units]))
     if "text" in config.formats:
-        _write_whole(out, "project.txt", render_text(project, config.top_lines))
+        _write_whole(out, "project.txt", render_text(project, config.top_lines).encode("utf-8"))
     if "svg" in config.formats and project.units:
-        _write_whole(out, "project.svg", render_barchart(project))
+        _write_whole(out, "project.svg", render_barchart(project).encode("utf-8"))
 
 
-def _write_whole(out: str, name: str, data: bytes | str) -> None:
-    """Write ``data`` (text as UTF-8) to a temporary name in ``out``, then
-    rename it to ``name``: an interrupted write leaves no partial artifact,
-    and a failed one no temporary file.  The temporary name is the same for
-    every artifact, so a long ``name`` cannot make it too long; each process
-    writes one file at a time."""
+def _write_whole(out: str, name: str, data: bytes) -> None:
+    """Write ``data`` to a temporary name in ``out``, then rename it to
+    ``name``: an interrupted write leaves no partial artifact, and a failed
+    one no temporary file.  The temporary name is the same for every
+    artifact, so a long ``name`` cannot make it too long; each process writes
+    one file at a time."""
     temporary = os.path.join(out, f".mutdense.{os.getpid()}.tmp")
     try:
-        if isinstance(data, bytes):
-            with open(temporary, "wb") as fh:
-                fh.write(data)
-        else:
-            with open(temporary, "w", encoding="utf-8") as fh:
-                fh.write(data)
+        with open(temporary, "wb") as fh:
+            fh.write(data)
         os.replace(temporary, os.path.join(out, name))
     except BaseException:
         try:

@@ -235,12 +235,17 @@ def mark_generic_angles(tokens: Tokens, positions: dict[str, list[int]]) -> Gene
 # body location
 # ---------------------------------------------------------------------------
 
-# Where each frame of ``locate_bodies`` stops: every frame at the words that
-# may open a type body; a block also at each return and where a block lambda
-# or a statement may, a type body where an initializer or a callable may.
+# Where each kind of frame of ``locate_bodies`` stops: every kind at the words
+# that may open a type body; a type body also where an initializer or a
+# callable may; a body (a callable's, an initializer's or the top level) also
+# at each return and where a block lambda or a statement may; a block lambda
+# at the same words but no return, which leaves the lambda, not its callable.
 _TYPE_OPENERS = ("new", "class", "enum", "interface")
-_BLOCK_STOPS = (*_TYPE_OPENERS, "return", "->", "case", "default", "switch", "if", "while", "for")
-_TYPE_BODY_STOPS = (*_TYPE_OPENERS, "{", "(")
+_FRAME_STOPS = {
+    "type": (*_TYPE_OPENERS, "{", "("),
+    "body": (*_TYPE_OPENERS, "return", "->", "case", "default", "switch", "if", "while", "for"),
+    "lambda": (*_TYPE_OPENERS, "->", "case", "default", "switch", "if", "while", "for"),
+}
 _LABEL_ENDS = frozenset({"->", ":", ";", "{", "}"})
 # A statement starts after these ('else' and 'do' take one) and after each end
 # that ``locate_bodies`` marks; after other ':', '->' or ')' an expression may.
@@ -260,31 +265,23 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
     """Find every method/constructor body span, including those of nested,
     local, and anonymous types, with the tokens and returns each one owns.
 
-    One loop over an explicit stack of frames ``(lo, hi, type_name, span,
-    returns)``, so nesting depth is bounded by memory rather than by the
-    interpreter stack.  A frame walks ``tokens[lo:hi]``, adding to the owned
-    intervals and creations of ``span`` (None outside a callable's body or
-    in an initializer) and to ``returns`` (the span's, or None in a block
-    lambda), through the ascending indices of its stops in
-    ``unit.positions``.  A block (no ``type_name``) stops at ``new`` and the
-    type keywords, where a type body may open, at each ``return``, at each
-    ``->``, ``case`` and ``default``, which tell whether a ``{`` after a
-    ``->`` opens a block lambda, and at each ``if``, ``while``, ``for`` and
-    ``switch``, which tell where statements start; a type body stops at
-    ``new`` and the type keywords too, at each ``{``, which opens an
-    initializer block, and at each ``(``, where a callable's parameters open
-    when a name precedes it.  A type's ``{`` is the first outside its
-    header's groups.  When another stop lies between a stop and the ``{`` it
-    opens (an anonymous class's arguments), the tokens between are one more
-    frame like the enclosing one, walked before the body; no body opens in
-    it that closes past it.  A callable's body owns its tokens outside the
-    type bodies in it, its returns outside the block lambdas in it (each
-    with its ';') and its creations but whole statements (each with its ')').
+    One loop over an explicit stack of frames ``(lo, hi, kind, type_name,
+    span)``, so nesting depth is bounded by memory rather than by the
+    interpreter stack.  A frame walks ``tokens[lo:hi]`` through the ascending
+    indices in ``unit.positions`` of its kind's stops in ``_FRAME_STOPS``,
+    adding to the owned intervals, returns and creations of ``span`` (None
+    outside a callable's body or in an initializer); a type body's frame
+    holds its type's name.  A type's ``{`` is the first outside its header's
+    groups.  When another stop lies between a stop and the ``{`` it opens (an
+    anonymous class's arguments), the tokens between are one more frame like
+    the enclosing one, walked before the body; no body opens in it that
+    closes past it.  A callable's body owns its tokens outside the type
+    bodies in it, its returns outside the block lambdas in it (each with its
+    ';') and its creations but whole statements (each with its ')').
     """
     pairs = unit.pairs  # unbalanced braces fail here, even in a unit with no bodies
     texts, kinds = unit.tokens.texts, unit.tokens.kinds
-    block_stops = unit.positions_of(_BLOCK_STOPS)
-    body_stops = unit.positions_of(_TYPE_BODY_STOPS)
+    stops_of: dict[str, list[int]] = {}  # each kind's stops, found at its first frame
     spans: list[BodySpan] = []
     # each header's ')' and each switch label's ':' or '->', mapped to whether
     # a statement starts after it: not after a switch expression's arrow
@@ -298,10 +295,12 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
             k -= 2
         return k >= 0 and (texts[k] in _STATEMENT_STARTS or ends.get(k, False))
 
-    frames: list[tuple] = [(0, len(texts), None, None, None)]
+    frames: list[tuple] = [(0, len(texts), "body", None, None)]
     while frames:
-        lo, hi, type_name, span, returns = frames.pop()
-        stops = block_stops if type_name is None else body_stops
+        lo, hi, kind, type_name, span = frames.pop()
+        stops = stops_of.get(kind)
+        if stops is None:
+            stops = stops_of[kind] = unit.positions_of(_FRAME_STOPS[kind])
         for k in range(bisect_left(stops, lo), bisect_left(stops, hi)):
             i = stops[k]
             tx = texts[i]
@@ -312,24 +311,24 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                         texts[site[1] + 1] != ";" or not starts_statement(i)):
                     span.creations.append((i, site[1]))
                 if site is not None and site[1] + 1 < hi and texts[site[1] + 1] == "{":
-                    body_open, child = site[1] + 1, (site[0], None, None)
+                    body_open, child = site[1] + 1, ("type", site[0], None)
             elif tx == "{":  # initializer block or array initializer
-                body_open, child = i, (None, None, None)
+                body_open, child = i, ("body", None, None)
             elif tx == "(":
                 # a type body starts after its '{', so tokens[i - 1] is in it
                 if kinds[i - 1] is TokenKind.IDENTIFIER:
                     found = _try_callable(unit, i - 1, hi, type_name)
                     if found is not None:
                         spans.append(found)
-                        body_open, child = found.body_token_range[0], (None, found, found.returns)
+                        body_open, child = found.body_token_range[0], ("body", None, found)
             elif tx == "return":
-                if returns is not None:
-                    returns.append((i, first_outside_groups(unit, i + 1, hi, _STATEMENT_END)))
+                if span is not None:
+                    span.returns.append((i, first_outside_groups(unit, i + 1, hi, _STATEMENT_END)))
             elif tx == "if" or tx == "while" or tx == "for":
                 ends[pairs.get(i + 1, hi)] = True  # with no ')', hi: a brace or past the end
             elif tx == "->":
                 if i not in ends and i + 1 < hi and texts[i + 1] == "{":
-                    body_open, child = i + 1, (None, span, None)
+                    body_open, child = i + 1, ("lambda", None, span)
             elif tx == "case" or tx == "default":
                 end = first_outside_groups(unit, i + 1, hi, _LABEL_ENDS)
                 while switches and switches[-1][0] < i:  # closed before this label
@@ -348,16 +347,16 @@ def locate_bodies(unit: SourceUnit) -> list[BodySpan]:
                     j += 1
                 body_open = first_outside_groups(unit, j, hi, _BODY_OPEN)
                 if body_open is not None:  # the type's name is texts[j]
-                    child = (texts[j], None, None)
+                    child = ("type", texts[j], None)
             if child is not None and (close := pairs[body_open]) < hi:
                 # an anonymous class's arguments that hold stops are walked first
                 head = i + 1 if bisect_left(stops, body_open) > k + 1 else body_open
                 if span is not None and lo < head:
                     span.owned.append((lo, head))
-                frames.append((close + 1, hi, type_name, span, returns))
+                frames.append((close + 1, hi, kind, type_name, span))
                 frames.append((body_open + 1, close, *child))
                 if head < body_open:
-                    frames.append((head, body_open, type_name, span, returns))
+                    frames.append((head, body_open, kind, type_name, span))
                 break
         else:  # no body opened before ``hi``
             if span is not None and lo < hi:

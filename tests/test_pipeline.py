@@ -42,6 +42,7 @@ from conftest import (
     project_json,
     seeded_soups,
 )
+import nests
 
 ALL_OPS = OperatorSet.default()
 
@@ -328,9 +329,7 @@ def _ownership_inputs():
     yield from (unit for unit, _ in _layout_inputs().values())
     yield source_model.SourceUnit.from_text("Arguments.java", _ANONYMOUS_ARGUMENTS)
     yield source_model.SourceUnit.from_text("Headers.java", _ANNOTATED_HEADERS)
-    for nested in (_nested_creations, _nested_lambda_returns, _nested_switch_rules,
-                   _nested_switches, _nested_anonymous_returns, _nested_lambda_anonymous,
-                   _nested_anonymous_arguments):
+    for nested in nests.NESTS:
         yield source_model.SourceUnit.from_text("Nest.java", nested(3)[0])
     for soup in (*seeded_soups(SOUP_ALPHABET), *_fragment_soups()):
         try:
@@ -518,90 +517,22 @@ class CountingTokens(scanner.Tokens):
         self.reads = self.walks = 0
 
 
-# Each builds a unit nested ``depth`` deep and gives its mutant count.
-
-
-def _nested_creations(depth: int) -> tuple[str, int]:
-    # one NOI per 'new' and the NRV
-    src = "class C {\nObject f() {\nreturn " + "new A(" * depth + "x" + ")" * depth + ";\n}\n}\n"
-    return src, depth + 1
-
-
-def _nested_lambda_returns(depth: int) -> tuple[str, int]:
-    # only f's own 'return' is an NRV: the others leave a block lambda
-    opening = "return g(() -> {\n" * depth
-    src = "class C {\nObject f() {\n" + opening + "return x;\n" + "});\n" * depth + "}\n}\n"
-    return src, 1
-
-
-def _nested_switch_rules(depth: int) -> tuple[str, int]:
-    # a switch rule's block is no lambda: one NRV per 'return'
-    opening = "switch (k) {\ncase 1, 2 -> {\n" * depth
-    closing = "}\ndefault -> {\nreturn y;\n}\n}\n" * depth
-    src = "class C {\nObject f() {\n" + opening + "return x;\n" + closing + "}\n}\n"
-    return src, depth + 1
-
-
-def _nested_switches(depth: int) -> tuple[str, int]:
-    # statement and expression switches in turn: each statement switch's
-    # rule and the innermost block hold creation statements, so the 'yield'
-    # has the one NOI, and f's NRV
-    opening = "switch (k) {\ncase 1 -> {\no = switch (k) {\ncase 2 -> {\n" * depth
-    closing = "}\ndefault -> o;\n};\n}\ndefault -> new C();\n}\n" * depth
-    innermost = "new A();\nyield new B();\n"
-    src = "class C {\nObject f() {\n" + opening + innermost + closing + "return o;\n}\n}\n"
-    return src, 2
-
-
-def _comparison_chain(depth: int) -> tuple[str, int]:
-    # one ROR per '<' and the NRV
-    return "class C {\nObject f() {\nreturn " + "a < " * depth + "a;\n}\n}\n", depth + 1
-
-
-def _nested_anonymous_returns(depth: int) -> tuple[str, int]:
-    # one NOI per 'new' and one NRV per 'return'; each of the nest's
-    # returns holds the rest of the nest
-    opening = "return new A() {\nObject g() {\n" * depth
-    src = "class C {\nObject f() {\n" + opening + "return x;\n" + "}\n};\n" * depth + "}\n}\n"
-    return src, 2 * depth + 1
-
-
-def _nested_lambda_anonymous(depth: int) -> tuple[str, int]:
-    # one NOI per 'new'; each lambda returns an anonymous class whose method
-    # holds the next lambda, so only the innermost method's return and f's
-    # are NRVs
-    opening = "g(() -> {\nreturn new A() {\nObject h() {\n" * depth
-    closing = "}\n};\n});\n" * depth
-    src = "class C {\nObject f() {\n" + opening + "return x;\n" + closing + "return y;\n}\n}\n"
-    return src, depth + 2
-
-
-def _nested_anonymous_arguments(depth: int) -> tuple[str, int]:
-    # each anonymous class's arguments hold another anonymous class and the
-    # rest of the nest: one NOI per 'new', one NRV per g and f's NRV
-    nest = "new A(new B() {\nObject g() {\nreturn x;\n}\n}, " * depth + "null" + ") { }" * depth
-    return "class C {\nObject f() {\nreturn " + nest + ";\n}\n}\n", 3 * depth + 1
-
-
-@pytest.mark.parametrize(
-    "nested",
-    [_nested_creations, _nested_lambda_returns, _nested_switch_rules, _nested_switches,
-     _comparison_chain, _nested_anonymous_returns, _nested_lambda_anonymous,
-     _nested_anonymous_arguments])
+@pytest.mark.parametrize("nested", nests.NESTS)
 def test_nesting_cost_grows_linearly(nested):
-    """Token reads of the whole chain, and the text the mutants store,
+    """Each nest gives the mutants per operator that its generator counts,
+    and token reads of the whole chain, and the text the mutants store,
     double, no more, when the depth of nested brackets doubles: each closer
     is looked up, never walked to, and a mutant keeps a bounded ``original``
     however much of the nest its site holds."""
     reads, stored = [], []
     for depth in (300, 600):
-        src, count = nested(depth)
+        src, expected = nested(depth)
         tokens = CountingTokens(src)
         unit = source_model.SourceUnit("N.java", src, tokens)
         spans = source_model.locate_bodies(unit)
         mutants = build_unit_report(unit, source_model.relevant_lines(unit, spans),
                                     find_mutation_sites(unit, spans, ALL_OPS)).mutants
-        assert len(mutants) == count
+        assert Counter(m.operator_id for m in mutants) == expected
         reads.append(tokens.reads)
         stored.append(sum(len(m.original) for m in mutants))
     assert reads[1] <= 2.2 * reads[0], reads
@@ -628,6 +559,18 @@ def test_block_frames_read_no_token_without_a_body_opener():
     keywords, 'return', and the '->', 'case' and 'default' that tell a
     block lambda from a switch rule."""
     reads = [_locate_reads(_statements(count)) for count in (200, 400)]
+    assert reads[1] - reads[0] <= 2, reads
+
+
+def _lambda_returns(count: int) -> str:
+    return ("class C {\nint f(int a) {\nreturn g(() -> {\n" + "return a + 1;\n" * count
+            + "});\n}\n}\n")
+
+
+def test_block_lambda_frames_read_no_return():
+    """A block lambda's frame does not stop at 'return': its returns leave
+    the lambda, and its callable owns none of them."""
+    reads = [_locate_reads(_lambda_returns(count)) for count in (200, 400)]
     assert reads[1] - reads[0] <= 2, reads
 
 

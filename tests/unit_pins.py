@@ -48,7 +48,8 @@ def dense_digests() -> dict[str, dict[str, str]]:
         unit = {"json": _sha256(emit_unit_json(report)),
                 "html": _sha256(render_heatmap(report, text).encode("utf-8"))}
         for layout, end in _RELAYOUTS.items():
-            unit[layout] = _sha256(emit_unit_json(analyze_unit(path, text.replace("\n", end), _OPS)))
+            relaid = analyze_unit(path, text.replace("\n", end), _OPS)
+            unit[layout] = _sha256(emit_unit_json(relaid))
         digests[path] = unit
     return digests
 
